@@ -37,14 +37,12 @@ from .laplace import (
     GgnFactors,
     LaplacePosterior,
     PredictiveBatch,
-    PredictiveResult,
     ggn_factors,
     kappa,
     load_posterior,
     predictive,
     predictive_batch,
     save_posterior,
-    solve_posterior,
 )
 from .mps import (
     FeatureEmbedding,
@@ -89,14 +87,12 @@ __all__ = [
     "GgnFactors",
     "LaplacePosterior",
     "PredictiveBatch",
-    "PredictiveResult",
     "ggn_factors",
     "kappa",
     "load_posterior",
     "predictive",
     "predictive_batch",
     "save_posterior",
-    "solve_posterior",
     "InitSpec",
     "init_model",
     "init_variance",

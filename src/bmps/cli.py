@@ -30,7 +30,7 @@ from scipy.stats import kurtosis
 
 from . import __version__, data, decision, initializer, laplace, mps, trainer
 from .baseline import LogisticBaseline
-from .errors import DataError, NumericError, ParseError, ShapeError, TrainingDiverged
+from .errors import DataError, NumericError, ParseError, TrainingDiverged
 
 _DATA_DEFAULTS = {
     "dataset": "blobs",
@@ -263,25 +263,46 @@ def _build_shape(dataset, cfg):
     )
 
 
-def _init_model(dataset, shape, cfg, seed, method=None, scale_factor=None):
+def _fit(dataset, shape, cfg, seed):
+    """Initialize a model with ``seed`` and train it; returns ``(fit, history)``."""
     var_x = cfg["var_x"] if cfg["var_x"] is not None else dataset.init_var_x()
     spec = initializer.InitSpec(
-        method=method or cfg["init"],
-        var_x=var_x,
-        seed=seed,
-        scale_factor=scale_factor if scale_factor is not None else cfg["scale_factor"],
+        method=cfg["init"], var_x=var_x, seed=seed, scale_factor=cfg["scale_factor"]
     )
-    return initializer.init_model(shape, spec)
-
-
-def _train_config(cfg, seed):
-    return trainer.TrainConfig(
+    model = initializer.init_model(shape, spec)
+    config = trainer.TrainConfig(
         epochs=cfg["epochs"],
         batch_size=cfg["batch_size"],
         learning_rate=cfg["learning_rate"],
         optimizer=cfg["optimizer"],
         seed=seed,
     )
+    return trainer.train_map(model, dataset, config, trainer.PriorSpec(cfg["reg"]))
+
+
+def _seed_sweep(cfg, dataset, variants, cell_cfg, ok_rows, diverged_row):
+    """Train one model per (variant, seed) cell, seeds base, base+1, ...
+
+    ``cell_cfg(variant)`` is the cell's configuration. A trained cell adds
+    the rows ``ok_rows(fit, history, cell_start)``; a diverged cell adds the
+    one row ``diverged_row(exc, cell_start)``, so divergence is recorded,
+    never raised. ``cell_start`` is the cell's ``time.perf_counter()`` start.
+    Each row is prefixed with the variant and seed and ends with its status.
+    """
+    rows = []
+    for variant in variants:
+        variant_cfg = cell_cfg(variant)
+        shape = _build_shape(dataset, variant_cfg)
+        for seed in range(cfg["seed"], cfg["seed"] + cfg["n_seeds"]):
+            cell_start = time.perf_counter()
+            try:
+                fit, history = _fit(dataset, shape, variant_cfg, seed)
+            except TrainingDiverged as exc:
+                rows.append([variant, seed, *diverged_row(exc, cell_start), "diverged"])
+                continue
+            cell_rows = ok_rows(fit, history, cell_start)
+            rows.extend([variant, seed, *r, "ok"] for r in cell_rows)
+    return rows
 
 
 def _out_dir(cfg):
@@ -323,10 +344,7 @@ def cmd_train(cfg):
     started = time.perf_counter()
     dataset = _load_dataset(cfg)
     shape = _build_shape(dataset, cfg)
-    model = _init_model(dataset, shape, cfg, cfg["seed"])
-    fit, history = trainer.train_map(
-        model, dataset, _train_config(cfg, cfg["seed"]), trainer.PriorSpec(cfg["reg"])
-    )
+    fit, history = _fit(dataset, shape, cfg, cfg["seed"])
     out = _out_dir(cfg)
     mps.save_model(fit, out / "model.bmps")
     history.to_csv(out / "history.csv")
@@ -393,60 +411,30 @@ def cmd_predict(cfg):
     util = decision.UtilityMatrix.from_csv(cfg["utility"]) if cfg["utility"] else None
     truth = np.argmax(Y, axis=1)
     fields = ["index", "truth", "map_label", "moderated_label"]
+    moderated = decision.classify_map(probs)
+    labels = [np.arange(X.shape[0]), truth, decision.classify_map(map_probs), moderated]
     if util is not None:
         fields.append("utility_label")
+        labels.append(decision.classify_utility(probs, util))
     fields += [f"prob_{j}" for j in range(probs.shape[1])]
-    rows = []
-    for i in range(X.shape[0]):
-        row = [
-            i,
-            int(truth[i]),
-            decision.classify_map(map_probs[i]),
-            decision.classify_map(probs[i]),
-        ]
-        if util is not None:
-            row.append(decision.classify_utility(probs[i], util))
-        row += [float(p) for p in probs[i]]
-        rows.append(row)
+    rows = [a + b for a, b in zip(np.column_stack(labels).tolist(), probs.tolist())]
     out = _out_dir(cfg)
     _write_csv(out, "predictions", fields, rows)
     _write_meta(out, "predictions", dict(cfg, mode=mode), started)
-    chosen = np.array([r[3] for r in rows])
-    acc = float(np.mean(chosen == truth))
+    acc = float(np.mean(moderated == truth))
     print(f"wrote {len(rows)} predictions ({mode}); accuracy {acc:.4f}")
     return 0
 
 
-def _accuracy_sweep(cfg, variants, variant_field, init_for_variant):
-    """Shared engine of init-compare and std-perturb.
+_EPOCH_FIELDS = ["seed", "epoch", "train_acc", "test_acc", "status"]
 
-    ``variants`` is a list of values for ``variant_field``;
-    ``init_for_variant(dataset, shape, variant, seed)`` builds the model.
-    Divergence is recorded as a row, never raised.
-    """
-    dataset = _load_dataset(cfg)
-    shape = _build_shape(dataset, cfg)
-    seeds = [cfg["seed"] + i for i in range(cfg["n_seeds"])]
-    rows = []
-    for variant in variants:
-        for seed in seeds:
-            model = init_for_variant(dataset, shape, variant, seed)
-            try:
-                _, history = trainer.train_map(
-                    model,
-                    dataset,
-                    _train_config(cfg, seed),
-                    trainer.PriorSpec(cfg["reg"]),
-                )
-            except TrainingDiverged as exc:
-                rows.append([variant, seed, exc.epoch or 0, "", "", "diverged"])
-                continue
-            for rec in history.records:
-                rows.append(
-                    [variant, seed, rec.epoch, rec.train_acc, rec.test_acc, "ok"]
-                )
-    fields = [variant_field, "seed", "epoch", "train_acc", "test_acc", "status"]
-    return fields, rows
+
+def _epoch_rows(fit, history, cell_start):
+    return [[rec.epoch, rec.train_acc, rec.test_acc] for rec in history.records]
+
+
+def _diverged_epoch_row(exc, cell_start):
+    return [exc.epoch or 0, "", ""]
 
 
 def cmd_init_compare(cfg):
@@ -457,14 +445,17 @@ def cmd_init_compare(cfg):
     for m in methods:
         if m not in initializer.METHODS:
             raise DataError(f"unknown initializer {m!r} (choose from {initializer.METHODS})")
-    fields, rows = _accuracy_sweep(
+    dataset = _load_dataset(cfg)
+    rows = _seed_sweep(
         cfg,
+        dataset,
         methods,
-        "method",
-        lambda ds, shape, method, seed: _init_model(ds, shape, cfg, seed, method=method),
+        lambda method: dict(cfg, init=method),
+        _epoch_rows,
+        _diverged_epoch_row,
     )
     out = _out_dir(cfg)
-    _write_csv(out, "init-compare", fields, rows)
+    _write_csv(out, "init-compare", ["method", *_EPOCH_FIELDS], rows)
     _write_meta(out, "init-compare", cfg, started)
     print(f"wrote {len(rows)} rows for {len(methods)} methods")
     return 0
@@ -473,16 +464,17 @@ def cmd_init_compare(cfg):
 def cmd_std_perturb(cfg):
     started = time.perf_counter()
     scales = _float_list(cfg["scales"], "--scales")
-    fields, rows = _accuracy_sweep(
+    dataset = _load_dataset(cfg)
+    rows = _seed_sweep(
         cfg,
+        dataset,
         scales,
-        "scale_factor",
-        lambda ds, shape, scale, seed: _init_model(
-            ds, shape, cfg, seed, scale_factor=scale
-        ),
+        lambda scale: dict(cfg, scale_factor=scale),
+        _epoch_rows,
+        _diverged_epoch_row,
     )
     out = _out_dir(cfg)
-    _write_csv(out, "std-perturb", fields, rows)
+    _write_csv(out, "std-perturb", ["scale_factor", *_EPOCH_FIELDS], rows)
     _write_meta(out, "std-perturb", cfg, started)
     print(f"wrote {len(rows)} rows for scales {scales}")
     return 0
@@ -496,10 +488,7 @@ def cmd_boundary_grid(cfg):
             f"boundary grid needs a 2-feature dataset, got {dataset.n_features}"
         )
     shape = _build_shape(dataset, cfg)
-    model = _init_model(dataset, shape, cfg, cfg["seed"])
-    fit, _ = trainer.train_map(
-        model, dataset, _train_config(cfg, cfg["seed"]), trainer.PriorSpec(cfg["reg"])
-    )
+    fit, _ = _fit(dataset, shape, cfg, cfg["seed"])
     if cfg["reg"] > 0:
         factors = laplace.ggn_factors(
             fit, dataset.train_x, rank_cap=cfg["rank_cap"], seed=cfg["seed"]
@@ -539,10 +528,7 @@ def cmd_param_hist(cfg):
     shape = _build_shape(dataset, cfg)
     param_rows, summary_rows = [], []
     for reg in regs:
-        model = _init_model(dataset, shape, cfg, cfg["seed"])
-        fit, _ = trainer.train_map(
-            model, dataset, _train_config(cfg, cfg["seed"]), trainer.PriorSpec(reg)
-        )
+        fit, _ = _fit(dataset, shape, dict(cfg, reg=reg), cfg["seed"])
         values = mps.flatten_params(fit)
         param_rows.extend(["mps", reg, float(v)] for v in values)
         summary_rows.append(
@@ -585,27 +571,19 @@ def cmd_bond_sweep(cfg):
     if any(b < 1 for b in bonds):
         raise DataError("bond dimensions must be >= 1")
     dataset = _load_dataset(cfg)
-    seeds = [cfg["seed"] + i for i in range(cfg["n_seeds"])]
-    rows = []
-    for bond in bonds:
-        shape = _build_shape(dataset, dict(cfg, bond=bond))
-        for seed in seeds:
-            cell_start = time.perf_counter()
-            model = _init_model(dataset, shape, cfg, seed)
-            try:
-                fit, _ = trainer.train_map(
-                    model,
-                    dataset,
-                    _train_config(cfg, seed),
-                    trainer.PriorSpec(cfg["reg"]),
-                )
-            except TrainingDiverged:
-                rows.append(
-                    [bond, seed, "", time.perf_counter() - cell_start, "diverged"]
-                )
-                continue
-            acc = trainer.accuracy(fit, dataset.test_x, dataset.test_y)
-            rows.append([bond, seed, acc, time.perf_counter() - cell_start, "ok"])
+
+    def trained(fit, history, cell_start):
+        acc = trainer.accuracy(fit, dataset.test_x, dataset.test_y)
+        return [[acc, time.perf_counter() - cell_start]]
+
+    rows = _seed_sweep(
+        cfg,
+        dataset,
+        bonds,
+        lambda bond: dict(cfg, bond=bond),
+        trained,
+        lambda exc, cell_start: ["", time.perf_counter() - cell_start],
+    )
     out = _out_dir(cfg)
     _write_csv(out, "bond-sweep", ["bond", "seed", "test_acc", "wall_time", "status"], rows)
     _write_meta(out, "bond-sweep", cfg, started)
@@ -631,13 +609,7 @@ def main(argv=None):
     try:
         cfg = _merge_config(args.command, args)
         return _COMMANDS[args.command](cfg)
-    except (DataError, ParseError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -65,7 +65,7 @@ def _check_features(name, X, allow_empty=False):
         raise DataError(f"{name} must be 2-d (samples, features), got shape {X.shape}")
     if X.shape[0] == 0 and not allow_empty:
         raise DataError(f"{name} has no rows")
-    if X.size and (X.min() < 0.0 or X.max() > 1.0):
+    if X.size and not (0.0 <= X.min() and X.max() <= 1.0):
         raise DataError(f"{name} has entries outside [0, 1]")
     return X
 
@@ -279,7 +279,7 @@ def _scale_cell(column, spec, value, line_no):
         lo, hi = float(spec["min"]), float(spec["max"])
         if not lo < hi:
             raise DataError(f"column {column!r}: declared range [{lo}, {hi}] is empty")
-        if v < lo or v > hi:
+        if not lo <= v <= hi:
             raise DataError(
                 f"line {line_no}: column {column!r}: value {v} outside declared "
                 f"range [{lo}, {hi}]"

@@ -61,24 +61,43 @@ class UtilityMatrix:
 
 def _check_probs(probs):
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1 or probs.shape[0] == 0:
-        raise DataError(f"need a nonempty probability vector, got shape {probs.shape}")
-    if np.any(probs < -1e-12) or abs(probs.sum() - 1.0) > 1e-6:
+    if probs.ndim not in (1, 2) or probs.shape[-1] == 0:
+        raise DataError(
+            f"need a nonempty probability vector or (batch, classes) matrix, "
+            f"got shape {probs.shape}"
+        )
+    # Written so that NaN, which fails every comparison, is rejected too.
+    sums_ok = np.abs(probs.sum(axis=-1) - 1.0) <= 1e-6
+    if not (np.all(probs >= -1e-12) and np.all(sums_ok)):
         raise DataError("probabilities must be nonnegative and sum to 1")
     return probs
 
 
+def _labels(scores):
+    labels = np.argmax(scores, axis=-1)
+    return int(labels) if labels.ndim == 0 else labels
+
+
 def classify_map(probs):
-    """Most probable label; lowest index wins ties."""
-    return int(np.argmax(_check_probs(probs)))
+    """Most probable label; lowest index wins ties.
+
+    ``probs`` is one distribution ``(L,)``, giving an int, or one per row
+    ``(B, L)``, giving an int array of B labels.
+    """
+    return _labels(_check_probs(probs))
 
 
 def classify_utility(probs, util):
-    """Label maximizing expected utility; lowest index wins ties."""
+    """Label maximizing expected utility; lowest index wins ties.
+
+    Accepts ``(L,)`` or ``(B, L)`` like :func:`classify_map`.
+    """
     probs = _check_probs(probs)
-    if util.n_labels != probs.shape[0]:
+    if util.n_labels != probs.shape[-1]:
         raise ShapeError(
             f"utility matrix is {util.n_labels}x{util.n_labels} but "
-            f"distribution has {probs.shape[0]} classes"
+            f"distribution has {probs.shape[-1]} classes"
         )
-    return int(np.argmax(util.values @ probs))
+    # One matrix-vector product per row, the same arithmetic for a batch as
+    # for a single distribution.
+    return _labels(np.matmul(util.values, probs[..., None])[..., 0])

@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -165,7 +165,7 @@ class LaplacePosterior:
             raise ValueError(
                 f"prior_precision must be finite and > 0, got {prior_precision}"
             )
-        n_params = mps.param_count(map_model.shape)
+        n_params = map_model.shape.param_count
         if factors.n_params != n_params:
             raise ShapeError(
                 f"factors have {factors.n_params} columns, model has {n_params} parameters"
@@ -214,11 +214,6 @@ class LaplacePosterior:
         return (V - s.T @ U) / lam
 
 
-def solve_posterior(post, v):
-    """M^{-1} v with M = factors'factors + precision*I (Woodbury identity)."""
-    return post.solve(v)
-
-
 def kappa(sigma2):
     """Moderation factor (1 + pi*sigma2/8)^{-1/2}; 1 at zero variance."""
     sigma2 = np.asarray(sigma2, dtype=np.float64)
@@ -230,22 +225,12 @@ def kappa(sigma2):
 
 @dataclass(frozen=True)
 class PredictiveBatch:
-    """Moderated predictions for a batch.
+    """Moderated predictions for a batch, or for one sample from :func:`predictive`.
 
     ``probabilities`` has one column per class (two for single-channel
-    models); the remaining arrays have one column per output channel.
+    models); the remaining arrays have one column per output channel. A
+    single sample's result holds that row's vectors.
     """
-
-    probabilities: np.ndarray
-    sigma2: np.ndarray
-    mu_prime: np.ndarray
-    kappa: np.ndarray
-    logits: np.ndarray
-
-
-@dataclass(frozen=True)
-class PredictiveResult:
-    """Moderated prediction for one sample; vectors, not matrices."""
 
     probabilities: np.ndarray
     sigma2: np.ndarray
@@ -312,13 +297,7 @@ def predictive(post, x, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
     if x.ndim != 1:
         raise ShapeError(f"x must be a 1-d feature vector, got shape {x.shape}")
     batch = predictive_batch(post, x[None], magnitude_cap=magnitude_cap)
-    return PredictiveResult(
-        probabilities=batch.probabilities[0],
-        sigma2=batch.sigma2[0],
-        mu_prime=batch.mu_prime[0],
-        kappa=batch.kappa[0],
-        logits=batch.logits[0],
-    )
+    return PredictiveBatch(*(getattr(batch, f.name)[0] for f in fields(batch)))
 
 
 def posterior_to_bytes(post):

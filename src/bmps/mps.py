@@ -184,8 +184,9 @@ def _phi_matrix(X):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"feature matrix must be 2-D, got ndim={X.ndim}")
-    if X.size and (X.min() < 0.0 or X.max() > 1.0):
-        bad = X.min() if X.min() < 0.0 else X.max()
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if X.size and not (0.0 <= X.min() and X.max() <= 1.0):
+        bad = X.min() if not 0.0 <= X.min() else X.max()
         raise DataError(f"feature value {bad!r} outside [0, 1]")
     return np.stack([X, 1.0 - X], axis=2)
 
@@ -331,24 +332,11 @@ def grad_logits(model, emb, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
     """Analytic gradient of every logit w.r.t. every node, one cached sweep."""
     _check_embedding(model, emb)
     phi = emb.site_vectors[None]
-    _, mats, prefix, suffix = _sweep(model, phi, magnitude_cap, need_env=True)
+    logits, mats, prefix, suffix = _sweep(model, phi, magnitude_cap, need_env=True)
     envs = _environments(model, mats, prefix, suffix, magnitude_cap)
-    shape = model.shape
-    L = shape.n_labels
-    tensors = []
-    for i in range(shape.n_sites):
-        env = envs[i][0]  # (c, left, right)
-        vec = phi[0, i]  # (phys,)
-        if i == shape.label_site:
-            left, _, _, right = shape.node_shape(i)
-            g = np.zeros((L,) + shape.node_shape(i))
-            block = np.einsum("ar,s->asr", env[0], vec)
-            for l in range(L):
-                g[l, :, :, l, :] = block
-        else:
-            g = np.einsum("lar,s->lasr", env, vec)
-        tensors.append(g)
-    return LogitGradient(shape, tensors)
+    jac = jacobian_from_env(BatchEnv(model, phi, logits, envs))[0]
+    per_label = [unflatten_params(model.shape, row) for row in jac]
+    return LogitGradient(model.shape, [np.stack(t) for t in zip(*per_label)])
 
 
 @dataclass
@@ -415,23 +403,9 @@ def weighted_grad_from_env(env, coeff):
     return grads
 
 
-def batch_jacobian(model, X, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
-    """Flattened logit Jacobians for a batch: (batch, n_labels, param_count)."""
-    return jacobian_from_env(sweep_env(model, X, magnitude_cap))
-
-
-def batch_weighted_grad(model, X, coeff, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
-    """Coefficient-weighted logit gradient summed over a batch; see weighted_grad_from_env."""
-    return weighted_grad_from_env(sweep_env(model, X, magnitude_cap), coeff)
-
-
 def weight_norm_sq(model):
     """Sum of squares of every node entry."""
     return float(sum(np.vdot(n, n) for n in model.nodes))
-
-
-def param_count(shape):
-    return shape.param_count
 
 
 def flatten_params(model):

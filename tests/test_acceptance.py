@@ -275,7 +275,7 @@ def _timed_median_solve(n_sites, rng, rank=40, reps=11):
         for i in range(n_sites)
     ]
     model = mps.MpsModel(shape, nodes)
-    P = mps.param_count(shape)
+    P = shape.param_count
     U = rng.normal(0.0, 0.3, size=(rank, P))
     post = laplace.LaplacePosterior(model, factors_for(model, U), 0.5)
     v = rng.normal(size=P)
@@ -293,7 +293,7 @@ def test_c07_low_rank_solver_matches_dense_and_scales_linearly():
     for _ in range(20):
         shape = random_shape(rng, max_n=5, max_s=2, max_bond=3, max_labels=3)
         model = random_model(rng, shape, scale=0.6)
-        P = mps.param_count(shape)
+        P = shape.param_count
         assert P <= 200
         R = int(rng.integers(0, 51))
         U = rng.normal(0.0, 0.7, size=(R, P))
@@ -301,7 +301,7 @@ def test_c07_low_rank_solver_matches_dense_and_scales_linearly():
         post = laplace.LaplacePosterior(model, factors_for(model, U), lam)
         v = rng.normal(size=P)
         dense = np.linalg.solve(U.T @ U + lam * np.eye(P), v)
-        worst = max(worst, rel_err(laplace.solve_posterior(post, v), dense))
+        worst = max(worst, rel_err(post.solve(v), dense))
 
     # One posterior alive at a time; sizes chosen past the cache knee where
     # the measured ratio sits stably near 2.
@@ -326,7 +326,7 @@ def test_c08_moderation_limits_and_no_argmax_flips():
     shape = mps.MpsShape(n_sites=4, phys_dim=2, bond_dim=3, n_labels=4)
     model = random_model(rng, shape, scale=0.5)
     X = rng.uniform(0, 1, size=(50, 4))
-    P = mps.param_count(shape)
+    P = shape.param_count
     post = laplace.LaplacePosterior(model, factors_for(model, np.zeros((0, P))), 1e12)
     moderated = laplace.predictive_batch(post, X).probabilities
     point = softmax(mps.forward_batch(model, X), axis=1)
@@ -335,7 +335,7 @@ def test_c08_moderation_limits_and_no_argmax_flips():
     bshape = mps.MpsShape(n_sites=4, phys_dim=2, bond_dim=3, n_labels=1)
     bmodel = random_model(rng, bshape, scale=0.5)
     bpost = laplace.LaplacePosterior(
-        bmodel, factors_for(bmodel, np.zeros((0, mps.param_count(bshape)))), 1e12
+        bmodel, factors_for(bmodel, np.zeros((0, bshape.param_count))), 1e12
     )
     bmod = laplace.predictive_batch(bpost, X).probabilities
     bpoint = expit(mps.forward_batch(bmodel, X)[:, 0])
@@ -351,7 +351,7 @@ def test_c08_moderation_limits_and_no_argmax_flips():
             boundary=["cyclic", "open"][int(rng.integers(2))],
         )
         model_i = random_model(rng, shape_i, scale=0.6)
-        P_i = mps.param_count(shape_i)
+        P_i = shape_i.param_count
         R = int(rng.integers(0, 9))
         U = rng.normal(0.0, 0.8, size=(R, P_i))
         lam = float(10 ** rng.uniform(-3, 3))

@@ -169,9 +169,10 @@ class TestCsvLoading:
 
     def test_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_csv(path, ["1,2,0,a", "11,3,0,b"])
-        with pytest.raises(DataError, match="outside declared range"):
-            data.load_csv(path, "outcome", CSV_SCHEMA)
+        for bad_row in ("11,3,0,b", "nan,3,0,b"):
+            write_csv(path, ["1,2,0,a", bad_row])
+            with pytest.raises(DataError, match="line 3: column 'clump'.*outside declared range"):
+                data.load_csv(path, "outcome", CSV_SCHEMA)
 
     def test_zero_variance_column_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -299,6 +300,8 @@ class TestDatasetSplit:
         empty_x, empty_y = np.zeros((0, 2)), np.zeros((0, 2))
         with pytest.raises(DataError, match="outside"):
             data.DatasetSplit(np.array([[1.5, 0.0]]), ok_y, empty_x, empty_y)
+        with pytest.raises(DataError, match="outside"):
+            data.DatasetSplit(np.array([[np.nan, 0.0]]), ok_y, empty_x, empty_y)
         with pytest.raises(DataError, match="one-hot"):
             data.DatasetSplit(ok_x, np.array([[0.5, 0.5]]), empty_x, empty_y)
         with pytest.raises(DataError, match="row counts"):

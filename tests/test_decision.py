@@ -10,15 +10,26 @@ from bmps.decision import UtilityMatrix, classify_map, classify_utility
 from bmps.errors import DataError, ParseError, ShapeError
 
 
-def distributions(max_len=6):
+def batches(max_len=6, max_rows=8):
+    """(B, L) matrices with one distribution per row."""
     return (
-        arrays(
-            np.float64,
-            st.integers(1, max_len),
-            elements=st.floats(0.001, 1.0, allow_nan=False),
+        st.integers(1, max_len)
+        .flatmap(
+            lambda n: arrays(
+                np.float64,
+                st.tuples(st.integers(1, max_rows), st.just(n)),
+                elements=st.floats(0.001, 1.0, allow_nan=False),
+            )
         )
-        .map(lambda v: v / v.sum())
+        .map(lambda m: m / m.sum(axis=1, keepdims=True))
     )
+
+
+def with_bad_row(probs, index):
+    """Copy of ``probs`` whose row ``index % B`` sums to 2."""
+    broken = probs.copy()
+    broken[index % len(probs)] *= 2.0
+    return broken
 
 
 class TestClassifyMap:
@@ -28,6 +39,7 @@ class TestClassifyMap:
     def test_tie_breaks_low(self):
         assert classify_map([0.5, 0.5]) == 0
         assert classify_map([0.25, 0.25, 0.25, 0.25]) == 0
+        assert classify_map([[0.5, 0.5], [0.25, 0.75]]).tolist() == [0, 1]
 
     def test_rejects_empty_and_invalid(self):
         with pytest.raises(DataError):
@@ -36,12 +48,20 @@ class TestClassifyMap:
             classify_map([0.9, 0.3])
         with pytest.raises(DataError):
             classify_map([-0.2, 1.2])
+        with pytest.raises(DataError):
+            classify_map([np.nan, 1.0])
 
-    @given(distributions())
-    def test_result_is_always_valid_index(self, probs):
-        label = classify_map(probs)
-        assert 0 <= label < len(probs)
-        assert probs[label] == probs.max()
+    @given(batches(), st.integers(0, 7))
+    def test_result_is_always_valid_index(self, probs, bad):
+        labels = classify_map(probs)
+        assert labels.shape == (len(probs),)
+        for row, label in zip(probs, labels):
+            assert classify_map(row) == label
+            assert isinstance(classify_map(row), int)
+            assert 0 <= label < len(row)
+            assert row[label] == row.max()
+        with pytest.raises(DataError):
+            classify_map(with_bad_row(probs, bad))
 
 
 class TestClassifyUtility:
@@ -58,27 +78,32 @@ class TestClassifyUtility:
     def test_constant_utility_picks_lowest_index(self):
         util = UtilityMatrix(np.full((3, 3), 2.5))
         assert classify_utility([0.2, 0.3, 0.5], util) == 0
+        assert classify_utility([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]], util).tolist() == [0, 0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             classify_utility([0.5, 0.5], UtilityMatrix.identity(3))
 
-    @given(distributions())
-    def test_identity_utility_equals_map(self, probs):
-        util = UtilityMatrix.identity(len(probs))
-        assert classify_utility(probs, util) == classify_map(probs)
+    @given(batches(), st.integers(0, 7))
+    def test_identity_utility_equals_map(self, probs, bad):
+        util = UtilityMatrix.identity(probs.shape[1])
+        assert np.array_equal(classify_utility(probs, util), classify_map(probs))
+        with pytest.raises(DataError):
+            classify_utility(with_bad_row(probs, bad), util)
 
     @given(
-        distributions(max_len=4),
+        batches(max_len=4),
         st.floats(-5.0, 5.0, allow_nan=False),
         st.floats(0.1, 10.0, allow_nan=False),
     )
     def test_positive_affine_invariance(self, probs, shift, scale):
-        rng = np.random.default_rng(len(probs))
-        base = rng.normal(size=(len(probs), len(probs)))
+        rng = np.random.default_rng(probs.shape[1])
+        base = rng.normal(size=(probs.shape[1], probs.shape[1]))
         util = UtilityMatrix(base)
         moved = UtilityMatrix(scale * base + shift)
-        assert classify_utility(probs, util) == classify_utility(probs, moved)
+        labels = classify_utility(probs, util)
+        assert labels.tolist() == [classify_utility(row, util) for row in probs]
+        assert np.array_equal(labels, classify_utility(probs, moved))
 
 
 class TestUtilityMatrix:

@@ -30,7 +30,7 @@ def factors_for(model, U):
 
 
 def empty_posterior(model, precision):
-    P = mps.param_count(model.shape)
+    P = model.shape.param_count
     return laplace.LaplacePosterior(model, factors_for(model, np.zeros((0, P))), precision)
 
 
@@ -55,7 +55,7 @@ class TestGgnFactors:
         X = rng.uniform(0, 1, size=(6, 4))
         fac = laplace.ggn_factors(model, X)
         H = fac.factors.T @ fac.factors
-        jac = mps.batch_jacobian(model, X)  # (m, L, P)
+        jac = mps.jacobian_from_env(mps.sweep_env(model, X))  # (m, L, P)
         y = softmax(mps.forward_batch(model, X), axis=1)
         want = np.zeros_like(H)
         for i in range(6):
@@ -69,7 +69,7 @@ class TestGgnFactors:
         X = rng.uniform(0, 1, size=(5, 4))
         fac = laplace.ggn_factors(model, X)
         H = fac.factors.T @ fac.factors
-        jac = mps.batch_jacobian(model, X)[:, 0, :]
+        jac = mps.jacobian_from_env(mps.sweep_env(model, X))[:, 0, :]
         y = expit(mps.forward_batch(model, X)[:, 0])
         want = (jac * (y * (1 - y))[:, None]).T @ jac
         assert np.allclose(H, want, rtol=1e-10, atol=1e-12)
@@ -105,7 +105,7 @@ class TestGgnFactors:
         X = rng.uniform(0, 1, size=(7, 4))
         fac = laplace.ggn_factors(model, X)
         assert fac.rank == 7 * 3
-        assert fac.n_params == mps.param_count(model.shape)
+        assert fac.n_params == model.shape.param_count
         assert fac.n_samples == 7
         assert fac.sample_ids is None
         assert fac.model_digest == laplace.model_digest(model)
@@ -151,7 +151,7 @@ class TestGgnFactors:
     def test_non_finite_factors_rejected(self):
         rng = RNG(10)
         model = small_model(rng, 1)
-        U = np.full((2, mps.param_count(model.shape)), np.nan)
+        U = np.full((2, model.shape.param_count), np.nan)
         with pytest.raises(NumericError):
             factors_for(model, U)
 
@@ -202,7 +202,7 @@ class TestPosteriorSolve:
         rng = RNG(20)
         for trial in range(6):
             model = small_model(rng, int(rng.integers(1, 4)))
-            P = mps.param_count(model.shape)
+            P = model.shape.param_count
             R = int(rng.integers(1, 9))
             U = rng.normal(size=(R, P))
             lam = float(rng.uniform(0.1, 3.0))
@@ -215,13 +215,13 @@ class TestPosteriorSolve:
         rng = RNG(21)
         model = small_model(rng, 1)
         post = empty_posterior(model, 0.7)
-        v = rng.normal(size=mps.param_count(model.shape))
+        v = rng.normal(size=model.shape.param_count)
         assert np.array_equal(post.solve(v), v / 0.7)
 
     def test_inverse_consistency(self):
         rng = RNG(22)
         model = small_model(rng, 2)
-        P = mps.param_count(model.shape)
+        P = model.shape.param_count
         U = rng.normal(size=(6, P))
         lam = 0.45
         post = laplace.LaplacePosterior(model, factors_for(model, U), lam)
@@ -232,7 +232,7 @@ class TestPosteriorSolve:
     def test_solve_many_matches_stacked_solves(self):
         rng = RNG(23)
         model = small_model(rng, 1)
-        P = mps.param_count(model.shape)
+        P = model.shape.param_count
         U = rng.normal(size=(5, P))
         post = laplace.LaplacePosterior(model, factors_for(model, U), 1.2)
         V = rng.normal(size=(4, P))
@@ -240,17 +240,10 @@ class TestPosteriorSolve:
         for k in range(4):
             assert np.allclose(many[k], post.solve(V[k]), rtol=1e-13, atol=1e-15)
 
-    def test_module_level_wrapper(self):
-        rng = RNG(24)
-        model = small_model(rng, 1)
-        post = empty_posterior(model, 2.0)
-        v = rng.normal(size=mps.param_count(model.shape))
-        assert np.array_equal(laplace.solve_posterior(post, v), post.solve(v))
-
     def test_validation(self):
         rng = RNG(25)
         model = small_model(rng, 1)
-        P = mps.param_count(model.shape)
+        P = model.shape.param_count
         fac = factors_for(model, np.zeros((0, P)))
         with pytest.raises(ValueError):
             laplace.LaplacePosterior(model, fac, 0.0)
@@ -260,7 +253,7 @@ class TestPosteriorSolve:
         with pytest.raises(ValueError, match="different model"):
             laplace.LaplacePosterior(other, fac, 1.0)
         wide = small_model(rng, 1, n_sites=5)
-        fac_wide = factors_for(wide, np.zeros((0, mps.param_count(wide.shape))))
+        fac_wide = factors_for(wide, np.zeros((0, wide.shape.param_count)))
         with pytest.raises(ShapeError):
             laplace.LaplacePosterior(model, fac_wide, 1.0)
         post = empty_posterior(model, 1.0)

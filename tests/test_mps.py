@@ -139,6 +139,8 @@ class TestContraction:
         model = oracles.random_model(np.random.default_rng(0), sh)
         with pytest.raises(DataError):
             mps.forward_batch(model, np.full((2, 3), 1.5))
+        with pytest.raises(DataError):
+            mps.forward_batch(model, np.array([[0.5, np.nan, 0.5]]))
 
     @settings(max_examples=30, deadline=None)
     @given(c=st.floats(-3, 3), site=st.integers(0, 3))
@@ -228,7 +230,7 @@ class TestGradients:
         sh = mps.MpsShape(4, 2, 3, 3, boundary="open")
         model = oracles.random_model(rng, sh)
         X = rng.uniform(0, 1, size=(5, 4))
-        jac = mps.batch_jacobian(model, X)
+        jac = mps.jacobian_from_env(mps.sweep_env(model, X))
         for b in range(5):
             single = mps.grad_logits(model, mps.embed(X[b])).flatten()
             np.testing.assert_allclose(jac[b], single, rtol=1e-12, atol=1e-14)
@@ -239,9 +241,10 @@ class TestGradients:
         model = oracles.random_model(rng, sh)
         X = rng.uniform(0, 1, size=(6, 3))
         coeff = rng.normal(size=(6, 2))
-        grads = mps.batch_weighted_grad(model, X, coeff)
+        env = mps.sweep_env(model, X)
+        grads = mps.weighted_grad_from_env(env, coeff)
         flat = np.concatenate([g.ravel() for g in grads])
-        jac = mps.batch_jacobian(model, X)
+        jac = mps.jacobian_from_env(env)
         want = np.einsum("bl,blp->p", coeff, jac)
         np.testing.assert_allclose(flat, want, rtol=1e-11, atol=1e-12)
 

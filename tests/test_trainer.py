@@ -45,7 +45,7 @@ class TestLossValues:
         Y = onehot(y, 2)
         z = mps.forward_batch(model, X)[:, 0]
         want = np.sum(np.log1p(np.exp(z)) - y * z)
-        got = trainer.loss_binary(model, X, Y)
+        got = trainer.loss(model, X, Y)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_multiclass_matches_direct_formula(self):
@@ -58,7 +58,7 @@ class TestLossValues:
         want = 0.0
         for i in range(6):
             want += math.log(np.sum(np.exp(z[i]))) - z[i, y[i]]
-        got = trainer.loss_multiclass(model, X, Y)
+        got = trainer.loss(model, X, Y)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_prior_adds_half_precision_norm(self):
@@ -89,39 +89,32 @@ class TestLossValues:
         X = np.full((2, 2), 0.5)
         z = mps.forward_batch(model, X)[0, 0]
         assert z > 500.0
-        loss_hit = trainer.loss_binary(model, X[:1], onehot([1], 2))
-        loss_miss = trainer.loss_binary(model, X[:1], onehot([0], 2))
+        loss_hit = trainer.loss(model, X[:1], onehot([1], 2))
+        loss_miss = trainer.loss(model, X[:1], onehot([0], 2))
         assert math.isfinite(loss_hit) and loss_hit == pytest.approx(0.0, abs=1e-12)
         assert loss_miss == pytest.approx(z, rel=1e-12)
 
     def test_loss_dispatches_on_output_width(self):
+        # A two-channel model whose class-0 logit is pinned at 0 has softmax
+        # probabilities equal to the sigmoid of its class-1 logit, so the
+        # softmax head must reproduce the single-channel sigmoid head.
         rng = RNG(7)
         binary = small_model(rng, 1)
-        multi = small_model(rng, 3)
-        X = rng.uniform(0, 1, size=(4, 4))
-        assert trainer.loss(binary, X, onehot([0, 1, 1, 0], 2)) == trainer.loss_binary(
-            binary, X, onehot([0, 1, 1, 0], 2)
+        label = binary.shape.label_site
+        wide_shape = mps.MpsShape(4, 2, 3, 2)
+        wide_nodes = [n.copy() for n in binary.nodes]
+        wide_nodes[label] = np.concatenate(
+            [np.zeros_like(binary.nodes[label]), binary.nodes[label]], axis=2
         )
-        assert trainer.loss(multi, X, onehot([0, 1, 2, 0], 3)) == trainer.loss_multiclass(
-            multi, X, onehot([0, 1, 2, 0], 3)
+        wide = mps.MpsModel(wide_shape, wide_nodes)
+        X = rng.uniform(0, 1, size=(4, 4))
+        Y = onehot([0, 1, 1, 0], 2)
+        assert trainer.loss(wide, X, Y) == pytest.approx(
+            trainer.loss(binary, X, Y), rel=1e-12
         )
 
 
 class TestLossValidation:
-    def test_binary_loss_rejects_wide_model(self):
-        rng = RNG(8)
-        model = small_model(rng, 3)
-        X = rng.uniform(0, 1, size=(2, 4))
-        with pytest.raises(ShapeError):
-            trainer.loss_binary(model, X, onehot([0, 1], 2))
-
-    def test_multiclass_loss_rejects_single_channel(self):
-        rng = RNG(9)
-        model = small_model(rng, 1)
-        X = rng.uniform(0, 1, size=(2, 4))
-        with pytest.raises(ShapeError):
-            trainer.loss_multiclass(model, X, onehot([0, 1], 2))
-
     def test_rejects_non_onehot_rows(self):
         rng = RNG(10)
         model = small_model(rng, 3)
@@ -345,6 +338,24 @@ class TestTrainMap:
             assert initial <= min(losses)
         else:
             assert losses[history.best_epoch - 1] == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_best_record_matches_direct_evaluation(self, n_labels):
+        # The epoch-end loss and accuracy come from one logits pass over the
+        # training rows; they must equal the public functions exactly.
+        rng = RNG(49)
+        width = max(n_labels, 2)
+        y = rng.integers(0, width, size=40)
+        x = np.clip(0.2 + 0.3 * y[:, None] + rng.normal(0, 0.1, (40, 4)), 0, 1)
+        Y = onehot(y, width)
+        model = small_model(rng, n_labels, scale=0.5)
+        prior = trainer.PriorSpec(0.1)
+        config = trainer.TrainConfig(epochs=6, batch_size=8, learning_rate=0.02, seed=2)
+        fit, history = trainer.train_map(model, split(x, Y), config, prior)
+        assert history.best_epoch >= 1
+        rec = history.records[history.best_epoch - 1]
+        assert rec.train_loss == trainer.loss(fit, x, Y, prior)
+        assert rec.train_acc == trainer.accuracy(fit, x, Y)
 
     def test_test_accuracy_nan_without_holdout(self):
         rng = RNG(46)
