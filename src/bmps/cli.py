@@ -393,19 +393,20 @@ def cmd_predict(cfg):
     if X.shape[0] == 0:
         raise DataError("selected partition has no rows")
 
-    map_probs = trainer.predict_proba(model, X)
     if cfg["posterior"]:
         post = laplace.load_posterior(cfg["posterior"])
         if laplace.model_digest(model) != post.factors.model_digest:
             raise DataError("posterior was fit for a different model")
-        probs = laplace.predictive_batch(post, X).probabilities
+        # the moderated batch carries the point-estimate logits too
+        batch = laplace.predictive_batch(post, X)
+        probs, map_probs = batch.probabilities, trainer.probabilities(batch.logits)
         mode = "moderated"
     else:
         print(
             "warning: no posterior provided; falling back to point-estimate probabilities",
             file=sys.stderr,
         )
-        probs = map_probs
+        probs = map_probs = trainer.predict_proba(model, X)
         mode = "map"
 
     util = decision.UtilityMatrix.from_csv(cfg["utility"]) if cfg["utility"] else None

@@ -97,7 +97,6 @@ def ggn_factors(
     rank_cap=DEFAULT_RANK_CAP,
     seed=0,
     magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP,
-    chunk_size=512,
 ):
     """Curvature factor rows for a batch of inputs at the given model.
 
@@ -127,30 +126,31 @@ def ggn_factors(
         sample_ids = np.sort(rng.choice(m, size=n_keep, replace=False))
         X = X[sample_ids]
 
-    blocks = []
-    for start in range(0, X.shape[0], chunk_size):
-        xb = X[start : start + chunk_size]
-        env = mps.sweep_env(model, xb, magnitude_cap=magnitude_cap)
-        jac = mps.jacobian_from_env(env)  # (b, L, P)
-        if n_labels == 1:
-            y = expit(env.logits[:, 0])
-            w = np.sqrt(y * (1.0 - y))
-            blocks.append(w[:, None] * jac[:, 0, :])
-        else:
-            z = env.logits - env.logits.max(axis=1, keepdims=True)
-            y = np.exp(z)
-            y /= y.sum(axis=1, keepdims=True)
-            mean_g = np.einsum("bl,blp->bp", y, jac)
-            centered = jac - mean_g[:, None, :]
-            rows = np.sqrt(y)[:, :, None] * centered
-            blocks.append(rows.reshape(-1, rows.shape[2]))
-    U = np.ascontiguousarray(np.vstack(blocks))
+    chunks = mps.map_chunks(lambda xb: _ggn_rows(model, xb, magnitude_cap), X)
+    U = np.ascontiguousarray(np.vstack(chunks))
     return GgnFactors(
         factors=U,
         n_samples=X.shape[0],
         sample_ids=sample_ids,
         model_digest=model_digest(model),
     )
+
+
+def _ggn_rows(model, X, magnitude_cap):
+    """The factor rows of a batch, sample by sample (see the module docstring)."""
+    env = mps.sweep_env(model, X, magnitude_cap=magnitude_cap)
+    jac = mps.jacobian_from_env(env)  # (b, L, P)
+    if model.shape.n_labels == 1:
+        y = expit(env.logits[:, 0])
+        w = np.sqrt(y * (1.0 - y))
+        return w[:, None] * jac[:, 0, :]
+    z = env.logits - env.logits.max(axis=1, keepdims=True)
+    y = np.exp(z)
+    y /= y.sum(axis=1, keepdims=True)
+    mean_g = np.einsum("bl,blp->bp", y, jac)
+    centered = jac - mean_g[:, None, :]
+    rows = np.sqrt(y)[:, :, None] * centered
+    return rows.reshape(-1, rows.shape[2])
 
 
 class LaplacePosterior:
@@ -251,43 +251,41 @@ def _logit_gaps(logits):
     return out
 
 
-def predictive_batch(post, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP, chunk_size=1024):
-    """Posterior-moderated class probabilities for a batch of inputs."""
+def _moderate(post, X, magnitude_cap):
+    """Moderated predictions of one batch; see :func:`predictive_batch`."""
+    n_labels = post.map_model.shape.n_labels
+    env = mps.sweep_env(post.map_model, X, magnitude_cap=magnitude_cap)
+    jac = mps.jacobian_from_env(env)  # (b, L, P)
+    b = jac.shape[0]
+    flat = jac.reshape(b * n_labels, -1)
+    solved = post.solve_many(flat)
+    sigma2 = np.einsum("rp,rp->r", flat, solved).reshape(b, n_labels)
+    sigma2 = np.maximum(sigma2, 0.0)
+    gaps = _logit_gaps(env.logits)
+    k = kappa(sigma2)
+    moderated = expit(k * gaps)
+    if n_labels == 1:
+        p1 = moderated[:, 0]
+        p = np.column_stack([1.0 - p1, p1])
+    else:
+        p = moderated / moderated.sum(axis=1, keepdims=True)
+    return PredictiveBatch(
+        probabilities=p, sigma2=sigma2, mu_prime=gaps, kappa=k, logits=env.logits
+    )
+
+
+def predictive_batch(post, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
+    """Posterior-moderated class probabilities for a batch of inputs.
+
+    ``logits`` are the point-estimate logits, identical to
+    :func:`bmps.mps.forward_batch` on the same rows.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-d (batch, features), got shape {X.shape}")
-    model = post.map_model
-    n_labels = model.shape.n_labels
-
-    probs, sig, mu, kap, logit_rows = [], [], [], [], []
-    for start in range(0, X.shape[0], chunk_size):
-        xb = X[start : start + chunk_size]
-        env = mps.sweep_env(model, xb, magnitude_cap=magnitude_cap)
-        jac = mps.jacobian_from_env(env)  # (b, L, P)
-        b = jac.shape[0]
-        flat = jac.reshape(b * n_labels, -1)
-        solved = post.solve_many(flat)
-        sigma2 = np.einsum("rp,rp->r", flat, solved).reshape(b, n_labels)
-        sigma2 = np.maximum(sigma2, 0.0)
-        gaps = _logit_gaps(env.logits)
-        k = kappa(sigma2)
-        moderated = expit(k * gaps)
-        if n_labels == 1:
-            p1 = moderated[:, 0]
-            p = np.column_stack([1.0 - p1, p1])
-        else:
-            p = moderated / moderated.sum(axis=1, keepdims=True)
-        probs.append(p)
-        sig.append(sigma2)
-        mu.append(gaps)
-        kap.append(k)
-        logit_rows.append(env.logits)
+    parts = mps.map_chunks(lambda xb: _moderate(post, xb, magnitude_cap), X)
     return PredictiveBatch(
-        probabilities=np.vstack(probs),
-        sigma2=np.vstack(sig),
-        mu_prime=np.vstack(mu),
-        kappa=np.vstack(kap),
-        logits=np.vstack(logit_rows),
+        *(np.vstack([getattr(p, f.name) for p in parts]) for f in fields(PredictiveBatch))
     )
 
 

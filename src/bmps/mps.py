@@ -14,29 +14,35 @@ extra class axis and has shape ``(left, phys, n_labels, right)``.
 
 A sample ``x`` (features in [0, 1]) enters through the local map
 ``phi(x) = [x, 1 - x]``. Contracting each node with its site vector gives a
-transfer matrix per site (the label site gives a stack of matrices, one per
-class); the logits are the trace of their ordered product:
+transfer matrix ``M_i`` per site (a stack ``M_k[l]``, one per class, at the
+label site ``k``); the logits are the trace of their ordered product,
+``logits[l] = trace(M_0 .. M_k[l] .. M_{n-1})``.
 
-    logits[l] = trace(M_0 @ M_1 @ ... @ M_{n-1})   with the class axis riding
-                along from the label site.
+One sweep serves forward pass, gradient and Jacobian. A single class-free
+product runs back round the ring from the label site: the left product
+``M_0..M_{k-1}``, then the right product's matrices ``M_{n-1}``, ..,
+``M_{k+1}`` multiplied onto it. It ends in ``right @ left``, whose
+transpose ``C`` is the label node's environment, so
+``logits[l] = <M_k[l], C>``. Every other site's environment joins a cached
+partial product of that sweep with a running product through stand-in label
+matrices: the class stack for the Jacobian, or ``sum_l coeff[l] * M_k[l]``
+for a loss gradient, which folds the logit coefficients in first so that
+pass is reverse mode on a scalar, without a class axis. An outer product
+with the site vector restores the physical index.
 
-Gradients of the logits with respect to every node are assembled from cached
-left/right partial products (one sweep, linear in ``n_sites``): for node ``i``
-with prefix ``P_i = M_0..M_{i-1}`` and suffix ``S_i = M_{i+1}..M_{n-1}``,
-
-    d logits[l] / d M_i = (S_i @ P_i)^T,
-
-and the physical index is restored by an outer product with the site vector.
-
-Any intermediate whose magnitude exceeds ``magnitude_cap`` (default 1e100), or
-turns non-finite, raises :class:`~bmps.errors.NumericError` naming the site.
-All operations are pure: they never mutate their inputs, and identical inputs
-give bit-identical outputs.
+Every array the engine forms (partial and running products, closure,
+logits, folded label matrices, environments) is checked: a magnitude above
+``magnitude_cap`` (default 1e100), or a non-finite one, raises
+:class:`~bmps.errors.NumericError` naming the site. Rows are contracted one
+by one, so a row's results do not depend on its batch. All operations are
+pure: they never mutate their inputs, and identical inputs give
+bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +50,10 @@ import numpy as np
 from .errors import DataError, NumericError, ParseError, ShapeError
 
 DEFAULT_MAGNITUDE_CAP = 1e100
+
+# Rows contracted together by the whole-dataset passes (prediction, GGN
+# factors): bounds their per-batch state, the Jacobian above all.
+CHUNK_ROWS = 512
 
 _MAGIC = b"BMPS1"
 _BOUNDARY_FLAGS = {"cyclic": 0, "open": 1}
@@ -191,81 +201,98 @@ def _phi_matrix(X):
     return np.stack([X, 1.0 - X], axis=2)
 
 
+def map_chunks(fn, X):
+    """``fn`` of each block of at most :data:`CHUNK_ROWS` rows of ``X``, in order.
+
+    An empty ``X`` is one (empty) block, so results keep their trailing shape.
+    """
+    return [fn(X[s : s + CHUNK_ROWS]) for s in range(0, max(len(X), 1), CHUNK_ROWS)]
+
+
 def _check(arr, site, cap):
+    """Return ``arr`` once its largest magnitude is finite and within ``cap``."""
     m = np.abs(arr).max() if arr.size else 0.0
     if not np.isfinite(m) or m > cap:
         raise NumericError(
             f"contraction magnitude {m:.3e} exceeded cap {cap:.3e} at site {site}"
         )
+    return arr
 
 
 def _site_matrix(model, phi, i):
-    """Transfer matrix of site ``i`` for a batch: (batch, c, left, right).
+    """Transfer matrices of site ``i`` for a batch: (batch, left, right), and
+    (batch, n_labels, left, right) at the label site.
 
-    c is ``n_labels`` at the label site and 1 elsewhere.
+    Each row is its own vector-matrix product, so a row's matrices do not
+    depend on the batch it is in.
     """
-    node = model.nodes[i]
-    if i == model.shape.label_site:
-        # (b,s) x (l,s,L,r) -> (b,l,L,r) -> (b,L,l,r)
-        m = np.tensordot(phi[:, i], node, axes=([1], [1]))
-        m = np.moveaxis(m, 2, 1)
-    else:
-        # (b,s) x (l,s,r) -> (b,l,r) -> (b,1,l,r)
-        m = np.tensordot(phi[:, i], node, axes=([1], [1]))[:, None]
-    return np.ascontiguousarray(m)
+    # physical axis first: (phys, left, right) or (phys, n_labels, left, right)
+    axes = (1, 2, 0, 3) if i == model.shape.label_site else (1, 0, 2)
+    node = model.nodes[i].transpose(axes)
+    m = np.matmul(phi[:, i, None], node.reshape(node.shape[0], -1))
+    return m.reshape(phi.shape[:1] + node.shape[1:])
 
 
-def _sweep(model, phi, cap, need_env):
-    """One contraction sweep over the chain.
+@dataclass
+class BatchEnv:
+    """Contraction state of one batch: its logits plus what environments need.
 
-    Always returns the logits (batch, n_labels). With ``need_env`` it also
-    returns the site matrices and the cached prefix/suffix partial products
-    that the gradient assembly consumes; without it, site matrices are
-    consumed on the fly so memory stays O(batch * bond^2).
+    ``mats[j]`` is the site matrix of ``ring[j]`` (see :func:`_ring`) and
+    ``tails[j]`` the product ``mats[j] @ .. @ mats[-1]``, the identity for
+    ``j = len(ring)``; ``closure`` is ``tails[0]`` transposed, the label
+    node's environment. ``cap`` is the magnitude cap every later product is
+    checked against.
     """
-    n = model.shape.n_sites
-    e0 = model.shape.bond_dims(0)[0]
-    eye0 = np.eye(e0)[None, None]
 
-    if not need_env:
-        running = eye0
-        for i in range(n):
-            running = np.matmul(running, _site_matrix(model, phi, i))
-            _check(running, i, cap)
-        logits = np.trace(running, axis1=2, axis2=3)
-        return logits, None, None, None
+    model: MpsModel
+    phi: np.ndarray
+    cap: float
+    mats: list
+    tails: list
+    closure: np.ndarray
+    logits: np.ndarray
 
-    mats = [_site_matrix(model, phi, i) for i in range(n)]
-    prefix = [eye0]
-    for i in range(1, n):
-        prefix.append(np.matmul(prefix[i - 1], mats[i - 1]))
-        _check(prefix[i], i - 1, cap)
-    full = np.matmul(prefix[n - 1], mats[n - 1])
-    _check(full, n - 1, cap)
-    logits = np.trace(full, axis1=2, axis2=3)
 
-    e_last = mats[n - 1].shape[3]
-    suffix = [None] * n
-    suffix[n - 1] = np.eye(e_last)[None, None]
-    for i in range(n - 2, -1, -1):
-        suffix[i] = np.matmul(mats[i + 1], suffix[i + 1])
-        _check(suffix[i], i + 1, cap)
-    return logits, mats, prefix, suffix
+def _ring(shape):
+    """Every site but the label site ``k``, in trace order: ``k+1 .. n-1, 0 .. k-1``."""
+    k = shape.label_site
+    return [*range(k + 1, shape.n_sites), *range(k)]
+
+
+def _sweep(model, phi, cap, keep):
+    """Contract a batch of embedded rows ``phi`` (batch, n_sites, phys) round
+    the ring (see the module docstring).
+
+    ``keep`` holds every partial product for the environments; otherwise
+    only the latest is held, so memory stays O(batch * bond^2).
+    """
+    batch, k = phi.shape[0], model.shape.label_site
+    e = model.shape.bond_dims(k)[0]
+    mats = deque(maxlen=None if keep else 1)
+    tails = deque([np.broadcast_to(np.eye(e), (batch, e, e))], maxlen=mats.maxlen)
+    for i in reversed(_ring(model.shape)):
+        mats.appendleft(_site_matrix(model, phi, i))
+        tails.appendleft(_check(np.matmul(mats[0], tails[0]), i, cap))
+    full = _check(np.matmul(_site_matrix(model, phi, k), tails[0][:, None]), k, cap)
+    logits = _check(np.trace(full, axis1=2, axis2=3), k, cap)
+    closure = np.swapaxes(tails[0], 1, 2)
+    return BatchEnv(model, phi, cap, list(mats), list(tails), closure, logits)
 
 
 def forward(model, emb, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
     """Logits of one embedded sample; vector of length ``n_labels``."""
     _check_embedding(model, emb)
-    phi = emb.site_vectors[None]
-    logits, _, _, _ = _sweep(model, phi, magnitude_cap, need_env=False)
-    return logits[0]
+    return _sweep(model, emb.site_vectors[None], magnitude_cap, keep=False).logits[0]
 
 
 def forward_batch(model, X, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
     """Logits for a batch of raw feature rows; shape (batch, n_labels)."""
-    phi = _phi_batch(model, X)
-    logits, _, _, _ = _sweep(model, phi, magnitude_cap, need_env=False)
-    return logits
+    return _sweep(model, _phi_batch(model, X), magnitude_cap, keep=False).logits
+
+
+def sweep_env(model, X, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
+    """Run one full sweep over a batch, caching what gradients need."""
+    return _sweep(model, _phi_batch(model, X), magnitude_cap, keep=True)
 
 
 def _phi_batch(model, X):
@@ -294,19 +321,21 @@ def _check_embedding(model, emb):
         )
 
 
-def _environments(model, mats, prefix, suffix, cap):
-    """Environment matrix of every node: list of (batch, c, left, right).
+def _environments(env, label_mats):
+    """Yield ``(i, environment)`` for every site ``i`` but the label site.
 
-    Entry [b, l, a, r] is d logits[b, l] / d M_i[a, r]; c is 1 at the label
-    site (its class axis is explicit in the node) and n_labels elsewhere
-    whenever n_labels > 1.
+    ``label_mats`` (batch, c, left, right) stands in for the label site's
+    matrices; ``environment[b, c]`` is the derivative of
+    ``trace(M_0 .. label_mats[b, c] .. M_{n-1})`` with respect to ``M_i``,
+    laid out like ``M_i``.
     """
-    envs = []
-    for i in range(model.shape.n_sites):
-        raw = np.matmul(suffix[i], prefix[i])
-        _check(raw, i, cap)
-        envs.append(np.swapaxes(raw, 2, 3))
-    return envs
+    ring = _ring(env.model.shape)
+    run = label_mats  # label_mats @ mats[0] @ .. @ mats[j - 1]
+    for j, i in enumerate(ring):
+        e = np.matmul(env.tails[j + 1][:, None], run)
+        yield i, _check(np.swapaxes(e, 2, 3), i, env.cap)
+        if j + 1 < len(ring):
+            run = _check(np.matmul(run, env.mats[j][:, None]), i, env.cap)
 
 
 @dataclass
@@ -331,49 +360,21 @@ class LogitGradient:
 def grad_logits(model, emb, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
     """Analytic gradient of every logit w.r.t. every node, one cached sweep."""
     _check_embedding(model, emb)
-    phi = emb.site_vectors[None]
-    logits, mats, prefix, suffix = _sweep(model, phi, magnitude_cap, need_env=True)
-    envs = _environments(model, mats, prefix, suffix, magnitude_cap)
-    jac = jacobian_from_env(BatchEnv(model, phi, logits, envs))[0]
-    per_label = [unflatten_params(model.shape, row) for row in jac]
+    env = _sweep(model, emb.site_vectors[None], magnitude_cap, keep=True)
+    per_label = [unflatten_params(model.shape, row) for row in jacobian_from_env(env)[0]]
     return LogitGradient(model.shape, [np.stack(t) for t in zip(*per_label)])
-
-
-@dataclass
-class BatchEnv:
-    """Cached contraction state for one batch: logits plus per-node environments."""
-
-    model: MpsModel
-    phi: np.ndarray
-    logits: np.ndarray
-    envs: list
-
-
-def sweep_env(model, X, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
-    """Run one full sweep over a batch, caching what gradients need."""
-    phi = _phi_batch(model, X)
-    logits, mats, prefix, suffix = _sweep(model, phi, magnitude_cap, need_env=True)
-    envs = _environments(model, mats, prefix, suffix, magnitude_cap)
-    return BatchEnv(model, phi, logits, envs)
 
 
 def jacobian_from_env(env):
     """Flattened logit Jacobians: (batch, n_labels, param_count)."""
     shape = env.model.shape
-    B, L = env.phi.shape[0], shape.n_labels
-    blocks = []
-    for i in range(shape.n_sites):
-        e = env.envs[i]  # (B, c, a, r)
-        vec = env.phi[:, i]  # (B, s)
-        if i == shape.label_site:
-            left, s, _, right = shape.node_shape(i)
-            block = np.zeros((B, L, left, s, L, right))
-            core = np.einsum("bar,bs->basr", e[:, 0], vec)
-            for l in range(L):
-                block[:, l, :, :, l, :] = core
-        else:
-            block = np.einsum("blar,bs->blasr", e, vec)
-        blocks.append(block.reshape(B, L, -1))
+    B, L, k = env.phi.shape[0], shape.n_labels, shape.label_site
+    blocks = [None] * shape.n_sites
+    for i, e in _environments(env, _site_matrix(env.model, env.phi, k)):
+        blocks[i] = np.einsum("blar,bs->blasr", e, env.phi[:, i]).reshape(B, L, -1)
+    # logit l depends only on class slice l of the label node
+    block = np.einsum("lm,bar,bs->blasmr", np.eye(L), env.closure, env.phi[:, k])
+    blocks[k] = block.reshape(B, L, -1)
     return np.concatenate(blocks, axis=2)
 
 
@@ -381,25 +382,21 @@ def weighted_grad_from_env(env, coeff):
     """sum_b sum_l coeff[b, l] * d logits[b, l] / d nodes.
 
     ``coeff`` has shape (batch, n_labels). Returns one array per node, shaped
-    like the node, without ever forming per-sample Jacobians. This is the
-    workhorse behind loss gradients.
+    like the node, without ever forming per-sample Jacobians (the
+    coefficients are folded into the label site's matrices first). This is
+    the workhorse behind loss gradients.
     """
     model = env.model
     coeff = np.asarray(coeff, dtype=np.float64)
-    want = (env.phi.shape[0], model.shape.n_labels)
-    if coeff.shape != want:
-        raise ShapeError(f"coeff shape {coeff.shape} != {want}")
-    grads = []
-    for i in range(model.shape.n_sites):
-        e = env.envs[i]  # (B, c, a, r)
-        vec = env.phi[:, i]
-        if i == model.shape.label_site:
-            # label axis lives in the node: weight the shared environment per class
-            g = np.einsum("bl,bar,bs->aslr", coeff, e[:, 0], vec)
-        else:
-            w = np.einsum("bl,blar->bar", coeff, e)
-            g = np.einsum("bar,bs->asr", w, vec)
-        grads.append(g)
+    B, L, k = env.phi.shape[0], model.shape.n_labels, model.shape.label_site
+    if coeff.shape != (B, L):
+        raise ShapeError(f"coeff shape {coeff.shape} != {(B, L)}")
+    label = _site_matrix(model, env.phi, k)
+    folded = _check(np.einsum("bl,blar->bar", coeff, label)[:, None], k, env.cap)
+    grads = [None] * model.shape.n_sites
+    for i, e in _environments(env, folded):
+        grads[i] = np.einsum("bar,bs->asr", e[:, 0], env.phi[:, i])
+    grads[k] = np.einsum("bl,bar,bs->aslr", coeff, env.closure, env.phi[:, k])
     return grads
 
 

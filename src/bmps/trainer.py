@@ -169,8 +169,9 @@ def _targets(model, labels):
     return labels
 
 
-def _probabilities(logits):
-    """Class probabilities: sigmoid of a single logit, else softmax."""
+def probabilities(logits):
+    """Class probabilities from (batch, n_labels) logits: sigmoid of a single
+    logit as two columns [P(0), P(1)], else softmax."""
     if logits.shape[1] == 1:
         p1 = expit(logits[:, 0])
         return np.column_stack([1.0 - p1, p1])
@@ -220,7 +221,7 @@ def _loss_and_grads(env, targets, prior):
     channel is the class-1 column.
     """
     ce = _cross_entropy(env.logits, targets)
-    residual = _probabilities(env.logits) - targets
+    residual = probabilities(env.logits) - targets
     grads = mps.weighted_grad_from_env(env, residual[:, -env.model.shape.n_labels :])
     if prior.precision != 0.0:
         for g, node in zip(grads, env.model.nodes):
@@ -329,20 +330,16 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
         order = rng.permutation(m) if config.shuffle else np.arange(m)
         for batch_idx, start in enumerate(range(0, m, config.batch_size)):
             rows = order[start : start + config.batch_size]
-            # ``env`` stays referenced until the next batch's sweep replaces
-            # it. Dropping it sooner frees tens of megabytes at the top of the
-            # heap every batch, which glibc's malloc returns to the OS and
-            # then faults in again: about 20% of a digit-scale epoch, measured
-            # on a 2-core x86-64 machine.
             try:
-                env = mps.sweep_env(work, X[rows], magnitude_cap=cap)
+                batch_ce, grads = _loss_and_grads(
+                    mps.sweep_env(work, X[rows], magnitude_cap=cap), Y[rows], prior
+                )
             except NumericError as exc:
                 raise TrainingDiverged(
                     f"contraction overflowed at epoch {epoch}, batch {batch_idx}: {exc}",
                     epoch=epoch,
                     batch=batch_idx,
                 ) from exc
-            batch_ce, grads = _loss_and_grads(env, Y[rows], prior)
             mean_ce = batch_ce / len(rows)
             if not np.isfinite(mean_ce) or (
                 initial_mean_ce > 0
@@ -368,7 +365,7 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
                 f"evaluation overflowed after epoch {epoch}: {exc}", epoch=epoch
             ) from exc
         train_loss = _cross_entropy(logits, Y) + _penalty(work, prior)
-        train_acc = _hit_rate(_probabilities(logits), Y)
+        train_acc = _hit_rate(probabilities(logits), Y)
         if not np.isfinite(train_loss):
             raise TrainingDiverged(
                 f"non-finite training loss after epoch {epoch}",
@@ -394,23 +391,20 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
     return mps.MpsModel(model.shape, best_nodes), history
 
 
-def predict_logits(model, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP, chunk_size=2048):
+def predict_logits(model, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
     """Logits for a batch, evaluated in chunks to bound peak memory."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-d (batch, features), got shape {X.shape}")
-    if X.shape[0] <= chunk_size:
-        return mps.forward_batch(model, X, magnitude_cap=magnitude_cap)
-    parts = [
-        mps.forward_batch(model, X[s : s + chunk_size], magnitude_cap=magnitude_cap)
-        for s in range(0, X.shape[0], chunk_size)
-    ]
-    return np.concatenate(parts, axis=0)
+    chunks = mps.map_chunks(
+        lambda xb: mps.forward_batch(model, xb, magnitude_cap=magnitude_cap), X
+    )
+    return np.concatenate(chunks)
 
 
 def predict_proba(model, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
     """Class probabilities; binary models return two columns [P(0), P(1)]."""
-    return _probabilities(predict_logits(model, X, magnitude_cap=magnitude_cap))
+    return probabilities(predict_logits(model, X, magnitude_cap=magnitude_cap))
 
 
 def predict_labels(model, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):

@@ -138,12 +138,13 @@ class TestGgnFactors:
         with pytest.raises(DataError):
             laplace.ggn_factors(model, np.zeros((0, 4)))
 
-    def test_chunking_is_invisible(self):
+    def test_chunking_is_invisible(self, monkeypatch):
         rng = RNG(9)
         model = small_model(rng, 2)
         X = rng.uniform(0, 1, size=(9, 4))
-        whole = laplace.ggn_factors(model, X, chunk_size=512)
-        chunked = laplace.ggn_factors(model, X, chunk_size=2)
+        whole = laplace.ggn_factors(model, X)
+        monkeypatch.setattr(mps, "CHUNK_ROWS", 2)
+        chunked = laplace.ggn_factors(model, X)
         # chunk geometry changes the BLAS kernels, so agreement is to
         # round-off rather than bitwise
         assert np.allclose(whole.factors, chunked.factors, rtol=1e-12, atol=1e-14)
@@ -367,6 +368,17 @@ class TestPredictive:
             assert np.all(p >= 0) and np.all(p <= 1)
             assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(res.sigma2 >= 0)
+
+    def test_logits_are_the_map_logits(self, monkeypatch):
+        # ``bmps predict`` takes its MAP labels from these logits
+        rng = RNG(37)
+        monkeypatch.setattr(mps, "CHUNK_ROWS", 3)
+        for n_labels in (1, 3):
+            model = small_model(rng, n_labels)
+            X = rng.uniform(0, 1, size=(10, 4))
+            post = laplace.LaplacePosterior(model, laplace.ggn_factors(model, X), 0.5)
+            logits = laplace.predictive_batch(post, X).logits
+            assert np.array_equal(logits, mps.forward_batch(model, X))
 
     def test_single_matches_batch(self):
         rng = RNG(36)

@@ -1,5 +1,7 @@
 """Chain contraction, gradients, and the binary model container."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,7 +120,7 @@ class TestContraction:
         batch = mps.forward_batch(model, X)
         for b in range(9):
             single = mps.forward(model, mps.embed(X[b]))
-            np.testing.assert_allclose(batch[b], single, rtol=1e-13)
+            assert np.array_equal(batch[b], single)
 
     def test_empty_batch(self):
         sh = mps.MpsShape(3, 2, 2, 2)
@@ -237,16 +239,58 @@ class TestGradients:
 
     def test_weighted_grad_is_coeff_contraction_of_jacobian(self):
         rng = np.random.default_rng(29)
-        sh = mps.MpsShape(3, 2, 2, 2, boundary="cyclic")
-        model = oracles.random_model(rng, sh)
-        X = rng.uniform(0, 1, size=(6, 3))
-        coeff = rng.normal(size=(6, 2))
+        cases = set()
+        for _ in range(40):
+            # the raw-feature sweep embeds with phys_dim 2
+            sh = dataclasses.replace(oracles.random_shape(rng, max_n=6), phys_dim=2)
+            k, n = sh.label_site, sh.n_sites
+            where = "first" if k == 0 else "last" if k == n - 1 else "middle"
+            cases.add((sh.boundary, where, sh.n_labels > 1))
+            model = oracles.random_model(rng, sh)
+            X = rng.uniform(0, 1, size=(6, n))
+            coeff = rng.normal(size=(6, sh.n_labels))
+            env = mps.sweep_env(model, X)
+            grads = mps.weighted_grad_from_env(env, coeff)
+            flat = np.concatenate([g.ravel() for g in grads])
+            jac = mps.jacobian_from_env(env)
+            want = np.einsum("bl,blp->p", coeff, jac)
+            np.testing.assert_allclose(flat, want, rtol=1e-11, atol=1e-12)
+        assert {c[:2] for c in cases} == {
+            (b, w) for b in ("open", "cyclic") for w in ("first", "middle", "last")
+        }
+        assert {c[2] for c in cases} == {False, True}
+
+    @pytest.mark.parametrize("label_site", [0, 11, 23])
+    def test_long_chain_against_oracles(self, label_site):
+        # 24 sites: many matrices on each side of the label site
+        rng = np.random.default_rng(31 + label_site)
+        sh = mps.MpsShape(24, 2, 3, 3, label_site=label_site, boundary="cyclic")
+        model = oracles.random_model(rng, sh, scale=0.5)
+        X = rng.uniform(0, 1, size=(4, 24))
         env = mps.sweep_env(model, X)
+        coeff = rng.normal(size=(4, 3))
+        want_grad = 0.0
+        for b in range(4):
+            vecs = mps.embed(X[b]).site_vectors
+            naive = oracles.naive_grad_logits(model, vecs)
+            got = mps.grad_logits(model, mps.FeatureEmbedding(vecs))
+            for gi, wi in zip(got.tensors, naive.tensors):
+                assert rel_err(gi, wi) <= 1e-12
+            # a logit is linear in each node: contract any node with its gradient
+            want = np.tensordot(naive.tensors[5], model.nodes[5], axes=3)
+            assert rel_err(env.logits[b], want) <= 1e-12
+            want_grad = want_grad + np.einsum("l,lp->p", coeff[b], naive.flatten())
         grads = mps.weighted_grad_from_env(env, coeff)
-        flat = np.concatenate([g.ravel() for g in grads])
-        jac = mps.jacobian_from_env(env)
-        want = np.einsum("bl,blp->p", coeff, jac)
-        np.testing.assert_allclose(flat, want, rtol=1e-11, atol=1e-12)
+        assert rel_err(np.concatenate([g.ravel() for g in grads]), want_grad) <= 1e-12
+
+    def test_long_open_chain_against_exhaustive_oracle(self):
+        rng = np.random.default_rng(37)
+        for label_site in (0, 6, 12):
+            sh = mps.MpsShape(13, 2, 2, 2, label_site=label_site, boundary="open")
+            model = oracles.random_model(rng, sh)
+            x = rng.uniform(0, 1, size=13)
+            want = oracles.oracle_contract(model, mps.embed(x).site_vectors)
+            assert rel_err(mps.forward_batch(model, x[None])[0], want) <= 1e-12
 
 
 class TestParams:

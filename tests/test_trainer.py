@@ -425,6 +425,22 @@ class TestDivergence:
             trainer.train_map(huge, split(X, Y), trainer.TrainConfig(epochs=1))
         assert exc_info.value.epoch == 0
 
+    def test_overflow_in_gradient_pass_reports_batch(self):
+        # The logits stay under the cap because node 0 is tiny, but the
+        # environments, which leave node 0 out, do not: still divergence.
+        rng = RNG(53)
+        X, Y = toy_binary_data(rng, 12, n_sites=6)
+        sh = mps.MpsShape(6, 2, 2, 1, label_site=3)
+        nodes = [np.ones(sh.node_shape(i)) for i in range(6)]
+        nodes[0] *= 1e-60
+        nodes[4] *= 1e55
+        nodes[5] *= 1e55
+        model = mps.MpsModel(sh, nodes)
+        assert np.all(np.isfinite(trainer.predict_logits(model, X)))
+        with pytest.raises(TrainingDiverged) as exc_info:
+            trainer.train_map(model, split(X, Y), trainer.TrainConfig(epochs=1))
+        assert (exc_info.value.epoch, exc_info.value.batch) == (1, 0)
+
 
 class TestHistorySerialization:
     def run_short(self):
@@ -494,13 +510,17 @@ class TestPrediction:
             np.argmax(trainer.predict_proba(model, X), axis=1),
         )
 
-    def test_chunked_logits_match_single_pass(self):
-        rng = RNG(73)
-        model = small_model(rng, 2)
-        X = rng.uniform(0, 1, size=(10, 4))
-        whole = trainer.predict_logits(model, X)
-        chunked = trainer.predict_logits(model, X, chunk_size=3)
-        assert np.array_equal(whole, chunked)
+    def test_chunked_logits_match_single_pass(self, monkeypatch):
+        # 10 rows in chunks of 3 leave a one-row tail chunk
+        for seed in range(50):
+            rng = RNG(seed)
+            model = small_model(rng, 2)
+            X = rng.uniform(0, 1, size=(10, 4))
+            whole = trainer.predict_logits(model, X)
+            with monkeypatch.context() as m:
+                m.setattr(mps, "CHUNK_ROWS", 3)
+                chunked = trainer.predict_logits(model, X)
+            assert np.array_equal(whole, chunked), seed
 
     def test_accuracy_counts_matches(self):
         rng = RNG(74)
