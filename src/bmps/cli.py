@@ -319,12 +319,13 @@ def _jsonable(value):
     return value
 
 
-def _write_meta(out, name, cfg, started):
+def _write_meta(out, name, cfg, started, **extra):
     payload = {
         "command": cfg["command"],
         "config": {k: _jsonable(v) for k, v in cfg.items()},
         "version": __version__,
         "wall_time_seconds": time.perf_counter() - started,
+        **extra,
     }
     with open(out / f"{name}.meta.json", "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -376,7 +377,14 @@ def cmd_laplace_fit(cfg):
     post = laplace.LaplacePosterior(model, factors, cfg["reg"])
     out = _out_dir(cfg)
     laplace.save_posterior(post, out / "posterior.blap")
-    _write_meta(out, "laplace-fit", cfg, started)
+    summary = {
+        "rank": factors.rank,
+        "n_params": factors.n_params,
+        "n_samples": factors.n_samples,
+        "subsampled": factors.sample_ids is not None,
+        "log_det_precision": post.log_det_precision,
+    }
+    _write_meta(out, "laplace-fit", cfg, started, posterior=summary)
     print(f"posterior rank {factors.rank} over {factors.n_params} parameters")
     return 0
 

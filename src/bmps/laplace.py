@@ -24,7 +24,14 @@ logit-gap mu'_j = psi_j - logsumexp_{k != j} psi_k is shrunk by
 kappa(sigma_j^2) = (1 + pi*sigma_j^2/8)^{-1/2}, where sigma_j^2 is the
 posterior variance of logit j, and the resulting sigmoids are renormalized.
 With no factors and a huge precision this reduces exactly to the softmax of
-the point estimate.
+the point estimate. The variance of a logit with Jacobian row g is the
+quadratic form
+
+    sigma^2 = g'M^{-1}g = (|g|^2 - |C^{-T} U g|^2) / precision,
+
+with C'C = precision*I_R + UU' the cached core factorization, so a batch of
+Jacobian rows costs one product with U and one triangular solve, and
+M^{-1}g is never formed.
 
 Posterior files use a self-contained container: magic ``BLAP1``, a fixed
 little-endian header (rank, parameter count, prior precision, metadata
@@ -41,7 +48,7 @@ import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 from scipy.special import expit, logsumexp
 
 from . import mps
@@ -148,9 +155,9 @@ def _ggn_rows(model, X, magnitude_cap):
     y = np.exp(z)
     y /= y.sum(axis=1, keepdims=True)
     mean_g = np.einsum("bl,blp->bp", y, jac)
-    centered = jac - mean_g[:, None, :]
-    rows = np.sqrt(y)[:, :, None] * centered
-    return rows.reshape(-1, rows.shape[2])
+    jac -= mean_g[:, None]
+    jac *= np.sqrt(y)[:, :, None]
+    return jac.reshape(-1, jac.shape[2])
 
 
 class LaplacePosterior:
@@ -213,6 +220,18 @@ class LaplacePosterior:
         s = cho_solve(self._core, w)
         return (V - s.T @ U) / lam
 
+    @property
+    def log_det_precision(self):
+        """log det(U'U + precision*I_P), from the cached R x R core factorization.
+
+        Equals ``(P - R) log(precision) + log det(UU' + precision*I_R)``.
+        """
+        P, R = self.factors.n_params, self.factors.rank
+        log_det = (P - R) * np.log(self.prior_precision)
+        if self._core is not None:
+            log_det += 2.0 * np.sum(np.log(np.diag(self._core[0])))
+        return float(log_det)
+
 
 def kappa(sigma2):
     """Moderation factor (1 + pi*sigma2/8)^{-1/2}; 1 at zero variance."""
@@ -251,15 +270,30 @@ def _logit_gaps(logits):
     return out
 
 
+def _variance(post, J):
+    """Row-wise ``j' M^{-1} j`` for the rows of J (k, n_params); shape (k,).
+
+    By Woodbury this is ``(|j|^2 - |Z|^2) / precision`` per row, where
+    ``Z = C^{-T} U j`` and ``C'C = precision*I_R + UU'`` is the cached core
+    factorization: the one large product is ``U J'`` (R x k), and
+    ``M^{-1} J`` is never formed.
+    """
+    sq = np.einsum("kp,kp->k", J, J)
+    if post._core is not None:
+        c, lower = post._core
+        A = post.factors.factors @ J.T  # (R, k)
+        Z = solve_triangular(c, A, trans=0 if lower else 1, lower=lower)
+        sq -= np.einsum("rk,rk->k", Z, Z)
+    return sq / post.prior_precision
+
+
 def _moderate(post, X, magnitude_cap):
     """Moderated predictions of one batch; see :func:`predictive_batch`."""
     n_labels = post.map_model.shape.n_labels
     env = mps.sweep_env(post.map_model, X, magnitude_cap=magnitude_cap)
     jac = mps.jacobian_from_env(env)  # (b, L, P)
     b = jac.shape[0]
-    flat = jac.reshape(b * n_labels, -1)
-    solved = post.solve_many(flat)
-    sigma2 = np.einsum("rp,rp->r", flat, solved).reshape(b, n_labels)
+    sigma2 = _variance(post, jac.reshape(b * n_labels, -1)).reshape(b, n_labels)
     sigma2 = np.maximum(sigma2, 0.0)
     gaps = _logit_gaps(env.logits)
     k = kappa(sigma2)
@@ -283,6 +317,8 @@ def predictive_batch(post, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-d (batch, features), got shape {X.shape}")
+    if X.shape[0] == 0:
+        raise DataError(f"need a nonempty 2-d batch, got shape {X.shape}")
     parts = mps.map_chunks(lambda xb: _moderate(post, xb, magnitude_cap), X)
     return PredictiveBatch(
         *(np.vstack([getattr(p, f.name) for p in parts]) for f in fields(PredictiveBatch))

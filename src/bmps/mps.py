@@ -366,16 +366,31 @@ def grad_logits(model, emb, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
 
 
 def jacobian_from_env(env):
-    """Flattened logit Jacobians: (batch, n_labels, param_count)."""
+    """Flattened logit Jacobians: (batch, n_labels, param_count).
+
+    Each site's block is written straight into its columns of one array.
+    """
     shape = env.model.shape
     B, L, k = env.phi.shape[0], shape.n_labels, shape.label_site
-    blocks = [None] * shape.n_sites
+    sizes = [int(np.prod(shape.node_shape(i))) for i in range(shape.n_sites)]
+    starts = np.cumsum([0, *sizes])
+    jac = np.empty((B, L, starts[-1]))
+
+    def block(i):  # site i's columns, laid out (batch, n_labels, *node_shape(i))
+        return jac[:, :, starts[i] : starts[i + 1]].reshape(
+            (B, L) + shape.node_shape(i)
+        )
+
     for i, e in _environments(env, _site_matrix(env.model, env.phi, k)):
-        blocks[i] = np.einsum("blar,bs->blasr", e, env.phi[:, i]).reshape(B, L, -1)
+        # block[b, l, a, s, r] = e[b, l, a, r] * phi[b, i, s]
+        np.multiply(e[:, :, :, None], env.phi[:, i, None, None, :, None], out=block(i))
     # logit l depends only on class slice l of the label node
-    block = np.einsum("lm,bar,bs->blasmr", np.eye(L), env.closure, env.phi[:, k])
-    blocks[k] = block.reshape(B, L, -1)
-    return np.concatenate(blocks, axis=2)
+    label = block(k)
+    label[...] = 0.0
+    diag = np.einsum("bar,bs->basr", env.closure, env.phi[:, k])
+    for l in range(L):
+        label[:, l, :, :, l] = diag
+    return jac
 
 
 def weighted_grad_from_env(env, coeff):

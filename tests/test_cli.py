@@ -154,6 +154,23 @@ class TestPredictAndLaplace:
         assert code == 0
         post = load_posterior(lap / "posterior.blap")
         assert post.prior_precision == pytest.approx(1e-4)
+        meta = json.loads((lap / "laplace-fit.meta.json").read_text())
+        assert meta["posterior"] == {
+            "rank": post.factors.rank,
+            "n_params": post.factors.n_params,
+            "n_samples": post.factors.n_samples,
+            "subsampled": False,
+            "log_det_precision": post.log_det_precision,
+        }
+        capped = tmp_path / "capped"
+        code = run(
+            "laplace-fit", "--model", trained / "model.bmps", *self.data_args(),
+            "--reg", "1e-4", "--rank-cap", "10", "--out", capped,
+        )
+        assert code == 0
+        meta = json.loads((capped / "laplace-fit.meta.json").read_text())
+        assert meta["posterior"]["subsampled"] is True
+        assert meta["posterior"]["rank"] == meta["posterior"]["n_samples"] == 10
 
         pred = tmp_path / "pred"
         code = run(

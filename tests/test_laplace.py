@@ -145,9 +145,8 @@ class TestGgnFactors:
         whole = laplace.ggn_factors(model, X)
         monkeypatch.setattr(mps, "CHUNK_ROWS", 2)
         chunked = laplace.ggn_factors(model, X)
-        # chunk geometry changes the BLAS kernels, so agreement is to
-        # round-off rather than bitwise
-        assert np.allclose(whole.factors, chunked.factors, rtol=1e-12, atol=1e-14)
+        # factor rows are computed row by row
+        assert np.array_equal(whole.factors, chunked.factors)
 
     def test_non_finite_factors_rejected(self):
         rng = RNG(10)
@@ -240,6 +239,20 @@ class TestPosteriorSolve:
         many = post.solve_many(V)
         for k in range(4):
             assert np.allclose(many[k], post.solve(V[k]), rtol=1e-13, atol=1e-15)
+
+    def test_log_det_precision_matches_dense(self):
+        rng = RNG(24)
+        for n_labels in (1, 3):
+            model = small_model(rng, n_labels)
+            P = model.shape.param_count
+            U = rng.normal(size=(7, P))
+            lam = 0.3
+            post = laplace.LaplacePosterior(model, factors_for(model, U), lam)
+            sign, want = np.linalg.slogdet(U.T @ U + lam * np.eye(P))
+            assert sign == 1.0
+            assert post.log_det_precision == pytest.approx(want, rel=1e-12)
+            rank_zero = empty_posterior(model, lam).log_det_precision
+            assert rank_zero == pytest.approx(P * math.log(lam), rel=1e-14)
 
     def test_validation(self):
         rng = RNG(25)
@@ -414,6 +427,52 @@ class TestPredictive:
             laplace.predictive(post, np.zeros((2, 4)))
         with pytest.raises(ShapeError):
             laplace.predictive(post, np.zeros(5))
+
+    def test_empty_batch_rejected(self):
+        rng = RNG(39)
+        model = small_model(rng, 3)
+        post = empty_posterior(model, 1.0)
+        with pytest.raises(DataError, match="nonempty"):
+            laplace.predictive_batch(post, np.zeros((0, 4)))
+
+
+class TestVarianceAgainstDenseReference:
+    """sigma2 against the SVD form of M^{-1} = (U'U + lam*I)^{-1}.
+
+    With U = W diag(s) B', the variance of a logit with Jacobian row j is
+    sum_i (b_i'j)^2 / (s_i^2 + lam) + |j - BB'j|^2 / lam. When j lies in
+    U's row space the Woodbury form subtracts two nearly equal terms of
+    size |j|^2/lam, so agreement is required on that scale.
+    """
+
+    @staticmethod
+    def reference(U, J, lam):
+        _, s, Bt = np.linalg.svd(U, full_matrices=False)
+        proj = J @ Bt.T  # (k, r) coordinates along the right singular vectors
+        rest = J - proj @ Bt
+        return (proj**2 / (s**2 + lam)).sum(axis=1) + (rest**2).sum(axis=1) / lam
+
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    @pytest.mark.parametrize("lam", [1e-6, 1e-2, 1.0])
+    def test_matches_svd_reference(self, n_labels, lam):
+        rng = RNG(50 + n_labels)
+        for trial in range(8):
+            boundary = ("cyclic", "open")[trial % 2]
+            model = small_model(rng, n_labels, boundary=boundary)
+            X = rng.uniform(0, 1, size=(5, 4))
+            J = mps.jacobian_from_env(mps.sweep_env(model, X)).reshape(
+                -1, model.shape.param_count
+            )
+            if trial < 4:  # every Jacobian row in U's row space
+                U = rng.normal(size=(J.shape[0] + 3, J.shape[0])) @ J
+            else:
+                U = rng.normal(size=(int(rng.integers(1, 12)), J.shape[1]))
+            post = laplace.LaplacePosterior(model, factors_for(model, U), lam)
+            sigma2 = laplace.predictive_batch(post, X).sigma2.ravel()
+            scale = (J**2).sum(axis=1) / lam
+            assert np.all(sigma2 >= 0)
+            err = np.abs(sigma2 - self.reference(U, J, lam))
+            assert np.all(err <= 1e-12 * scale)
 
 
 class TestPosteriorSerialization:

@@ -237,6 +237,13 @@ class TestGradients:
             single = mps.grad_logits(model, mps.embed(X[b])).flatten()
             np.testing.assert_allclose(jac[b], single, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_jacobian_of_empty_batch(self, n_labels):
+        sh = mps.MpsShape(4, 2, 3, n_labels, boundary="open")
+        model = oracles.random_model(np.random.default_rng(24), sh)
+        jac = mps.jacobian_from_env(mps.sweep_env(model, np.zeros((0, 4))))
+        assert jac.shape == (0, n_labels, sh.param_count)
+
     def test_weighted_grad_is_coeff_contraction_of_jacobian(self):
         rng = np.random.default_rng(29)
         cases = set()
