@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -341,6 +342,27 @@ def _write_csv(out, name, fieldnames, rows):
     return path
 
 
+def _peak_rss_mib():
+    """Peak resident memory of this process so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+def _training_summary(dataset, history):
+    """Size, time and throughput of one ``train_map`` run, read off its
+    history and the process (no extra pass over the data)."""
+    rows, epochs = int(dataset.train_x.shape[0]), len(history.records)
+    seconds = sum(rec.seconds for rec in history.records)
+    return {
+        "rows": rows,
+        "epochs": epochs,
+        "best_epoch": history.best_epoch,
+        "train_seconds": seconds,
+        "samples_per_s": rows * epochs / seconds if seconds > 0 else None,
+        "peak_rss_mib": _peak_rss_mib(),
+    }
+
+
 def cmd_train(cfg):
     started = time.perf_counter()
     dataset = _load_dataset(cfg)
@@ -350,7 +372,7 @@ def cmd_train(cfg):
     mps.save_model(fit, out / "model.bmps")
     history.to_csv(out / "history.csv")
     history.to_json(out / "history.json")
-    _write_meta(out, "train", cfg, started)
+    _write_meta(out, "train", cfg, started, training=_training_summary(dataset, history))
     test_acc = (
         trainer.accuracy(fit, dataset.test_x, dataset.test_y)
         if dataset.test_x.shape[0]

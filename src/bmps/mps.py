@@ -30,19 +30,43 @@ for a loss gradient, which folds the logit coefficients in first so that
 pass is reverse mode on a scalar, without a class axis. An outer product
 with the site vector restores the physical index.
 
+Bonds are padded to ``bond_dim`` with zeros, so an open chain runs as a
+cyclic one whose end nodes have zero rows or columns and every ring site's
+matrices share one shape. Some passes stack sites, others stream them:
+
+* :func:`sweep_env` forms every ring site's matrices in one batched product
+  and writes the partial products into one preallocated stack.
+  :func:`forward` and :func:`forward_batch` stream: one site's matrices
+  and product at a time, so whole-dataset prediction (:data:`CHUNK_ROWS`
+  rows a call) holds O(batch * bond^2).
+* The environment pass runs in blocks of ring sites sized by a byte budget
+  (``_BLOCK_BYTES``). In the class-free gradient pass of a training batch a
+  block spans tens of sites: its running products fill one stack, one
+  batched product forms all its environments and another all its sites'
+  gradients. The class-wide Jacobian of a 512-row chunk streams, one site
+  a block.
+
 Every array the engine forms (partial and running products, closure,
-logits, folded label matrices, environments) is checked: a magnitude above
-``magnitude_cap`` (default 1e100), or a non-finite one, raises
-:class:`~bmps.errors.NumericError` naming the site. Rows are contracted one
-by one, so a row's results do not depend on its batch. All operations are
-pure: they never mutate their inputs, and identical inputs give
-bit-identical outputs.
+logits, folded label matrices, environments) is checked against
+``magnitude_cap`` (default 1e100): an entry above it in magnitude, or a
+NaN or infinite one, raises :class:`~bmps.errors.NumericError` naming the
+site. A streamed product is checked as soon as it is formed. A stack (the
+sweep's partial products, a block's running products and environments) is
+scanned once when it is full, by one min and one max reduction that copy
+nothing; only if that scan fails is it rescanned product by product, in
+the order the products were formed, so the error names the site a
+one-at-a-time check would have named. Rows are contracted one by one, so a
+row's results do not depend on its batch. All operations are pure: they
+never mutate their inputs (bar an env handed to :func:`sweep_env` as
+``reuse``), and identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
-from collections import deque
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +132,7 @@ class MpsShape:
     @property
     def param_count(self):
         return sum(
-            int(np.prod(self.node_shape(i))) for i in range(self.n_sites)
+            int(math.prod(self.node_shape(i))) for i in range(self.n_sites)
         )
 
 
@@ -209,48 +233,24 @@ def map_chunks(fn, X):
     return [fn(X[s : s + CHUNK_ROWS]) for s in range(0, max(len(X), 1), CHUNK_ROWS)]
 
 
+def _within(arr, cap):
+    """Whether every entry of ``arr`` is finite and at most ``cap`` in
+    magnitude: one min and one max reduction, no copy."""
+    if not arr.size:
+        return True
+    lo, hi = np.minimum.reduce(arr, axis=None), np.maximum.reduce(arr, axis=None)
+    # NaN fails every comparison; the isfinite tests catch inf under cap=inf
+    return -cap <= lo and hi <= cap and math.isfinite(lo) and math.isfinite(hi)
+
+
 def _check(arr, site, cap):
     """Return ``arr`` once its largest magnitude is finite and within ``cap``."""
-    m = np.abs(arr).max() if arr.size else 0.0
-    if not np.isfinite(m) or m > cap:
+    if not _within(arr, cap):
+        m = np.abs(arr).max()
         raise NumericError(
             f"contraction magnitude {m:.3e} exceeded cap {cap:.3e} at site {site}"
         )
     return arr
-
-
-def _site_matrix(model, phi, i):
-    """Transfer matrices of site ``i`` for a batch: (batch, left, right), and
-    (batch, n_labels, left, right) at the label site.
-
-    Each row is its own vector-matrix product, so a row's matrices do not
-    depend on the batch it is in.
-    """
-    # physical axis first: (phys, left, right) or (phys, n_labels, left, right)
-    axes = (1, 2, 0, 3) if i == model.shape.label_site else (1, 0, 2)
-    node = model.nodes[i].transpose(axes)
-    m = np.matmul(phi[:, i, None], node.reshape(node.shape[0], -1))
-    return m.reshape(phi.shape[:1] + node.shape[1:])
-
-
-@dataclass
-class BatchEnv:
-    """Contraction state of one batch: its logits plus what environments need.
-
-    ``mats[j]`` is the site matrix of ``ring[j]`` (see :func:`_ring`) and
-    ``tails[j]`` the product ``mats[j] @ .. @ mats[-1]``, the identity for
-    ``j = len(ring)``; ``closure`` is ``tails[0]`` transposed, the label
-    node's environment. ``cap`` is the magnitude cap every later product is
-    checked against.
-    """
-
-    model: MpsModel
-    phi: np.ndarray
-    cap: float
-    mats: list
-    tails: list
-    closure: np.ndarray
-    logits: np.ndarray
 
 
 def _ring(shape):
@@ -259,24 +259,125 @@ def _ring(shape):
     return [*range(k + 1, shape.n_sites), *range(k)]
 
 
-def _sweep(model, phi, cap, keep):
+_Layout = namedtuple("_Layout", "starts ring nodes label grad")
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(shape):
+    """Index maps between the flat parameters and the engine's stacks.
+
+    The engine pads every bond to ``D = bond_dim`` with zeros. That turns
+    an open chain into a cyclic one whose site 0 has zero rows and site
+    ``n-1`` zero columns: the padded products hold the open chain's
+    products in their leading block and exact zeros elsewhere, so every
+    ring site's matrices stack into one array.
+
+    * ``starts``: where each node begins in the flat vector, and its end.
+    * ``ring``: the sites of :func:`_ring`.
+    * ``nodes`` (R, phys, D, D) and ``label`` (phys, n_labels, D, D): the
+      flat position of every ring node and label node entry, physical axis
+      first; padding points one past the end, where :func:`_sweep` puts a 0.
+    * ``grad``: for each flat position, its place in a padded gradient
+      holding the ring sites (R, phys, right, left), then the label node
+      (left, phys, n_labels, right).
+    """
+    P, D = shape.param_count, shape.bond_dim
+    sizes = [math.prod(shape.node_shape(i)) for i in range(shape.n_sites)]
+    starts = np.cumsum([0, *sizes])
+
+    def padded(i):  # node_shape(i) positions, both bonds padded to D
+        pos = np.arange(starts[i], starts[i + 1]).reshape(shape.node_shape(i))
+        left, right = shape.bond_dims(i)
+        width = [(0, D - left)] + [(0, 0)] * (pos.ndim - 2) + [(0, D - right)]
+        return np.pad(pos, width, constant_values=P)
+
+    ring = np.array(_ring(shape), dtype=np.intp)
+    nodes = np.array([padded(i) for i in ring], dtype=np.intp)
+    nodes = nodes.reshape(len(ring), D, shape.phys_dim, D)
+    label = padded(shape.label_site)
+    where = np.concatenate([nodes.transpose(0, 2, 3, 1).ravel(), label.ravel()])
+    grad = np.empty(P, dtype=np.intp)
+    grad[where[where < P]] = np.flatnonzero(where < P)
+    return _Layout(
+        starts, ring, nodes.transpose(0, 2, 1, 3), label.transpose(1, 2, 0, 3), grad
+    )
+
+
+def _buffer(pool, name, shape):
+    """``pool[name]`` if it has ``shape``, else a new array stored there."""
+    buf = pool.get(name)
+    if buf is None or buf.shape != shape:
+        buf = pool[name] = np.empty(shape)
+    return buf
+
+
+@dataclass
+class BatchEnv:
+    """Contraction state of one batch: its logits plus what environments need.
+
+    Bonds are padded to ``D = bond_dim`` (see :func:`_layout`). ``mats[j]``
+    (batch, D, D) is the site matrix of ``ring[j]`` (see :func:`_ring`) and
+    ``tails[j]`` the product ``mats[j] @ .. @ mats[-1]``, the identity for
+    ``j = len(ring)``; ``label`` holds the label site's matrices (batch,
+    n_labels, D, D), and ``closure``, ``tails[0]`` transposed, is the label
+    node's environment. ``cap`` is the magnitude cap every later product is
+    checked against. ``buffers`` holds ``mats``, ``tails`` and the
+    gradient pass's scratch arrays, for :func:`sweep_env`'s ``reuse``.
+    """
+
+    model: MpsModel
+    phi: np.ndarray
+    cap: float
+    mats: np.ndarray
+    tails: np.ndarray
+    label: np.ndarray
+    closure: np.ndarray
+    logits: np.ndarray
+    buffers: dict = field(default_factory=dict, repr=False)
+
+
+_PAD = np.zeros(1)
+
+
+def _sweep(model, phi, cap, keep, reuse=None):
     """Contract a batch of embedded rows ``phi`` (batch, n_sites, phys) round
     the ring (see the module docstring).
 
-    ``keep`` holds every partial product for the environments; otherwise
-    only the latest is held, so memory stays O(batch * bond^2).
+    ``keep`` stacks every site matrix and partial product for the
+    environments, and scans the stack once; otherwise one site at a time is
+    formed and checked, so memory stays O(batch * bond^2).
     """
-    batch, k = phi.shape[0], model.shape.label_site
-    e = model.shape.bond_dims(k)[0]
-    mats = deque(maxlen=None if keep else 1)
-    tails = deque([np.broadcast_to(np.eye(e), (batch, e, e))], maxlen=mats.maxlen)
-    for i in reversed(_ring(model.shape)):
-        mats.appendleft(_site_matrix(model, phi, i))
-        tails.appendleft(_check(np.matmul(mats[0], tails[0]), i, cap))
-    full = _check(np.matmul(_site_matrix(model, phi, k), tails[0][:, None]), k, cap)
+    shape, lay = model.shape, _layout(model.shape)
+    B, R, D, k = phi.shape[0], len(lay.ring), shape.bond_dim, shape.label_site
+    theta = np.concatenate([*model.nodes, _PAD], axis=None)
+    # site matrices: each row's are its own vector-matrix product, so they
+    # do not depend on the batch the row is in
+    nodes = theta[lay.nodes].reshape(R, 1, shape.phys_dim, D * D)
+    ring_phi = phi[:, lay.ring, None].swapaxes(0, 1)  # (R, B, 1, phys)
+    pool = {} if reuse is None else reuse.buffers
+    mats = tails = None
+    tail = np.broadcast_to(np.eye(D), (B, D, D))
+    if keep:
+        mats = _buffer(pool, "mats", (R, B, D, D))
+        np.matmul(ring_phi, nodes, out=mats.reshape(R, B, 1, D * D))
+        tails = _buffer(pool, "tails", (R + 1, B, D, D))
+        tails[R] = tail
+        for j in reversed(range(R)):
+            tail = np.matmul(mats[j], tail, out=tails[j])
+        # one scan; on failure, rescan in the order of formation
+        if not _within(tails[:R], cap):
+            for j in reversed(range(R)):
+                _check(tails[j], lay.ring[j], cap)
+    else:
+        for j in reversed(range(R)):
+            m = np.matmul(ring_phi[j], nodes[j]).reshape(B, D, D)
+            tail = _check(np.matmul(m, tail), lay.ring[j], cap)
+    label = np.matmul(phi[:, k, None], theta[lay.label].reshape(shape.phys_dim, -1))
+    label = label.reshape(B, shape.n_labels, D, D)
+    full = _check(np.matmul(label, tail[:, None]), k, cap)
     logits = _check(np.trace(full, axis1=2, axis2=3), k, cap)
-    closure = np.swapaxes(tails[0], 1, 2)
-    return BatchEnv(model, phi, cap, list(mats), list(tails), closure, logits)
+    closure = np.swapaxes(tail, 1, 2)
+    return BatchEnv(model, phi, cap, mats, tails, label, closure, logits, pool)
 
 
 def forward(model, emb, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
@@ -290,9 +391,16 @@ def forward_batch(model, X, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
     return _sweep(model, _phi_batch(model, X), magnitude_cap, keep=False).logits
 
 
-def sweep_env(model, X, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
-    """Run one full sweep over a batch, caching what gradients need."""
-    return _sweep(model, _phi_batch(model, X), magnitude_cap, keep=True)
+def sweep_env(model, X, magnitude_cap=DEFAULT_MAGNITUDE_CAP, reuse=None):
+    """Run one full sweep over a batch, caching what gradients need.
+
+    ``reuse``, an env of an earlier sweep that will not be used again,
+    lends its arrays to this one where their shapes match, so a training
+    loop's steps allocate no new stacks (freeing them each step made the
+    allocator return them to the OS and fault them back in, about a third
+    of a digit-scale step).
+    """
+    return _sweep(model, _phi_batch(model, X), magnitude_cap, keep=True, reuse=reuse)
 
 
 def _phi_batch(model, X):
@@ -321,21 +429,48 @@ def _check_embedding(model, emb):
         )
 
 
-def _environments(env, label_mats):
-    """Yield ``(i, environment)`` for every site ``i`` but the label site.
+# Bytes of running products the environment recurrence holds at once (its
+# environments take as much again). A 32-row digit-scale gradient pass
+# (16 KiB a site) runs in four blocks that stay in cache, no slower than one
+# and 4 MB smaller; a 512-row, 10-class Jacobian chunk (2.6 MB a site)
+# streams one site at a time.
+_BLOCK_BYTES = 1 << 20
 
-    ``label_mats`` (batch, c, left, right) stands in for the label site's
-    matrices; ``environment[b, c]`` is the derivative of
-    ``trace(M_0 .. label_mats[b, c] .. M_{n-1})`` with respect to ``M_i``,
-    laid out like ``M_i``.
+
+def _environments(env, label_mats, pool):
+    """Yield ``(j0, envs)`` for blocks of consecutive ring positions.
+
+    ``label_mats`` (batch, c, D, D) stands in for the label site's
+    matrices; ``envs[j - j0, b, c]`` is the derivative of
+    ``trace(M_0 .. label_mats[b, c] .. M_{n-1})`` with respect to the
+    matrix of site ``ring[j]``, transposed (laid out (right, left)). A block
+    holds as many sites as :data:`_BLOCK_BYTES` allows: its running
+    products come one site at a time, its environments from one product.
+    Both live in ``pool``'s arrays, which each block overwrites.
     """
-    ring = _ring(env.model.shape)
-    run = label_mats  # label_mats @ mats[0] @ .. @ mats[j - 1]
-    for j, i in enumerate(ring):
-        e = np.matmul(env.tails[j + 1][:, None], run)
-        yield i, _check(np.swapaxes(e, 2, 3), i, env.cap)
-        if j + 1 < len(ring):
-            run = _check(np.matmul(run, env.mats[j][:, None]), i, env.cap)
+    R, cap = len(env.mats), env.cap
+    ring = _layout(env.model.shape).ring
+    size = max(1, min(R, _BLOCK_BYTES // max(label_mats.nbytes, 1)))
+    # runs[t] = label_mats @ mats[0] @ .. @ mats[j0 + t - 2]; runs[0] carries
+    # the previous block's last run in
+    runs = _buffer(pool, "runs", (size + 1,) + label_mats.shape)
+    envs = _buffer(pool, "envs", (size,) + label_mats.shape)
+    for j0 in range(0, R, size):
+        n = min(size, R - j0)
+        if j0:
+            runs[0] = runs[size]
+        else:
+            runs[1] = label_mats
+        for j in range(max(j0, 1), j0 + n):
+            np.matmul(runs[j - j0], env.mats[j - 1][:, None], out=runs[j - j0 + 1])
+        np.matmul(env.tails[j0 + 1 : j0 + 1 + n, :, None], runs[1 : n + 1], out=envs[:n])
+        # one scan per buffer; on failure, rescan in the order of formation
+        if not (_within(runs[1 if j0 else 2 : n + 1], cap) and _within(envs[:n], cap)):
+            for j in range(j0, j0 + n):
+                if j:
+                    _check(runs[j - j0 + 1], ring[j - 1], cap)
+                _check(envs[j - j0], ring[j], cap)
+        yield j0, envs[:n]
 
 
 @dataclass
@@ -372,8 +507,7 @@ def jacobian_from_env(env):
     """
     shape = env.model.shape
     B, L, k = env.phi.shape[0], shape.n_labels, shape.label_site
-    sizes = [int(np.prod(shape.node_shape(i))) for i in range(shape.n_sites)]
-    starts = np.cumsum([0, *sizes])
+    starts, ring = _layout(shape)[:2]
     jac = np.empty((B, L, starts[-1]))
 
     def block(i):  # site i's columns, laid out (batch, n_labels, *node_shape(i))
@@ -381,38 +515,52 @@ def jacobian_from_env(env):
             (B, L) + shape.node_shape(i)
         )
 
-    for i, e in _environments(env, _site_matrix(env.model, env.phi, k)):
-        # block[b, l, a, s, r] = e[b, l, a, r] * phi[b, i, s]
-        np.multiply(e[:, :, :, None], env.phi[:, i, None, None, :, None], out=block(i))
+    for j0, envs in _environments(env, env.label, {}):
+        for i, e in zip(ring[j0:], envs):
+            left, right = shape.bond_dims(i)
+            e = e.swapaxes(2, 3)[:, :, :left, None, :right]
+            # block[b, l, a, s, r] = e[b, l, a, r] * phi[b, i, s]
+            np.multiply(e, env.phi[:, i, None, None, :, None], out=block(i))
     # logit l depends only on class slice l of the label node
     label = block(k)
     label[...] = 0.0
-    diag = np.einsum("bar,bs->basr", env.closure, env.phi[:, k])
+    left, right = shape.bond_dims(k)
+    diag = np.einsum("bar,bs->basr", env.closure[:, :left, :right], env.phi[:, k])
     for l in range(L):
         label[:, l, :, :, l] = diag
     return jac
 
 
-def weighted_grad_from_env(env, coeff):
+def weighted_grad_from_env(env, coeff, out=None):
     """sum_b sum_l coeff[b, l] * d logits[b, l] / d nodes.
 
-    ``coeff`` has shape (batch, n_labels). Returns one array per node, shaped
-    like the node, without ever forming per-sample Jacobians (the
-    coefficients are folded into the label site's matrices first). This is
-    the workhorse behind loss gradients.
+    ``coeff`` has shape (batch, n_labels). Returns one array per node,
+    shaped like the node; or, given a ``param_count`` vector ``out``, writes
+    the gradient into it in :func:`flatten_params` order and returns it.
+    Per-sample Jacobians are never formed: the coefficients are folded into
+    the label site's matrices first, so one class-free environment pass
+    serves every site, and each block of sites takes one product for its
+    gradients. This is the workhorse behind loss gradients.
     """
-    model = env.model
+    shape = env.model.shape
+    lay = _layout(shape)
     coeff = np.asarray(coeff, dtype=np.float64)
-    B, L, k = env.phi.shape[0], model.shape.n_labels, model.shape.label_site
+    B, L, k, D = env.phi.shape[0], shape.n_labels, shape.label_site, shape.bond_dim
     if coeff.shape != (B, L):
         raise ShapeError(f"coeff shape {coeff.shape} != {(B, L)}")
-    label = _site_matrix(model, env.phi, k)
-    folded = _check(np.einsum("bl,blar->bar", coeff, label)[:, None], k, env.cap)
-    grads = [None] * model.shape.n_sites
-    for i, e in _environments(env, folded):
-        grads[i] = np.einsum("bar,bs->asr", e[:, 0], env.phi[:, i])
-    grads[k] = np.einsum("bl,bar,bs->aslr", coeff, env.closure, env.phi[:, k])
-    return grads
+    folded = _check(np.einsum("bl,blar->bar", coeff, env.label)[:, None], k, env.cap)
+    R, s = lay.nodes.shape[:2]
+    pad = _buffer(env.buffers, "grad", (R * s * D * D + lay.label.size,))
+    ring_grad = pad[: R * s * D * D].reshape(R, s, D * D)
+    phi = env.phi[:, lay.ring].transpose(1, 2, 0)  # (R, phys, batch)
+    for j0, envs in _environments(env, folded, env.buffers):
+        j1 = j0 + len(envs)
+        # grad[j, s, (r, a)] = sum_b phi[b, ring[j], s] * envs[j, b, 0, r, a]
+        np.matmul(phi[j0:j1], envs.reshape(j1 - j0, B, D * D), out=ring_grad[j0:j1])
+    label = pad[R * s * D * D :].reshape(D, s, L, D)
+    np.einsum("bl,bar,bs->aslr", coeff, env.closure, env.phi[:, k], out=label)
+    flat = np.take(pad, lay.grad, out=out)
+    return flat if out is not None else unflatten_params(shape, flat, copy=False)
 
 
 def weight_norm_sq(model):
@@ -425,16 +573,21 @@ def flatten_params(model):
     return np.concatenate([n.ravel() for n in model.nodes])
 
 
-def unflatten_params(shape, vec):
-    """Inverse of :func:`flatten_params`; returns a list of node arrays."""
+def unflatten_params(shape, vec, copy=True):
+    """Inverse of :func:`flatten_params`; returns a list of node arrays.
+
+    With ``copy=False`` the node arrays are views of ``vec`` when it is a
+    contiguous float64 vector, so writing to either writes to both.
+    """
     vec = np.asarray(vec, dtype=np.float64).ravel()
     if vec.size != shape.param_count:
         raise ShapeError(f"vector has {vec.size} entries, expected {shape.param_count}")
     nodes, pos = [], 0
     for i in range(shape.n_sites):
         ns = shape.node_shape(i)
-        size = int(np.prod(ns))
-        nodes.append(vec[pos : pos + size].reshape(ns).copy())
+        size = math.prod(ns)
+        node = vec[pos : pos + size].reshape(ns)
+        nodes.append(node.copy() if copy else node)
         pos += size
     return nodes
 

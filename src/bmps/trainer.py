@@ -213,20 +213,21 @@ def loss(model, X, labels, prior=PriorSpec(), magnitude_cap=mps.DEFAULT_MAGNITUD
     return _cross_entropy(logits, targets) + _penalty(model, prior)
 
 
-def _loss_and_grads(env, targets, prior):
-    """Batch cross entropy and the gradient of the penalized loss at a swept batch.
+def _loss_and_grad(env, targets, prior, theta, out):
+    """Batch cross entropy at a swept batch; writes the gradient of the
+    penalized loss into ``out``, flat in :func:`bmps.mps.flatten_params` order.
 
-    The gradient of the summed cross entropy with respect to the logits is
-    the predicted probability minus the target; a single-logit model's
-    channel is the class-1 column.
+    ``theta`` holds the same parameters flat, for the penalty. The gradient
+    of the summed cross entropy with respect to the logits is the predicted
+    probability minus the target; a single-logit model's channel is the
+    class-1 column.
     """
     ce = _cross_entropy(env.logits, targets)
     residual = probabilities(env.logits) - targets
-    grads = mps.weighted_grad_from_env(env, residual[:, -env.model.shape.n_labels :])
+    mps.weighted_grad_from_env(env, residual[:, -env.model.shape.n_labels :], out=out)
     if prior.precision != 0.0:
-        for g, node in zip(grads, env.model.nodes):
-            g += prior.precision * node
-    return ce, grads
+        out += prior.precision * theta
+    return ce
 
 
 def grad_loss(model, X, labels, prior=PriorSpec(), magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
@@ -236,51 +237,58 @@ def grad_loss(model, X, labels, prior=PriorSpec(), magnitude_cap=mps.DEFAULT_MAG
     """
     targets = _targets(model, labels)
     env = mps.sweep_env(model, X, magnitude_cap=magnitude_cap)
-    return _loss_and_grads(env, targets, prior)[1]
+    theta = mps.flatten_params(model)
+    grad = np.empty_like(theta)
+    _loss_and_grad(env, targets, prior, theta, grad)
+    return mps.unflatten_params(model.shape, grad, copy=False)
+
+
+# Each optimizer updates the flat parameter vector in place with the usual
+# elementwise rule, so every entry sees exactly the arithmetic of a
+# per-node update.
 
 
 class _Sgd:
-    def __init__(self, config, nodes):
+    def __init__(self, config, size):
         self.lr = config.learning_rate
 
-    def step(self, nodes, grads):
-        for node, g in zip(nodes, grads):
-            node -= self.lr * g
+    def step(self, theta, grad):
+        theta -= self.lr * grad
 
 
 class _SgdMomentum:
-    def __init__(self, config, nodes):
+    def __init__(self, config, size):
         self.lr = config.learning_rate
         self.mu = config.momentum
-        self.velocity = [np.zeros_like(n) for n in nodes]
+        self.velocity = np.zeros(size)
 
-    def step(self, nodes, grads):
-        for node, g, v in zip(nodes, grads, self.velocity):
-            v *= self.mu
-            v += g
-            node -= self.lr * v
+    def step(self, theta, grad):
+        v = self.velocity
+        v *= self.mu
+        v += grad
+        theta -= self.lr * v
 
 
 class _Adam:
-    def __init__(self, config, nodes):
+    def __init__(self, config, size):
         self.lr = config.learning_rate
         self.b1 = config.adam_beta1
         self.b2 = config.adam_beta2
         self.eps = config.adam_eps
         self.t = 0
-        self.m = [np.zeros_like(n) for n in nodes]
-        self.v = [np.zeros_like(n) for n in nodes]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, nodes, grads):
+    def step(self, theta, grad):
         self.t += 1
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
-        for node, g, m, v in zip(nodes, grads, self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * np.square(g)
-            node -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v = self.m, self.v
+        m *= self.b1
+        m += (1.0 - self.b1) * grad
+        v *= self.b2
+        v += (1.0 - self.b2) * np.square(grad)
+        theta -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 _OPTIMIZER_CLASSES = {"sgd": _Sgd, "sgd_momentum": _SgdMomentum, "adam": _Adam}
@@ -307,8 +315,12 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
     test_y = np.asarray(getattr(data, "test_y", np.zeros((0, Y.shape[1]))))
     has_test = test_x.shape[0] > 0
 
-    work = model.copy()
-    opt = _OPTIMIZER_CLASSES[config.optimizer](config, work.nodes)
+    # the iterate, its gradient and the optimizer state are flat vectors;
+    # work's nodes are views of theta
+    theta = mps.flatten_params(model)
+    work = mps.MpsModel(model.shape, mps.unflatten_params(model.shape, theta, copy=False))
+    grad = np.empty_like(theta)
+    opt = _OPTIMIZER_CLASSES[config.optimizer](config, theta.size)
     rng = np.random.default_rng(config.seed)
     m = X.shape[0]
     cap = config.magnitude_cap
@@ -321,19 +333,19 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
         ) from exc
     initial_mean_ce = (initial_loss - _penalty(work, prior)) / m
     best_loss = initial_loss
-    best_nodes = [n.copy() for n in work.nodes]
+    best_theta = theta.copy()
     best_epoch = 0
     history = TrainHistory()
 
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         order = rng.permutation(m) if config.shuffle else np.arange(m)
+        env = None
         for batch_idx, start in enumerate(range(0, m, config.batch_size)):
             rows = order[start : start + config.batch_size]
             try:
-                batch_ce, grads = _loss_and_grads(
-                    mps.sweep_env(work, X[rows], magnitude_cap=cap), Y[rows], prior
-                )
+                env = mps.sweep_env(work, X[rows], magnitude_cap=cap, reuse=env)
+                batch_ce = _loss_and_grad(env, Y[rows], prior, theta, grad)
             except NumericError as exc:
                 raise TrainingDiverged(
                     f"contraction overflowed at epoch {epoch}, batch {batch_idx}: {exc}",
@@ -351,7 +363,8 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
                     epoch=epoch,
                     batch=batch_idx,
                 )
-            opt.step(work.nodes, grads)
+            opt.step(theta, grad)
+        env = None  # the batch buffers are not needed while evaluating
 
         try:
             logits = predict_logits(work, X, magnitude_cap=cap)
@@ -371,24 +384,23 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
                 f"non-finite training loss after epoch {epoch}",
                 epoch=epoch,
             )
-        params = mps.flatten_params(work)
         history.records.append(
             EpochRecord(
                 epoch=epoch,
                 train_loss=train_loss,
                 train_acc=train_acc,
                 test_acc=test_acc,
-                param_std=float(params.std()),
+                param_std=float(theta.std()),
                 seconds=time.perf_counter() - t0,
             )
         )
         if train_loss < best_loss:
             best_loss = train_loss
-            best_nodes = [n.copy() for n in work.nodes]
+            best_theta = theta.copy()
             best_epoch = epoch
 
     history.best_epoch = best_epoch
-    return mps.MpsModel(model.shape, best_nodes), history
+    return mps.model_from_params(model.shape, best_theta), history
 
 
 def predict_logits(model, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):

@@ -61,6 +61,21 @@ class TestTrain:
         assert meta["config"]["bond"] == 3
         assert meta["wall_time_seconds"] > 0
         assert meta["version"]
+        history = json.loads((out / "history.json").read_text())
+        training = meta["training"]
+        assert set(training) == {
+            "rows", "epochs", "best_epoch", "train_seconds", "samples_per_s",
+            "peak_rss_mib",
+        }
+        assert training["rows"] == 90  # 120 blobs, a quarter held out
+        assert training["epochs"] == 20
+        assert training["best_epoch"] == history["best_epoch"]
+        seconds = sum(rec["seconds"] for rec in history["records"])
+        assert training["train_seconds"] == pytest.approx(seconds, rel=1e-12)
+        assert training["samples_per_s"] == pytest.approx(
+            90 * 20 / seconds, rel=1e-12
+        )
+        assert 0 < training["peak_rss_mib"] < 1 << 20
 
     def test_trains_to_separable_accuracy(self, tmp_path):
         out = tmp_path / "run"

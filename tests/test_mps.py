@@ -1,14 +1,15 @@
 """Chain contraction, gradients, and the binary model container."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmps import mps
-from bmps.errors import DataError, NumericError, ParseError, ShapeError
+from bmps import mps, trainer
+from bmps.errors import DataError, NumericError, ParseError, ShapeError, TrainingDiverged
 
 import oracles
 
@@ -178,6 +179,135 @@ class TestContraction:
             mps.forward_batch(model, np.full((1, 4), 0.5), magnitude_cap=np.inf)
 
 
+def transfer_chain(mats, label_site):
+    """A cyclic one-logit chain whose transfer matrices on an all-ones row
+    (phi = [1, 0]) are exactly ``mats[i]``."""
+    sh = mps.MpsShape(len(mats), 2, len(mats[0]), 1, label_site=label_site)
+    nodes = []
+    for i, m in enumerate(mats):
+        node = np.zeros(sh.node_shape(i))
+        if i == label_site:
+            node[:, 0] = np.asarray(m)[:, None, :]
+        else:
+            node[:, 0] = m
+        nodes.append(node)
+    return mps.MpsModel(sh, nodes)
+
+
+def swept(run, model, X, cap):
+    """Run one engine pass by name, for the magnitude-check tests."""
+    if run == "forward_batch":
+        return mps.forward_batch(model, X, magnitude_cap=cap)
+    env = mps.sweep_env(model, X, magnitude_cap=cap)
+    if run == "weighted_grad_from_env":
+        return mps.weighted_grad_from_env(env, np.ones(env.logits.shape))
+    if run == "jacobian_from_env":
+        return mps.jacobian_from_env(env)
+    return env
+
+
+class TestMagnitudeChecks:
+    """Every product the engine forms is checked, not only the logits, and a
+    failure names the site of the first offending product.
+
+    A 9-site chain labelled at site 4 has the ring 5 6 7 8 0 1 2 3: the sweep
+    forms its partial products from site 3 backwards, the environment pass
+    its running products from site 5 on.
+    """
+
+    STREAMED_AND_STACKED = ["forward_batch", "sweep_env"]
+    GRADIENT_PASSES = ["weighted_grad_from_env", "jacobian_from_env"]
+
+    @pytest.mark.parametrize("run", STREAMED_AND_STACKED)
+    def test_single_negative_inf_names_its_site(self, run):
+        # diag(1e200, 1) @ diag(-1e200, 1) holds one non-finite entry, -inf,
+        # which a scan of maxima alone would miss
+        eye = np.eye(2)
+        mats = [eye, eye, np.diag([1e200, 1.0]), np.diag([-1e200, 1.0]), eye, eye]
+        model = transfer_chain(mats, label_site=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="at site 2$"):
+                swept(run, model, np.ones((1, 6)), np.inf)
+
+    @pytest.mark.parametrize("run", STREAMED_AND_STACKED)
+    def test_single_nan_names_its_site(self, run):
+        # bond 1: each product is one number. Node 2 is given a NaN after
+        # construction, as an optimizer step writes one into the iterate.
+        model = transfer_chain([[[1.0]]] * 6, label_site=0)
+        model.nodes[2] = np.array([[[np.nan], [0.0]]])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match="at site 2$"):
+                swept(run, model, np.ones((1, 6)), mps.DEFAULT_MAGNITUDE_CAP)
+
+    @pytest.mark.parametrize("run", GRADIENT_PASSES)
+    def test_negative_inf_in_gradient_pass_names_its_site(self, run):
+        # the sweep's products from the right underflow to 0, but the running
+        # product label @ M1 @ M2 reaches -inf at site 2
+        eye = np.eye(2)
+        mats = [eye, np.diag([1e200, 1.0]), np.diag([-1e200, 1.0]),
+                np.diag([1e-200, 1.0]), np.diag([1e-200, 1.0]), eye]
+        model = transfer_chain(mats, label_site=0)
+        X = np.ones((2, 6))
+        assert np.all(np.isfinite(mps.sweep_env(model, X, magnitude_cap=np.inf).logits))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="at site 2$"):
+                swept(run, model, X, np.inf)
+
+    @staticmethod
+    def excursion_chain(scales):
+        """Site ``i`` scales one bond direction by ``scales[i]``; the scales
+        multiply to 1, so the logits stay near 1 however large the partial
+        products get on the way."""
+        mats = [np.eye(2)] * 9
+        for i, c in scales.items():
+            mats[i] = np.diag([c, 1.0])
+        return transfer_chain(mats, label_site=4)
+
+    def test_sweep_scans_every_partial_product(self):
+        # the sweep meets site 1 (1e60) before site 7 (1e-60)
+        model = self.excursion_chain({1: 1e60, 7: 1e-60})
+        X = np.ones((3, 9))
+        assert np.all(np.abs(mps.forward_batch(model, X, magnitude_cap=1e70)) < 10)
+        for run in self.STREAMED_AND_STACKED:
+            with pytest.raises(NumericError, match="at site 1$"):
+                swept(run, model, X, 1e50)
+        config = trainer.TrainConfig(epochs=1, magnitude_cap=1e50)
+        data = SimpleNamespace(train_x=X, train_y=np.eye(2)[[0, 1, 0]])
+        with pytest.raises(TrainingDiverged, match="at site 1$") as exc_info:
+            trainer.train_map(model, data, config)
+        assert exc_info.value.epoch == 0
+
+    def test_gradient_pass_scans_every_running_product(self):
+        # The environment pass meets sites 6 and 7 (1e40 each) before sites
+        # 1 and 2 (1e-40 each), so its running products reach 1e80 at site 7;
+        # every environment leaves one site out and stays within 1e40, and
+        # the sweep's partial products within 1.
+        model = self.excursion_chain({6: 1e40, 7: 1e40, 1: 1e-40, 2: 1e-40})
+        X = np.ones((3, 9))
+        assert np.all(np.abs(mps.forward_batch(model, X, magnitude_cap=1e50)) < 10)
+        assert np.all(np.abs(mps.sweep_env(model, X, magnitude_cap=1e50).logits) < 10)
+        for run in self.GRADIENT_PASSES:
+            with pytest.raises(NumericError, match="at site 7$"):
+                swept(run, model, X, 1e50)
+        config = trainer.TrainConfig(epochs=1, magnitude_cap=1e50)
+        data = SimpleNamespace(train_x=X, train_y=np.eye(2)[[0, 1, 0]])
+        with pytest.raises(TrainingDiverged, match="at site 7$") as exc_info:
+            trainer.train_map(model, data, config)
+        assert (exc_info.value.epoch, exc_info.value.batch) == (1, 0)
+
+
+    def test_gradient_pass_scans_every_environment(self):
+        # Site 0 (1e-70) sits between sites 6 and 2 (1e35 each): no partial
+        # or running product leaves [1e-35, 1e35], but site 0's environment,
+        # everything else, is 1e70.
+        model = self.excursion_chain({6: 1e35, 0: 1e-70, 2: 1e35})
+        X = np.ones((3, 9))
+        assert np.all(np.abs(mps.sweep_env(model, X, magnitude_cap=1e50).logits) < 10)
+        for run in self.GRADIENT_PASSES:
+            with pytest.raises(NumericError, match="at site 0$"):
+                swept(run, model, X, 1e50)
+
+
 class TestGradients:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -289,6 +419,36 @@ class TestGradients:
             want_grad = want_grad + np.einsum("l,lp->p", coeff[b], naive.flatten())
         grads = mps.weighted_grad_from_env(env, coeff)
         assert rel_err(np.concatenate([g.ravel() for g in grads]), want_grad) <= 1e-12
+
+    @pytest.mark.parametrize("boundary", ["open", "cyclic"])
+    @pytest.mark.parametrize("label_site", [0, 3, 6])
+    def test_block_boundaries_are_invisible(self, monkeypatch, boundary, label_site):
+        # The environment pass works in blocks of ring sites sized by
+        # mps._BLOCK_BYTES; by default one block holds this whole ring.
+        rng = np.random.default_rng(41 + label_site)
+        B, bond = 5, 3
+        per_site = B * bond * bond * 8  # one class-free site's running products
+        default = mps._BLOCK_BYTES
+        for n_labels in (1, 3):
+            sh = mps.MpsShape(7, 2, bond, n_labels, label_site=label_site, boundary=boundary)
+            model = oracles.random_model(rng, sh)
+            X = rng.uniform(0, 1, size=(B, 7))
+            coeff = rng.normal(size=(B, n_labels))
+
+            def run():
+                env = mps.sweep_env(model, X)
+                grads = mps.weighted_grad_from_env(env, coeff)
+                return [env.logits, *grads, mps.jacobian_from_env(env)]
+
+            monkeypatch.setattr(mps, "_BLOCK_BYTES", default)
+            assert default >= 6 * n_labels * per_site
+            whole = run()
+            # 1, 2 or 4 sites a block (4 + 2 for this ring of 6), fewer for
+            # the class-wide Jacobian
+            for sites in (1, 2, 4):
+                monkeypatch.setattr(mps, "_BLOCK_BYTES", sites * per_site)
+                for got, want in zip(run(), whole, strict=True):
+                    assert np.array_equal(got, want)
 
     def test_long_open_chain_against_exhaustive_oracle(self):
         rng = np.random.default_rng(37)

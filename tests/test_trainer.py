@@ -249,6 +249,51 @@ class TestOptimizerSteps:
                 want = node - lr * g / (np.abs(g) + eps)
                 assert np.allclose(new, want, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("optimizer", trainer.OPTIMIZERS)
+    def test_flat_updates_match_per_node_rule(self, optimizer):
+        # Four full-batch steps of the textbook rule, node by node, against
+        # the optimizer on the flat vector and against train_map's iterate
+        # (whose spread every epoch record holds, best epoch or not).
+        rng = RNG(33)
+        model = small_model(rng, 3)
+        X = rng.uniform(0, 1, size=(16, 4))
+        Y = onehot(rng.integers(0, 3, size=16), 3)
+        prior = trainer.PriorSpec(0.1)
+        lr, mu, b1, b2, eps = 0.01, 0.9, 0.9, 0.999, 1e-8
+        config = trainer.TrainConfig(
+            epochs=4, batch_size=16, learning_rate=lr, optimizer=optimizer,
+            momentum=mu, adam_beta1=b1, adam_beta2=b2, adam_eps=eps, shuffle=False,
+        )
+
+        nodes = [n.copy() for n in model.nodes]
+        m = [np.zeros_like(n) for n in nodes]
+        v = [np.zeros_like(n) for n in nodes]
+        theta = mps.flatten_params(model)
+        opt = trainer._OPTIMIZER_CLASSES[optimizer](config, theta.size)
+        stds = []
+        for t in range(1, 5):
+            grads = trainer.grad_loss(mps.MpsModel(model.shape, nodes), X, Y, prior)
+            for i, g in enumerate(grads):
+                if optimizer == "sgd":
+                    nodes[i] = nodes[i] - lr * g
+                elif optimizer == "sgd_momentum":
+                    m[i] = mu * m[i] + g
+                    nodes[i] = nodes[i] - lr * m[i]
+                else:
+                    m[i] = b1 * m[i] + (1 - b1) * g
+                    v[i] = b2 * v[i] + (1 - b2) * g**2
+                    step = (m[i] / (1 - b1**t)) / (np.sqrt(v[i] / (1 - b2**t)) + eps)
+                    nodes[i] = nodes[i] - lr * step
+            want = np.concatenate([n.ravel() for n in nodes])
+            flat_grad = trainer.grad_loss(mps.model_from_params(model.shape, theta), X, Y, prior)
+            opt.step(theta, np.concatenate([g.ravel() for g in flat_grad]))
+            assert np.abs(theta - want).max() <= 1e-12 * np.abs(want).max()
+            stds.append(want.std())
+
+        _, history = trainer.train_map(model, split(X, Y), config, prior)
+        got = [rec.param_std for rec in history.records]
+        np.testing.assert_allclose(got, stds, rtol=1e-12, atol=0)
+
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ValueError, match="unknown optimizer"):
             trainer.TrainConfig(optimizer="lbfgs")
