@@ -399,12 +399,17 @@ def cmd_laplace_fit(cfg):
     post = laplace.LaplacePosterior(model, factors, cfg["reg"])
     out = _out_dir(cfg)
     laplace.save_posterior(post, out / "posterior.blap")
+    chunk_rows, workers = mps.chunk_plan(
+        factors.n_samples, mps.jacobian_row_bytes(model.shape)
+    )
     summary = {
         "rank": factors.rank,
         "n_params": factors.n_params,
         "n_samples": factors.n_samples,
         "subsampled": factors.sample_ids is not None,
         "log_det_precision": post.log_det_precision,
+        "chunk_rows": chunk_rows,
+        "workers": workers,
     }
     _write_meta(out, "laplace-fit", cfg, started, posterior=summary)
     print(f"posterior rank {factors.rank} over {factors.n_params} parameters")
@@ -438,6 +443,8 @@ def cmd_predict(cfg):
         )
         probs = map_probs = trainer.predict_proba(model, X)
         mode = "map"
+    row_bytes = mps.jacobian_row_bytes if cfg["posterior"] else mps.forward_row_bytes
+    chunk_rows, workers = mps.chunk_plan(X.shape[0], row_bytes(model.shape))
 
     util = decision.UtilityMatrix.from_csv(cfg["utility"]) if cfg["utility"] else None
     truth = np.argmax(Y, axis=1)
@@ -451,7 +458,10 @@ def cmd_predict(cfg):
     rows = [a + b for a, b in zip(np.column_stack(labels).tolist(), probs.tolist())]
     out = _out_dir(cfg)
     _write_csv(out, "predictions", fields, rows)
-    _write_meta(out, "predictions", dict(cfg, mode=mode), started)
+    _write_meta(
+        out, "predictions", dict(cfg, mode=mode), started,
+        chunk_rows=chunk_rows, workers=workers,
+    )
     acc = float(np.mean(moderated == truth))
     print(f"wrote {len(rows)} predictions ({mode}); accuracy {acc:.4f}")
     return 0

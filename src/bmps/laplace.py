@@ -33,6 +33,13 @@ with C'C = precision*I_R + UU' the cached core factorization, so a batch of
 Jacobian rows costs one product with U and one triangular solve, and
 M^{-1}g is never formed.
 
+Both Jacobian passes, the factor build and prediction, run in chunks that
+:func:`bmps.mps.map_chunks` sizes by a byte budget on the chunk's Jacobian
+(``n_labels * param_count * 8`` bytes a row) and maps over a thread per
+usable core when the budget sets the size. The factor build writes each
+chunk's rows straight into one preallocated U, so the peak is U plus the
+chunks in flight.
+
 Posterior files use a self-contained container: magic ``BLAP1``, a fixed
 little-endian header (rank, parameter count, prior precision, metadata
 length, model-blob length), a JSON metadata block, the embedded model in its
@@ -43,6 +50,7 @@ order.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import struct
 from dataclasses import dataclass, fields
@@ -82,7 +90,7 @@ class GgnFactors:
         factors = np.ascontiguousarray(np.asarray(self.factors, dtype=np.float64))
         if factors.ndim != 2:
             raise ShapeError(f"factors must be 2-d (rank, params), got {factors.shape}")
-        if not np.all(np.isfinite(factors)):
+        if not mps._within(factors, np.inf):
             raise NumericError("factors contain non-finite entries")
         object.__setattr__(self, "factors", factors)
         if self.sample_ids is not None:
@@ -117,47 +125,53 @@ def ggn_factors(
         raise DataError(f"need a nonempty 2-d batch, got shape {X.shape}")
     if rank_cap < 1:
         raise ValueError(f"rank_cap must be >= 1, got {rank_cap}")
-    n_labels = model.shape.n_labels
-    rows_per_sample = 1 if n_labels == 1 else n_labels
+    L, P = model.shape.n_labels, model.shape.param_count  # L rows a sample
     m = X.shape[0]
 
     sample_ids = None
-    if m * rows_per_sample > rank_cap:
-        n_keep = rank_cap // rows_per_sample
+    if m * L > rank_cap:
+        n_keep = rank_cap // L
         if n_keep == 0:
             raise ValueError(
-                f"rank_cap {rank_cap} cannot fit the {rows_per_sample} rows "
-                "one sample produces"
+                f"rank_cap {rank_cap} cannot fit the {L} rows one sample produces"
             )
         rng = np.random.default_rng(seed)
         sample_ids = np.sort(rng.choice(m, size=n_keep, replace=False))
         X = X[sample_ids]
+        m = n_keep
 
-    chunks = mps.map_chunks(lambda xb: _ggn_rows(model, xb, magnitude_cap), X)
-    U = np.ascontiguousarray(np.vstack(chunks))
+    U = np.empty((m * L, P))
+
+    def fill(rows):  # each chunk writes its own rows of U
+        xb = X[rows]
+        out = U[rows.start * L : (rows.start + len(xb)) * L]
+        _ggn_rows(model, xb, magnitude_cap, out.reshape(len(xb), L, P))
+
+    mps.map_chunks(fill, m, mps.jacobian_row_bytes(model.shape))
     return GgnFactors(
         factors=U,
-        n_samples=X.shape[0],
+        n_samples=m,
         sample_ids=sample_ids,
         model_digest=model_digest(model),
     )
 
 
-def _ggn_rows(model, X, magnitude_cap):
-    """The factor rows of a batch, sample by sample (see the module docstring)."""
+def _ggn_rows(model, X, magnitude_cap, out):
+    """Write the factor rows of a batch into ``out`` (b, n_labels, P), sample
+    by sample (see the module docstring): the Jacobian, centred and scaled in
+    place."""
     env = mps.sweep_env(model, X, magnitude_cap=magnitude_cap)
-    jac = mps.jacobian_from_env(env)  # (b, L, P)
+    jac = mps.jacobian_from_env(env, out=out)
     if model.shape.n_labels == 1:
         y = expit(env.logits[:, 0])
-        w = np.sqrt(y * (1.0 - y))
-        return w[:, None] * jac[:, 0, :]
+        jac *= np.sqrt(y * (1.0 - y))[:, None, None]
+        return
     z = env.logits - env.logits.max(axis=1, keepdims=True)
     y = np.exp(z)
     y /= y.sum(axis=1, keepdims=True)
     mean_g = np.einsum("bl,blp->bp", y, jac)
     jac -= mean_g[:, None]
     jac *= np.sqrt(y)[:, :, None]
-    return jac.reshape(-1, jac.shape[2])
 
 
 class LaplacePosterior:
@@ -189,7 +203,10 @@ class LaplacePosterior:
             core = U @ U.T
             core[np.diag_indices_from(core)] += self.prior_precision
             try:
-                self._core = cho_factor(core)
+                # core is exactly symmetric (U @ U.T runs as one syrk), so its
+                # transpose is the Fortran-ordered array LAPACK factors in
+                # place; a C-ordered one would be copied first
+                self._core = cho_factor(core.T, overwrite_a=True)
             except LinAlgError as exc:
                 raise NumericError(
                     "posterior core factorization failed; factors are likely "
@@ -319,7 +336,11 @@ def predictive_batch(post, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
         raise ShapeError(f"X must be 2-d (batch, features), got shape {X.shape}")
     if X.shape[0] == 0:
         raise DataError(f"need a nonempty 2-d batch, got shape {X.shape}")
-    parts = mps.map_chunks(lambda xb: _moderate(post, xb, magnitude_cap), X)
+    parts = mps.map_chunks(
+        lambda rows: _moderate(post, X[rows], magnitude_cap),
+        X.shape[0],
+        mps.jacobian_row_bytes(post.map_model.shape),
+    )
     return PredictiveBatch(
         *(np.vstack([getattr(p, f.name) for p in parts]) for f in fields(PredictiveBatch))
     )
@@ -334,8 +355,8 @@ def predictive(post, x, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
     return PredictiveBatch(*(getattr(batch, f.name)[0] for f in fields(batch)))
 
 
-def posterior_to_bytes(post):
-    """Serialize a posterior, embedding the model it moderates."""
+def _posterior_head(post):
+    """The container up to the factor rows: magic, header, metadata, model."""
     factors = post.factors
     meta = {
         "model_digest": factors.model_digest,
@@ -353,42 +374,62 @@ def posterior_to_bytes(post):
         len(meta_blob),
         len(model_blob),
     )
-    payload = np.ascontiguousarray(factors.factors, dtype="<f8").tobytes()
-    return _MAGIC + header + meta_blob + model_blob + payload
+    return _MAGIC + header + meta_blob + model_blob
+
+
+def _payload(post):
+    """The factor rows as little-endian float64 (a view on little-endian hosts)."""
+    return np.ascontiguousarray(post.factors.factors, dtype="<f8")
+
+
+def posterior_to_bytes(post):
+    """Serialize a posterior, embedding the model it moderates."""
+    return _posterior_head(post) + _payload(post).tobytes()
 
 
 def posterior_from_bytes(blob):
     """Inverse of :func:`posterior_to_bytes`; raises ParseError on damage."""
-    if blob[: len(_MAGIC)] != _MAGIC:
+    return _read_posterior(io.BytesIO(blob))
+
+
+def _read_posterior(fh):
+    """Parse a posterior container from a binary file object. The factor
+    rows are read straight into their array, so they are held once."""
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    if fh.read(len(_MAGIC)) != _MAGIC:
         raise ParseError(f"bad magic at offset 0: expected {_MAGIC!r}")
     offset = len(_MAGIC)
-    if len(blob) < offset + _HEADER.size:
+    if size < offset + _HEADER.size:
         raise ParseError(f"truncated header at offset {offset}")
-    rank, n_params, precision, meta_len, model_len = _HEADER.unpack_from(blob, offset)
+    rank, n_params, precision, meta_len, model_len = _HEADER.unpack(
+        fh.read(_HEADER.size)
+    )
     offset += _HEADER.size
     if rank < 0 or n_params < 0 or meta_len < 0 or model_len < 0:
         raise ParseError("negative size field in header")
-    if len(blob) < offset + meta_len + model_len:
+    if size < offset + meta_len + model_len:
         raise ParseError("file shorter than declared metadata and model blocks")
-    meta_blob = blob[offset : offset + meta_len]
+    meta_blob = fh.read(meta_len)
     offset += meta_len
     try:
         meta = json.loads(meta_blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"metadata block is not valid JSON: {exc}") from exc
-    model_blob = blob[offset : offset + model_len]
+    model_blob = fh.read(model_len)
     offset += model_len
     digest = hashlib.sha256(model_blob).hexdigest()
     if digest != meta.get("model_digest"):
         raise ParseError("embedded model does not match its recorded digest")
     model = mps.model_from_bytes(model_blob)
     expected = rank * n_params * 8
-    payload = blob[offset:]
-    if len(payload) != expected:
+    if size - offset != expected:
         raise ParseError(
-            f"factor payload has {len(payload)} bytes at offset {offset}, expected {expected}"
+            f"factor payload has {size - offset} bytes at offset {offset}, expected {expected}"
         )
-    U = np.frombuffer(payload, dtype="<f8").reshape(rank, n_params).copy()
+    U = np.empty((rank, n_params), dtype="<f8")
+    if fh.readinto(U.reshape(-1).view(np.uint8)) != expected:
+        raise ParseError(f"factor payload at offset {offset} could not be read")
     sample_ids = meta.get("sample_ids")
     factors = GgnFactors(
         factors=U,
@@ -400,12 +441,16 @@ def posterior_from_bytes(blob):
 
 
 def save_posterior(post, path):
-    """Write a posterior container; load with :func:`load_posterior`."""
+    """Write a posterior container; load with :func:`load_posterior`.
+
+    The factor rows go to the file from their array, not through a copy.
+    """
     with open(path, "wb") as fh:
-        fh.write(posterior_to_bytes(post))
+        fh.write(_posterior_head(post))
+        fh.write(_payload(post).reshape(-1).view(np.uint8))
 
 
 def load_posterior(path):
     """Read a posterior container written by :func:`save_posterior`."""
     with open(path, "rb") as fh:
-        return posterior_from_bytes(fh.read())
+        return _read_posterior(fh)

@@ -37,14 +37,22 @@ matrices share one shape. Some passes stack sites, others stream them:
 * :func:`sweep_env` forms every ring site's matrices in one batched product
   and writes the partial products into one preallocated stack.
   :func:`forward` and :func:`forward_batch` stream: one site's matrices
-  and product at a time, so whole-dataset prediction (:data:`CHUNK_ROWS`
-  rows a call) holds O(batch * bond^2).
+  and product at a time, so a chunk of whole-dataset prediction holds
+  O(batch * bond^2).
 * The environment pass runs in blocks of ring sites sized by a byte budget
   (``_BLOCK_BYTES``). In the class-free gradient pass of a training batch a
   block spans tens of sites: its running products fill one stack, one
   batched product forms all its environments and another all its sites'
-  gradients. The class-wide Jacobian of a 512-row chunk streams, one site
-  a block.
+  gradients. The class-wide Jacobian of a chunk streams, one site a block.
+
+Whole-dataset passes run through :func:`map_chunks`. A chunk holds at most
+:data:`CHUNK_ROWS` rows, and no more than :data:`CHUNK_BYTES` of the
+pass's largest per-row array: :func:`jacobian_row_bytes` for the Jacobian
+passes (GGN factors, moderated prediction), :func:`forward_row_bytes` for
+the MAP forward. Where the byte budget, not the row cap, sets the chunk
+size, the chunks are mapped over a thread per usable core. That is the
+Jacobian passes at the digit scale; the forward pass stays serial there,
+and the training step always does.
 
 Every array the engine forms (partial and running products, closure,
 logits, folded label matrices, environments) is checked against
@@ -65,8 +73,10 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,8 +86,11 @@ from .errors import DataError, NumericError, ParseError, ShapeError
 DEFAULT_MAGNITUDE_CAP = 1e100
 
 # Rows contracted together by the whole-dataset passes (prediction, GGN
-# factors): bounds their per-batch state, the Jacobian above all.
+# factors), and the bytes their largest per-row array (the Jacobian above
+# all) may take in one chunk. At the digit scale (196 sites, bond 8,
+# 10 classes: 2.1 MB of Jacobian a row) the budget gives 63-row chunks.
 CHUNK_ROWS = 512
+CHUNK_BYTES = 128 << 20
 
 _MAGIC = b"BMPS1"
 _BOUNDARY_FLAGS = {"cyclic": 0, "open": 1}
@@ -225,12 +238,61 @@ def _phi_matrix(X):
     return np.stack([X, 1.0 - X], axis=2)
 
 
-def map_chunks(fn, X):
-    """``fn`` of each block of at most :data:`CHUNK_ROWS` rows of ``X``, in order.
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    An empty ``X`` is one (empty) block, so results keep their trailing shape.
+
+def jacobian_row_bytes(shape):
+    """Bytes of one row's logit Jacobian, the largest array of the Jacobian
+    passes (GGN factors, moderated prediction)."""
+    return shape.n_labels * shape.param_count * 8
+
+
+def forward_row_bytes(shape):
+    """Bytes of one row's label-site product, the largest array of
+    :func:`forward_batch`."""
+    return shape.n_labels * shape.bond_dim**2 * 8
+
+
+def chunk_plan(n_rows, row_bytes):
+    """``(rows, workers)``: the chunk size and thread count :func:`map_chunks`
+    uses for ``n_rows`` rows whose largest per-row array takes ``row_bytes``.
+
+    Chunks hold at most :data:`CHUNK_ROWS` rows and :data:`CHUNK_BYTES` of
+    that array. Only when the byte budget sets the size do they go to a
+    pool: pooling row-capped chunks raised peak memory (one malloc arena a
+    thread) for no clear speed-up.
     """
-    return [fn(X[s : s + CHUNK_ROWS]) for s in range(0, max(len(X), 1), CHUNK_ROWS)]
+    rows = max(1, min(CHUNK_ROWS, CHUNK_BYTES // max(row_bytes, 1)))
+    if rows == CHUNK_ROWS:
+        return rows, 1
+    return rows, max(1, min(_usable_cores(), -(-n_rows // rows)))
+
+
+def map_chunks(fn, n_rows, row_bytes):
+    """``[fn(rows), ..]`` over consecutive row slices covering ``range(n_rows)``.
+
+    Chunk sizes and threads come from :func:`chunk_plan`; results are in
+    row order either way. An empty range is one empty slice, so results
+    keep their trailing shape. If chunks raise, the error of the first
+    failing chunk in row order is raised, as a serial run would raise it,
+    and chunks that have not started are cancelled. No thread outlives the
+    call.
+    """
+    rows, workers = chunk_plan(n_rows, row_bytes)
+    chunks = [slice(s, s + rows) for s in range(0, max(n_rows, 1), rows)]
+    if workers == 1:
+        return [fn(c) for c in chunks]
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(fn, c) for c in chunks]
+        try:
+            return [f.result() for f in futures]
+        finally:
+            for f in futures:
+                f.cancel()
 
 
 def _within(arr, cap):
@@ -432,7 +494,7 @@ def _check_embedding(model, emb):
 # Bytes of running products the environment recurrence holds at once (its
 # environments take as much again). A 32-row digit-scale gradient pass
 # (16 KiB a site) runs in four blocks that stay in cache, no slower than one
-# and 4 MB smaller; a 512-row, 10-class Jacobian chunk (2.6 MB a site)
+# and 4 MB smaller; a 63-row, 10-class Jacobian chunk (320 KB a site)
 # streams one site at a time.
 _BLOCK_BYTES = 1 << 20
 
@@ -500,15 +562,22 @@ def grad_logits(model, emb, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
     return LogitGradient(model.shape, [np.stack(t) for t in zip(*per_label)])
 
 
-def jacobian_from_env(env):
+def jacobian_from_env(env, out=None):
     """Flattened logit Jacobians: (batch, n_labels, param_count).
 
-    Each site's block is written straight into its columns of one array.
+    Each site's block is written straight into its columns of one array:
+    ``out`` when given (a C-contiguous array of that shape), else a new one.
     """
     shape = env.model.shape
     B, L, k = env.phi.shape[0], shape.n_labels, shape.label_site
     starts, ring = _layout(shape)[:2]
-    jac = np.empty((B, L, starts[-1]))
+    want = (B, L, starts[-1])
+    if out is None:
+        jac = np.empty(want)
+    elif out.shape != want or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be a C-contiguous {want} array, got {out.shape}")
+    else:
+        jac = out
 
     def block(i):  # site i's columns, laid out (batch, n_labels, *node_shape(i))
         return jac[:, :, starts[i] : starts[i + 1]].reshape(

@@ -409,7 +409,9 @@ def predict_logits(model, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-d (batch, features), got shape {X.shape}")
     chunks = mps.map_chunks(
-        lambda xb: mps.forward_batch(model, xb, magnitude_cap=magnitude_cap), X
+        lambda rows: mps.forward_batch(model, X[rows], magnitude_cap=magnitude_cap),
+        X.shape[0],
+        mps.forward_row_bytes(model.shape),
     )
     return np.concatenate(chunks)
 

@@ -160,7 +160,7 @@ class TestPredictAndLaplace:
     def data_args(self):
         return ["--dataset", "blobs", "--n-samples", "120", "--std", "0.5"]
 
-    def test_laplace_fit_then_moderated_predict(self, tmp_path, trained):
+    def test_laplace_fit_then_moderated_predict(self, tmp_path, trained, monkeypatch):
         lap = tmp_path / "lap"
         code = run(
             "laplace-fit", "--model", trained / "model.bmps",
@@ -176,7 +176,13 @@ class TestPredictAndLaplace:
             "n_samples": post.factors.n_samples,
             "subsampled": False,
             "log_det_precision": post.log_det_precision,
+            "chunk_rows": mps.CHUNK_ROWS,
+            "workers": 1,
         }
+        # a byte budget of 4 Jacobian rows sets the chunks and the pool
+        row_bytes = mps.jacobian_row_bytes(post.map_model.shape)
+        monkeypatch.setattr(mps, "CHUNK_BYTES", 4 * row_bytes)
+        monkeypatch.setattr(mps, "_usable_cores", lambda: 2)
         capped = tmp_path / "capped"
         code = run(
             "laplace-fit", "--model", trained / "model.bmps", *self.data_args(),
@@ -186,6 +192,8 @@ class TestPredictAndLaplace:
         meta = json.loads((capped / "laplace-fit.meta.json").read_text())
         assert meta["posterior"]["subsampled"] is True
         assert meta["posterior"]["rank"] == meta["posterior"]["n_samples"] == 10
+        assert meta["posterior"]["chunk_rows"] == 4
+        assert meta["posterior"]["workers"] == 2
 
         pred = tmp_path / "pred"
         code = run(
@@ -201,6 +209,7 @@ class TestPredictAndLaplace:
             assert math.isclose(float(row[4]) + float(row[5]), 1.0, abs_tol=1e-9)
         meta = json.loads((pred / "predictions.meta.json").read_text())
         assert meta["config"]["mode"] == "moderated"
+        assert (meta["chunk_rows"], meta["workers"]) == (4, 2)
 
     def test_predict_without_posterior_warns_and_uses_map(self, tmp_path, trained, capsys):
         pred = tmp_path / "pred"
@@ -212,6 +221,7 @@ class TestPredictAndLaplace:
         assert "falling back" in capsys.readouterr().err
         meta = json.loads((pred / "predictions.meta.json").read_text())
         assert meta["config"]["mode"] == "map"
+        assert (meta["chunk_rows"], meta["workers"]) == (mps.CHUNK_ROWS, 1)
         header, rows = read_csv(pred / "predictions.csv")
         model = mps.load_model(trained / "model.bmps")
         ds = cli._load_dataset(dict(cli._COMMAND_DEFAULTS["predict"], n_samples=120, std=0.5))

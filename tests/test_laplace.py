@@ -1,6 +1,9 @@
 """Tests for the low-rank posterior: curvature factors, solves, predictions."""
 
 import math
+import threading
+import tracemalloc
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -143,7 +146,7 @@ class TestGgnFactors:
         model = small_model(rng, 2)
         X = rng.uniform(0, 1, size=(9, 4))
         whole = laplace.ggn_factors(model, X)
-        monkeypatch.setattr(mps, "CHUNK_ROWS", 2)
+        monkeypatch.setattr(mps, "CHUNK_BYTES", 2 * mps.jacobian_row_bytes(model.shape))
         chunked = laplace.ggn_factors(model, X)
         # factor rows are computed row by row
         assert np.array_equal(whole.factors, chunked.factors)
@@ -151,9 +154,11 @@ class TestGgnFactors:
     def test_non_finite_factors_rejected(self):
         rng = RNG(10)
         model = small_model(rng, 1)
-        U = np.full((2, model.shape.param_count), np.nan)
-        with pytest.raises(NumericError):
-            factors_for(model, U)
+        for bad in (np.nan, np.inf, -np.inf):
+            U = rng.normal(size=(2, model.shape.param_count))
+            U[1, 3] = bad
+            with pytest.raises(NumericError, match="non-finite"):
+                factors_for(model, U)
 
 
 class TestGgnNearTrainedMap:
@@ -210,6 +215,21 @@ class TestPosteriorSolve:
             v = rng.normal(size=P)
             dense = np.linalg.solve(U.T @ U + lam * np.eye(P), v)
             assert np.allclose(post.solve(v), dense, rtol=1e-8, atol=1e-12)
+
+    def test_core_is_factored_without_a_copy(self):
+        rng = RNG(23)
+        model = small_model(rng, 2)
+        R = 300
+        fac = factors_for(model, rng.normal(size=(R, model.shape.param_count)))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            laplace.LaplacePosterior(model, fac, 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # the R x R core plus the finiteness mask cho_factor takes of it
+        assert peak < 1.5 * R * R * 8
 
     def test_rank_zero_is_exact_scaling(self):
         rng = RNG(21)
@@ -385,9 +405,10 @@ class TestPredictive:
     def test_logits_are_the_map_logits(self, monkeypatch):
         # ``bmps predict`` takes its MAP labels from these logits
         rng = RNG(37)
-        monkeypatch.setattr(mps, "CHUNK_ROWS", 3)
         for n_labels in (1, 3):
             model = small_model(rng, n_labels)
+            row_bytes = mps.jacobian_row_bytes(model.shape)
+            monkeypatch.setattr(mps, "CHUNK_BYTES", 3 * row_bytes)
             X = rng.uniform(0, 1, size=(10, 4))
             post = laplace.LaplacePosterior(model, laplace.ggn_factors(model, X), 0.5)
             logits = laplace.predictive_batch(post, X).logits
@@ -475,6 +496,88 @@ class TestVarianceAgainstDenseReference:
             assert np.all(err <= 1e-12 * scale)
 
 
+class TestChunkedPasses:
+    """The Jacobian passes under the chunk budget and the worker pool."""
+
+    @staticmethod
+    def plan(monkeypatch, model, rows, workers):
+        """Chunks of ``rows`` rows mapped over ``workers`` threads."""
+        row_bytes = mps.jacobian_row_bytes(model.shape)
+        monkeypatch.setattr(mps, "CHUNK_BYTES", rows * row_bytes)
+        monkeypatch.setattr(mps, "_usable_cores", lambda: workers)
+
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_bit_identical_for_every_split_and_worker_count(self, monkeypatch, n_labels):
+        rng = RNG(60 + n_labels)
+        model = small_model(rng, n_labels, boundary=("open", "cyclic")[n_labels % 2])
+        X = rng.uniform(0, 1, size=(10, 4))
+        fac = laplace.ggn_factors(model, X)
+        post = laplace.LaplacePosterior(model, fac, 0.5)
+        whole = laplace.predictive_batch(post, X)
+        for rows in (1, 2, 3):
+            serial = None
+            for workers in (1, 2, 3):
+                self.plan(monkeypatch, model, rows, workers)
+                plan = mps.chunk_plan(10, mps.jacobian_row_bytes(model.shape))
+                assert plan == (rows, workers)
+                assert np.array_equal(laplace.ggn_factors(model, X).factors, fac.factors)
+                got = laplace.predictive_batch(post, X)
+                if serial is None:
+                    serial = got
+                # rows are contracted one by one
+                assert np.array_equal(got.logits, whole.logits)
+                assert np.array_equal(got.mu_prime, whole.mu_prime)
+                # the variance's U @ J' GEMM picks its BLAS kernels by the
+                # chunk's column count: any thread count gives the same
+                # bits, any split the same values to round-off
+                for f in fields(laplace.PredictiveBatch):
+                    assert np.array_equal(getattr(got, f.name), getattr(serial, f.name))
+                assert np.allclose(got.sigma2, whole.sigma2, rtol=1e-12, atol=1e-14)
+
+    def test_overflow_in_one_chunk_raises_the_serial_error(self, monkeypatch):
+        # phi(1) = [1, 0] picks the huge slice of every node, phi(0) the small
+        # one: rows of 1s (the third of four 2-row chunks) overflow at site 5,
+        # rows with 1s from site 16 on (the fourth chunk, in the second case)
+        # only later in the sweep, at site 18
+        shape = mps.MpsShape(30, 2, 2, 3, boundary="cyclic")
+        nodes = []
+        for i in range(30):
+            node = np.full(shape.node_shape(i), 0.1)
+            node[:, 0] = 1.0e4
+            nodes.append(node)
+        model = mps.MpsModel(shape, nodes)
+        post = empty_posterior(model, 1.0)
+        for fourth in (0.0, 1.0):
+            X = np.zeros((8, 30))
+            X[4:6] = 1.0
+            X[6:8, 16:] = fourth
+            calls = [
+                lambda: laplace.ggn_factors(model, X, magnitude_cap=1e40),
+                lambda: laplace.predictive_batch(post, X, magnitude_cap=1e40),
+            ]
+            for call in calls:
+                with pytest.raises(NumericError) as serial:
+                    call()
+                self.plan(monkeypatch, model, 2, 3)
+                with pytest.raises(NumericError) as pooled:
+                    call()
+                monkeypatch.undo()
+                assert str(serial.value).endswith("at site 5")
+                assert str(pooled.value) == str(serial.value)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        rng = RNG(64)
+        model = small_model(rng, 3)
+        X = rng.uniform(0, 1, size=(9, 4))
+        before = threading.active_count()
+        self.plan(monkeypatch, model, 2, 3)
+        post = laplace.LaplacePosterior(model, laplace.ggn_factors(model, X), 0.5)
+        laplace.predictive_batch(post, X)
+        with pytest.raises(DataError):  # a failing chunk stops the pool too
+            laplace.predictive_batch(post, np.c_[X[:, :3], X[:, :1] + 2.0])
+        assert threading.active_count() == before
+
+
 class TestPosteriorSerialization:
     def build(self, rng, n_labels=2, subsample=False):
         model = small_model(rng, n_labels)
@@ -496,6 +599,17 @@ class TestPosteriorSerialization:
         a = laplace.predictive_batch(post, X).probabilities
         b = laplace.predictive_batch(loaded, X).probabilities
         assert np.array_equal(a, b)
+
+    def test_file_holds_the_byte_container(self, tmp_path):
+        # save_posterior streams the factor rows; the bytes stay the same
+        rng = RNG(47)
+        post, _ = self.build(rng)
+        path = tmp_path / "posterior.blap"
+        for p in (post, empty_posterior(post.map_model, 0.5)):
+            laplace.save_posterior(p, path)
+            assert path.read_bytes() == laplace.posterior_to_bytes(p)
+            loaded = laplace.load_posterior(path)
+            assert np.array_equal(loaded.factors.factors, p.factors.factors)
 
     def test_round_trip_preserves_sample_ids(self):
         rng = RNG(41)

@@ -367,6 +367,19 @@ class TestGradients:
             single = mps.grad_logits(model, mps.embed(X[b])).flatten()
             np.testing.assert_allclose(jac[b], single, rtol=1e-12, atol=1e-14)
 
+    def test_jacobian_into_out(self):
+        rng = np.random.default_rng(25)
+        sh = mps.MpsShape(5, 2, 3, 3, boundary="cyclic", label_site=1)
+        model = oracles.random_model(rng, sh)
+        env = mps.sweep_env(model, rng.uniform(0, 1, size=(4, 5)))
+        out = np.full((4, 3, sh.param_count), np.nan)
+        assert mps.jacobian_from_env(env, out=out) is out
+        assert np.array_equal(out, mps.jacobian_from_env(env))
+        gappy = np.empty((4, 3, 2 * sh.param_count))[:, :, ::2]
+        for bad in (out[:3], gappy, np.empty((4, 3, sh.param_count + 1))):
+            with pytest.raises(ShapeError, match="out"):
+                mps.jacobian_from_env(env, out=bad)
+
     @pytest.mark.parametrize("n_labels", [1, 3])
     def test_jacobian_of_empty_batch(self, n_labels):
         sh = mps.MpsShape(4, 2, 3, n_labels, boundary="open")
@@ -458,6 +471,27 @@ class TestGradients:
             x = rng.uniform(0, 1, size=13)
             want = oracles.oracle_contract(model, mps.embed(x).site_vectors)
             assert rel_err(mps.forward_batch(model, x[None])[0], want) <= 1e-12
+
+
+class TestChunkPlan:
+    def test_budget_bounds_a_784_site_jacobian_chunk(self):
+        # arithmetic only: no contraction runs
+        shape = mps.MpsShape(784, 2, 8, 10)
+        row_bytes = mps.jacobian_row_bytes(shape)
+        assert row_bytes == 10 * 101_504 * 8
+        rows, workers = mps.chunk_plan(2000, row_bytes)
+        assert rows == 16 and rows * row_bytes <= mps.CHUNK_BYTES
+        assert 1 <= workers <= mps._usable_cores()
+        digits = mps.MpsShape(196, 2, 8, 10)
+        assert mps.chunk_plan(200, mps.jacobian_row_bytes(digits))[0] == 63
+        # the forward pass stays row-capped, so serial, at both scales
+        for sh in (shape, digits):
+            assert mps.chunk_plan(2000, mps.forward_row_bytes(sh)) == (mps.CHUNK_ROWS, 1)
+
+    def test_workers_never_exceed_chunks(self, monkeypatch):
+        monkeypatch.setattr(mps, "_usable_cores", lambda: 8)
+        assert mps.chunk_plan(3, mps.CHUNK_BYTES // 2) == (2, 2)
+        assert mps.chunk_plan(0, mps.CHUNK_BYTES) == (1, 1)
 
 
 class TestParams:

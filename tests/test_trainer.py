@@ -563,7 +563,7 @@ class TestPrediction:
             X = rng.uniform(0, 1, size=(10, 4))
             whole = trainer.predict_logits(model, X)
             with monkeypatch.context() as m:
-                m.setattr(mps, "CHUNK_ROWS", 3)
+                m.setattr(mps, "CHUNK_BYTES", 3 * mps.forward_row_bytes(model.shape))
                 chunked = trainer.predict_logits(model, X)
             assert np.array_equal(whole, chunked), seed
 
