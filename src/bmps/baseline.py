@@ -4,13 +4,13 @@ Used by the experiment runner to contrast weight distributions and sanity
 accuracies against the tensor-network models. Plain multinomial logistic
 regression (binary is the k=2 case) with an optional quadratic penalty on
 the weights (never the intercept), fit with L-BFGS on the exact analytic
-gradient.
+gradient. The optimizer (``scipy.optimize``) is imported on the first fit,
+so importing this module, or ``bmps``, does not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import softmax
 
 from .errors import DataError
@@ -28,6 +28,8 @@ class LogisticBaseline:
         self.intercept_ = None
 
     def fit(self, X, Y):
+        from scipy.optimize import minimize
+
         X = np.asarray(X, dtype=np.float64)
         Y = np.asarray(Y, dtype=np.float64)
         if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:

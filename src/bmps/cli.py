@@ -27,7 +27,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import kurtosis
 
 from . import __version__, data, decision, initializer, laplace, mps, trainer
 from .baseline import LogisticBaseline
@@ -326,6 +325,7 @@ def _write_meta(out, name, cfg, started, **extra):
         "config": {k: _jsonable(v) for k, v in cfg.items()},
         "version": __version__,
         "wall_time_seconds": time.perf_counter() - started,
+        "peak_rss_mib": _peak_rss_mib(),
         **extra,
     }
     with open(out / f"{name}.meta.json", "w") as fh:
@@ -563,6 +563,8 @@ def cmd_boundary_grid(cfg):
 
 
 def cmd_param_hist(cfg):
+    from scipy.stats import kurtosis
+
     started = time.perf_counter()
     regs = _float_list(cfg["regs"], "--regs")
     dataset = _load_dataset(cfg)

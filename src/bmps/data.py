@@ -295,6 +295,46 @@ def _scale_cell(column, spec, value, line_no):
     raise DataError(f"column {column!r}: unknown schema kind {kind!r}")
 
 
+def _scale_cells(feature_cols, schema, rows, line_nos):
+    """Scale cell by cell in file order, so the first bad cell raises."""
+    return np.asarray(
+        [
+            [_scale_cell(c, schema[c], value, line_no) for c, value in zip(feature_cols, row)]
+            for row, line_no in zip(rows, line_nos)
+        ],
+        dtype=np.float64,
+    )
+
+
+def _scale_columns(feature_cols, schema, rows):
+    """The floats of :func:`_scale_cells`, one column at a time.
+
+    Returns None where any cell or column spec would fail, so the caller can
+    rerun the per-cell path to raise the first failure in file order.
+    """
+    n = len(rows)
+    X = np.empty((n, len(feature_cols)))
+    for j, (column, cells) in enumerate(zip(feature_cols, zip(*rows))):
+        spec = schema[column]
+        try:
+            kind = spec.get("kind")
+            if kind == "range":
+                lo, hi = float(spec["min"]), float(spec["max"])
+                v = np.fromiter(map(float, cells), np.float64, n)
+                # NaN fails both comparisons, as it does in _scale_cell
+                if not lo < hi or not np.all((lo <= v) & (v <= hi)):
+                    return None
+                X[:, j] = (v - lo) / (hi - lo)
+            elif kind == "map":
+                mapping = spec["values"]
+                X[:, j] = np.fromiter((float(mapping[c]) for c in cells), np.float64, n)
+            else:
+                return None
+        except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError):
+            return None
+    return X
+
+
 def load_csv(path, label_column, schema, classes=None):
     """Feature rows from a CSV with a header, scaled by a declared schema.
 
@@ -312,29 +352,32 @@ def load_csv(path, label_column, schema, classes=None):
     if not feature_cols:
         raise DataError("schema declares no feature columns")
 
-    rows, labels, dropped = [], [], 0
+    used = feature_cols + [label_column]
+    rows, line_nos, labels, dropped = [], [], [], 0
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        missing = [c for c in feature_cols + [label_column] if c not in header]
+        missing = [c for c in used if c not in header]
         if missing:
             raise ParseError(f"{path}: missing columns {missing}")
         for line_no, rec in enumerate(reader, start=2):
-            cells = [rec[c] for c in feature_cols] + [rec[label_column]]
-            if any(c is None or c.strip() in ("", "?") for c in cells):
+            cells = [rec[c] for c in used]
+            if None in cells:
                 dropped += 1
                 continue
-            rows.append(
-                [
-                    _scale_cell(c, schema[c], rec[c].strip(), line_no)
-                    for c in feature_cols
-                ]
-            )
-            labels.append(rec[label_column].strip())
+            cells = [c.strip() for c in cells]
+            if "" in cells or "?" in cells:
+                dropped += 1
+                continue
+            rows.append(cells[:-1])
+            line_nos.append(line_no)
+            labels.append(cells[-1])
     if not rows:
         raise DataError(f"{path}: no usable rows (dropped {dropped})")
 
-    X = np.asarray(rows, dtype=np.float64)
+    X = _scale_columns(feature_cols, schema, rows)
+    if X is None:
+        X = _scale_cells(feature_cols, schema, rows, line_nos)
     variances = X.var(axis=0)
     flat = [feature_cols[i] for i in np.nonzero(variances == 0)[0]]
     if flat:

@@ -61,6 +61,7 @@ class TestTrain:
         assert meta["config"]["bond"] == 3
         assert meta["wall_time_seconds"] > 0
         assert meta["version"]
+        assert 0 < meta["peak_rss_mib"] < 1 << 20
         history = json.loads((out / "history.json").read_text())
         training = meta["training"]
         assert set(training) == {
@@ -170,6 +171,7 @@ class TestPredictAndLaplace:
         post = load_posterior(lap / "posterior.blap")
         assert post.prior_precision == pytest.approx(1e-4)
         meta = json.loads((lap / "laplace-fit.meta.json").read_text())
+        assert 0 < meta["peak_rss_mib"] < 1 << 20
         assert meta["posterior"] == {
             "rank": post.factors.rank,
             "n_params": post.factors.n_params,
@@ -210,6 +212,7 @@ class TestPredictAndLaplace:
         meta = json.loads((pred / "predictions.meta.json").read_text())
         assert meta["config"]["mode"] == "moderated"
         assert (meta["chunk_rows"], meta["workers"]) == (4, 2)
+        assert 0 < meta["peak_rss_mib"] < 1 << 20
 
     def test_predict_without_posterior_warns_and_uses_map(self, tmp_path, trained, capsys):
         pred = tmp_path / "pred"
@@ -222,6 +225,7 @@ class TestPredictAndLaplace:
         meta = json.loads((pred / "predictions.meta.json").read_text())
         assert meta["config"]["mode"] == "map"
         assert (meta["chunk_rows"], meta["workers"]) == (mps.CHUNK_ROWS, 1)
+        assert 0 < meta["peak_rss_mib"] < 1 << 20
         header, rows = read_csv(pred / "predictions.csv")
         model = mps.load_model(trained / "model.bmps")
         ds = cli._load_dataset(dict(cli._COMMAND_DEFAULTS["predict"], n_samples=120, std=0.5))

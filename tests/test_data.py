@@ -199,6 +199,60 @@ class TestCsvLoading:
         with pytest.raises(DataError, match="not in declared classes"):
             data.load_csv(path, "outcome", CSV_SCHEMA, classes=["a", "b"])
 
+    def test_column_path_is_bitwise_the_per_cell_path(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        rows = []
+        for i in range(300):
+            clump, size = rng.uniform(1, 10, size=2)
+            shade = rng.choice(["-1", "0", "1"])
+            cells = [repr(float(clump)), f" {size:.6e} ", shade, "ab"[i % 2]]
+            if i % 37 == 5:
+                cells[i % 3] = "?"
+            if i % 41 == 7:
+                cells[(i + 1) % 4] = ""
+            rows.append(",".join(cells))
+            if i % 53 == 11:
+                rows.append("")
+        rows += ["1,10,-1,a", "10,1,1,b"]
+        path = tmp_path / "d.csv"
+        write_csv(path, rows)
+
+        def no_fallback(*args):
+            raise AssertionError("the column path fell back to the per-cell path")
+
+        monkeypatch.setattr(data, "_scale_cells", no_fallback)
+        fast = data.load_csv(path, "outcome", CSV_SCHEMA)
+        monkeypatch.undo()
+        monkeypatch.setattr(data, "_scale_columns", lambda *args: None)
+        slow = data.load_csv(path, "outcome", CSV_SCHEMA)
+        assert fast.train_x.tobytes() == slow.train_x.tobytes()
+        assert np.array_equal(fast.train_y, slow.train_y)
+        assert fast.provenance == slow.provenance
+        assert fast.provenance["dropped_rows"] == 8 + 8
+        assert fast.provenance["classes"] == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "bad_rows, message",
+        [
+            # the earlier line wins even though its bad cell is in a later column
+            (["2,3,7,a", "11,3,0,b"], "line 3: column 'shade': unknown category '7'"),
+            (["2,x,0,a", "2,3,9,b"], "line 3: column 'size': non-numeric value 'x'"),
+            (["2,3,0,a", "2,3,9,b", "nan,3,0,a"], "line 4: column 'shade'"),
+        ],
+    )
+    def test_first_bad_cell_in_file_order_wins(self, tmp_path, bad_rows, message):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["1,2,0,a"] + bad_rows)
+        with pytest.raises(DataError, match=message):
+            data.load_csv(path, "outcome", CSV_SCHEMA)
+
+    def test_empty_declared_range_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["1,2,0,a", "2,3,1,b"])
+        schema = dict(CSV_SCHEMA, size={"kind": "range", "min": 3, "max": 3})
+        with pytest.raises(DataError, match=r"column 'size': declared range \[3.0, 3.0\] is empty"):
+            data.load_csv(path, "outcome", schema)
+
 
 class TestBlobs:
     def test_counts_and_range(self):

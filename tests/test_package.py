@@ -1,8 +1,51 @@
 """Tests for the package's public surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import bmps
+
+SRC = str(Path(bmps.__file__).resolve().parent.parent)
+
+
+def run_python(*args):
+    """A fresh interpreter: pytest and other test modules already load scipy."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in bmps.__all__ if not hasattr(bmps, name)]
     assert missing == []
+
+
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    code = (
+        "import sys\n"
+        "import bmps, bmps.cli, bmps.data, bmps.decision, bmps.initializer, "
+        "bmps.laplace, bmps.mps, bmps.trainer\n"
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))\n"
+        "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True True"]
+
+
+def test_python_dash_m_runs_the_cli():
+    shown = run_python("-m", "bmps", "--help")
+    assert shown.returncode == 0, shown.stderr
+    assert "usage:" in shown.stdout
+    unknown = run_python("-m", "bmps", "train", "--no-such-flag")
+    assert unknown.returncode == 2
+    assert "unrecognized arguments" in unknown.stderr
+    # an exit code that main() returns, not one argparse raises
+    failed = run_python("-m", "bmps", "predict")
+    assert failed.returncode == 2
+    assert "--model is required" in failed.stderr
