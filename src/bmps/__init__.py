@@ -45,15 +45,10 @@ from .laplace import (
     save_posterior,
 )
 from .mps import (
-    FeatureEmbedding,
-    LogitGradient,
     MpsModel,
     MpsShape,
     embed,
-    feature_map,
-    forward,
     forward_batch,
-    grad_logits,
     load_model,
     save_model,
     weight_norm_sq,
@@ -115,15 +110,10 @@ __all__ = [
     "ParseError",
     "ShapeError",
     "TrainingDiverged",
-    "FeatureEmbedding",
-    "LogitGradient",
     "MpsModel",
     "MpsShape",
     "embed",
-    "feature_map",
-    "forward",
     "forward_batch",
-    "grad_logits",
     "load_model",
     "save_model",
     "weight_norm_sq",

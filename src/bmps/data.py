@@ -26,7 +26,6 @@ The cache directory for named datasets is ``$BMPS_DATA_DIR`` (default
 from __future__ import annotations
 
 import csv
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,8 +86,7 @@ class DatasetSplit:
     """Preprocessed features in [0,1] with one-hot labels.
 
     ``provenance`` records where the data came from and what was done to it
-    (source path, scaling, dropped row count, seeds); it travels through
-    serialization.
+    (source path, scaling, dropped row count, seeds).
     """
 
     train_x: np.ndarray
@@ -129,10 +127,6 @@ class DatasetSplit:
         return self.train_x.var(axis=0)
 
     @property
-    def feature_mean(self):
-        return self.train_x.mean(axis=0)
-
-    @property
     def kernel_second_moment(self):
         """Per-feature mean of (x^2 + (1-x)^2)/2 over training rows."""
         x = self.train_x
@@ -157,28 +151,6 @@ class DatasetSplit:
             test_y=other.train_y,
             provenance=prov,
         )
-
-    def save(self, path):
-        """Lossless .npz serialization including provenance."""
-        np.savez_compressed(
-            path,
-            train_x=self.train_x,
-            train_y=self.train_y,
-            test_x=self.test_x,
-            test_y=self.test_y,
-            provenance=np.array(json.dumps(self.provenance)),
-        )
-
-    @classmethod
-    def load(cls, path):
-        with np.load(path, allow_pickle=False) as bundle:
-            return cls(
-                train_x=bundle["train_x"],
-                train_y=bundle["train_y"],
-                test_x=bundle["test_x"],
-                test_y=bundle["test_y"],
-                provenance=json.loads(str(bundle["provenance"])),
-            )
 
 
 def _onehot(indices, n_classes):
@@ -360,7 +332,7 @@ def load_csv(path, label_column, schema, classes=None):
         missing = [c for c in used if c not in header]
         if missing:
             raise ParseError(f"{path}: missing columns {missing}")
-        for line_no, rec in enumerate(reader, start=2):
+        for rec in reader:
             cells = [rec[c] for c in used]
             if None in cells:
                 dropped += 1
@@ -370,7 +342,7 @@ def load_csv(path, label_column, schema, classes=None):
                 dropped += 1
                 continue
             rows.append(cells[:-1])
-            line_nos.append(line_no)
+            line_nos.append(reader.line_num)  # the file line the record ends on
             labels.append(cells[-1])
     if not rows:
         raise DataError(f"{path}: no usable rows (dropped {dropped})")

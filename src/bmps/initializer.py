@@ -108,7 +108,7 @@ def init_model(shape, spec):
     return mps.MpsModel(shape, nodes)
 
 
-def output_stats(shape, spec, n_models, sample, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
+def output_stats(shape, spec, n_models, sample):
     """Monte-Carlo mean and variance of the response over fresh inits.
 
     Replica k is drawn with seed ``spec.seed + k``; the statistics are taken
@@ -117,11 +117,11 @@ def output_stats(shape, spec, n_models, sample, magnitude_cap=mps.DEFAULT_MAGNIT
     """
     if n_models < 2:
         raise ValueError(f"n_models must be >= 2, got {n_models}")
-    emb = mps.embed(np.asarray(sample, dtype=np.float64), n_sites=shape.n_sites)
+    phi = mps.embed(np.reshape(sample, (1, -1)))
     values = np.empty(n_models)
     for k in range(n_models):
         model = init_model(shape, replace(spec, seed=spec.seed + k))
-        values[k] = mps.forward(model, emb, magnitude_cap=magnitude_cap)[0]
+        values[k] = mps.forward_batch(model, phi)[0, 0]
     return float(values.mean()), float(values.var())
 
 

@@ -106,13 +106,7 @@ class GgnFactors:
         return self.factors.shape[1]
 
 
-def ggn_factors(
-    model,
-    X,
-    rank_cap=DEFAULT_RANK_CAP,
-    seed=0,
-    magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP,
-):
+def ggn_factors(model, X, rank_cap=DEFAULT_RANK_CAP, seed=0):
     """Curvature factor rows for a batch of inputs at the given model.
 
     The targets do not enter: the outer-product curvature depends only on
@@ -145,7 +139,7 @@ def ggn_factors(
     def fill(rows):  # each chunk writes its own rows of U
         xb = X[rows]
         out = U[rows.start * L : (rows.start + len(xb)) * L]
-        _ggn_rows(model, xb, magnitude_cap, out.reshape(len(xb), L, P))
+        _ggn_rows(model, xb, out.reshape(len(xb), L, P))
 
     mps.map_chunks(fill, m, mps.jacobian_row_bytes(model.shape))
     return GgnFactors(
@@ -156,11 +150,11 @@ def ggn_factors(
     )
 
 
-def _ggn_rows(model, X, magnitude_cap, out):
+def _ggn_rows(model, X, out):
     """Write the factor rows of a batch into ``out`` (b, n_labels, P), sample
     by sample (see the module docstring): the Jacobian, centred and scaled in
     place."""
-    env = mps.sweep_env(model, X, magnitude_cap=magnitude_cap)
+    env = mps.sweep_env(model, mps.embed(X))
     jac = mps.jacobian_from_env(env, out=out)
     if model.shape.n_labels == 1:
         y = expit(env.logits[:, 0])
@@ -304,10 +298,10 @@ def _variance(post, J):
     return sq / post.prior_precision
 
 
-def _moderate(post, X, magnitude_cap):
+def _moderate(post, X):
     """Moderated predictions of one batch; see :func:`predictive_batch`."""
     n_labels = post.map_model.shape.n_labels
-    env = mps.sweep_env(post.map_model, X, magnitude_cap=magnitude_cap)
+    env = mps.sweep_env(post.map_model, mps.embed(X))
     jac = mps.jacobian_from_env(env)  # (b, L, P)
     b = jac.shape[0]
     sigma2 = _variance(post, jac.reshape(b * n_labels, -1)).reshape(b, n_labels)
@@ -325,11 +319,11 @@ def _moderate(post, X, magnitude_cap):
     )
 
 
-def predictive_batch(post, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
+def predictive_batch(post, X):
     """Posterior-moderated class probabilities for a batch of inputs.
 
     ``logits`` are the point-estimate logits, identical to
-    :func:`bmps.mps.forward_batch` on the same rows.
+    :func:`bmps.mps.forward_batch` on the embedded rows.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -337,7 +331,7 @@ def predictive_batch(post, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
     if X.shape[0] == 0:
         raise DataError(f"need a nonempty 2-d batch, got shape {X.shape}")
     parts = mps.map_chunks(
-        lambda rows: _moderate(post, X[rows], magnitude_cap),
+        lambda rows: _moderate(post, X[rows]),
         X.shape[0],
         mps.jacobian_row_bytes(post.map_model.shape),
     )
@@ -346,12 +340,12 @@ def predictive_batch(post, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
     )
 
 
-def predictive(post, x, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
+def predictive(post, x):
     """Posterior-moderated class probabilities for one feature vector."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"x must be a 1-d feature vector, got shape {x.shape}")
-    batch = predictive_batch(post, x[None], magnitude_cap=magnitude_cap)
+    batch = predictive_batch(post, x[None])
     return PredictiveBatch(*(getattr(batch, f.name)[0] for f in fields(batch)))
 
 

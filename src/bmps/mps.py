@@ -12,8 +12,10 @@ extra class axis and has shape ``(left, phys, n_labels, right)``.
   size 1; the same trace closure then degenerates to a scalar read-off, so one
   code path serves both modes.
 
-A sample ``x`` (features in [0, 1]) enters through the local map
-``phi(x) = [x, 1 - x]``. Contracting each node with its site vector gives a
+A row of features in [0, 1] enters the engine embedded: :func:`embed` maps
+each feature ``x`` to the site vector ``phi(x) = [x, 1 - x]``, and every
+contraction takes a batch ``phi`` (batch, n_sites, phys_dim) of such rows.
+Contracting each node with its site vector gives a
 transfer matrix ``M_i`` per site (a stack ``M_k[l]``, one per class, at the
 label site ``k``); the logits are the trace of their ordered product,
 ``logits[l] = trace(M_0 .. M_k[l] .. M_{n-1})``.
@@ -36,9 +38,8 @@ matrices share one shape. Some passes stack sites, others stream them:
 
 * :func:`sweep_env` forms every ring site's matrices in one batched product
   and writes the partial products into one preallocated stack.
-  :func:`forward` and :func:`forward_batch` stream: one site's matrices
-  and product at a time, so a chunk of whole-dataset prediction holds
-  O(batch * bond^2).
+  :func:`forward_batch` streams: one site's matrices and product at a
+  time, so a chunk of whole-dataset prediction holds O(batch * bond^2).
 * The environment pass runs in blocks of ring sites sized by a byte budget
   (``_BLOCK_BYTES``). In the class-free gradient pass of a training batch a
   block spans tens of sites: its running products fill one stack, one
@@ -56,7 +57,7 @@ and the training step always does.
 
 Every array the engine forms (partial and running products, closure,
 logits, folded label matrices, environments) is checked against
-``magnitude_cap`` (default 1e100): an entry above it in magnitude, or a
+:data:`MAGNITUDE_CAP`: an entry above it in magnitude, or a
 NaN or infinite one, raises :class:`~bmps.errors.NumericError` naming the
 site. A streamed product is checked as soon as it is formed. A stack (the
 sweep's partial products, a block's running products and environments) is
@@ -83,7 +84,9 @@ import numpy as np
 
 from .errors import DataError, NumericError, ParseError, ShapeError
 
-DEFAULT_MAGNITUDE_CAP = 1e100
+# Largest magnitude any product of a contraction may reach; read by each
+# sweep when it runs.
+MAGNITUDE_CAP = 1e100
 
 # Rows contracted together by the whole-dataset passes (prediction, GGN
 # factors), and the bytes their largest per-row array (the Jacobian above
@@ -178,56 +181,12 @@ class MpsModel:
         return MpsModel(self.shape, [n.copy() for n in self.nodes])
 
 
-@dataclass
-class FeatureEmbedding:
-    """Per-site feature vectors, stored as an (n_sites, phys_dim) array."""
+def embed(X):
+    """Embedded rows ``phi`` (batch, n_sites, 2) of feature rows ``X``
+    (batch, n_sites): each feature ``x`` becomes ``[x, 1 - x]``.
 
-    site_vectors: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.site_vectors, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(
-                f"site_vectors must be 2-D (n_sites, phys_dim), got ndim={arr.ndim}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("site_vectors contain non-finite entries")
-        self.site_vectors = arr
-
-    @property
-    def n_sites(self):
-        return self.site_vectors.shape[0]
-
-    @property
-    def phys_dim(self):
-        return self.site_vectors.shape[1]
-
-
-def feature_map(x):
-    """Local map of one feature in [0, 1] to the vector [x, 1 - x].
-
-    The two components are non-negative and sum to one. Values outside the
-    unit interval raise :class:`DataError`.
+    ``X`` must be 2-D (ShapeError) with every value in [0, 1] (DataError).
     """
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise DataError(f"feature value {x!r} outside [0, 1]")
-    return np.array([x, 1.0 - x])
-
-
-def embed(sample, n_sites=None):
-    """Map a feature vector to a FeatureEmbedding via :func:`feature_map`.
-
-    ``n_sites``, when given, pins the expected length (ShapeError otherwise).
-    """
-    sample = np.asarray(sample, dtype=np.float64).ravel()
-    if n_sites is not None and sample.size != n_sites:
-        raise ShapeError(f"sample has {sample.size} features, expected {n_sites}")
-    return FeatureEmbedding(_phi_matrix(sample.reshape(1, -1))[0])
-
-
-def _phi_matrix(X):
-    # X: (batch, n_sites) in [0, 1]  ->  (batch, n_sites, 2)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"feature matrix must be 2-D, got ndim={X.ndim}")
@@ -382,9 +341,10 @@ class BatchEnv:
     ``tails[j]`` the product ``mats[j] @ .. @ mats[-1]``, the identity for
     ``j = len(ring)``; ``label`` holds the label site's matrices (batch,
     n_labels, D, D), and ``closure``, ``tails[0]`` transposed, is the label
-    node's environment. ``cap`` is the magnitude cap every later product is
-    checked against. ``buffers`` holds ``mats``, ``tails`` and the
-    gradient pass's scratch arrays, for :func:`sweep_env`'s ``reuse``.
+    node's environment. ``cap``, :data:`MAGNITUDE_CAP` when the sweep ran,
+    is the magnitude cap every later product is checked against.
+    ``buffers`` holds ``mats``, ``tails`` and the gradient pass's scratch
+    arrays, for :func:`sweep_env`'s ``reuse``.
     """
 
     model: MpsModel
@@ -401,7 +361,7 @@ class BatchEnv:
 _PAD = np.zeros(1)
 
 
-def _sweep(model, phi, cap, keep, reuse=None):
+def _sweep(model, phi, keep, reuse=None):
     """Contract a batch of embedded rows ``phi`` (batch, n_sites, phys) round
     the ring (see the module docstring).
 
@@ -409,7 +369,14 @@ def _sweep(model, phi, cap, keep, reuse=None):
     environments, and scans the stack once; otherwise one site at a time is
     formed and checked, so memory stays O(batch * bond^2).
     """
-    shape, lay = model.shape, _layout(model.shape)
+    shape, cap = model.shape, MAGNITUDE_CAP
+    phi = np.asarray(phi, dtype=np.float64)
+    if phi.shape[1:] != (shape.n_sites, shape.phys_dim):
+        raise ShapeError(
+            f"phi has shape {phi.shape}, model expects "
+            f"(batch, {shape.n_sites}, {shape.phys_dim})"
+        )
+    lay = _layout(shape)
     B, R, D, k = phi.shape[0], len(lay.ring), shape.bond_dim, shape.label_site
     theta = np.concatenate([*model.nodes, _PAD], axis=None)
     # site matrices: each row's are its own vector-matrix product, so they
@@ -442,19 +409,14 @@ def _sweep(model, phi, cap, keep, reuse=None):
     return BatchEnv(model, phi, cap, mats, tails, label, closure, logits, pool)
 
 
-def forward(model, emb, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
-    """Logits of one embedded sample; vector of length ``n_labels``."""
-    _check_embedding(model, emb)
-    return _sweep(model, emb.site_vectors[None], magnitude_cap, keep=False).logits[0]
+def forward_batch(model, phi):
+    """Logits for a batch of embedded rows; shape (batch, n_labels)."""
+    return _sweep(model, phi, keep=False).logits
 
 
-def forward_batch(model, X, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
-    """Logits for a batch of raw feature rows; shape (batch, n_labels)."""
-    return _sweep(model, _phi_batch(model, X), magnitude_cap, keep=False).logits
-
-
-def sweep_env(model, X, magnitude_cap=DEFAULT_MAGNITUDE_CAP, reuse=None):
-    """Run one full sweep over a batch, caching what gradients need.
+def sweep_env(model, phi, reuse=None):
+    """Run one full sweep over a batch of embedded rows, caching what
+    gradients need.
 
     ``reuse``, an env of an earlier sweep that will not be used again,
     lends its arrays to this one where their shapes match, so a training
@@ -462,33 +424,7 @@ def sweep_env(model, X, magnitude_cap=DEFAULT_MAGNITUDE_CAP, reuse=None):
     allocator return them to the OS and fault them back in, about a third
     of a digit-scale step).
     """
-    return _sweep(model, _phi_batch(model, X), magnitude_cap, keep=True, reuse=reuse)
-
-
-def _phi_batch(model, X):
-    phi = _phi_matrix(X)
-    if phi.shape[1] != model.shape.n_sites:
-        raise ShapeError(
-            f"batch has {phi.shape[1]} features, model expects {model.shape.n_sites}"
-        )
-    if model.shape.phys_dim != 2:
-        raise ShapeError(
-            f"default feature map produces phys_dim 2, model expects {model.shape.phys_dim}"
-        )
-    return phi
-
-
-def _check_embedding(model, emb):
-    if not isinstance(emb, FeatureEmbedding):
-        raise TypeError("emb must be a FeatureEmbedding")
-    if emb.n_sites != model.shape.n_sites:
-        raise ShapeError(
-            f"embedding has {emb.n_sites} sites, model expects {model.shape.n_sites}"
-        )
-    if emb.phys_dim != model.shape.phys_dim:
-        raise ShapeError(
-            f"embedding phys_dim {emb.phys_dim} != model phys_dim {model.shape.phys_dim}"
-        )
+    return _sweep(model, phi, keep=True, reuse=reuse)
 
 
 # Bytes of running products the environment recurrence holds at once (its
@@ -533,33 +469,6 @@ def _environments(env, label_mats, pool):
                     _check(runs[j - j0 + 1], ring[j - 1], cap)
                 _check(envs[j - j0], ring[j], cap)
         yield j0, envs[:n]
-
-
-@dataclass
-class LogitGradient:
-    """d logits / d nodes for a single embedded sample.
-
-    ``tensors[i]`` has shape ``(n_labels,) + node_shape(i)``; its entry
-    ``[l, ...]`` is the derivative of ``logits[l]`` with respect to that node
-    entry, so a directional derivative is the inner product with the
-    perturbation.
-    """
-
-    shape: MpsShape
-    tensors: list
-
-    def flatten(self):
-        """Stack into an (n_labels, param_count) Jacobian, nodes in site order."""
-        L = self.shape.n_labels
-        return np.concatenate([t.reshape(L, -1) for t in self.tensors], axis=1)
-
-
-def grad_logits(model, emb, magnitude_cap=DEFAULT_MAGNITUDE_CAP):
-    """Analytic gradient of every logit w.r.t. every node, one cached sweep."""
-    _check_embedding(model, emb)
-    env = _sweep(model, emb.site_vectors[None], magnitude_cap, keep=True)
-    per_label = [unflatten_params(model.shape, row) for row in jacobian_from_env(env)[0]]
-    return LogitGradient(model.shape, [np.stack(t) for t in zip(*per_label)])
 
 
 def jacobian_from_env(env, out=None):

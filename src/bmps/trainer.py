@@ -72,7 +72,6 @@ class TrainConfig:
     shuffle: bool = True
     seed: int = 0
     divergence_factor: float = 1e3
-    magnitude_cap: float = mps.DEFAULT_MAGNITUDE_CAP
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -202,14 +201,14 @@ def _penalty(model, prior):
     return 0.5 * prior.precision * mps.weight_norm_sq(model)
 
 
-def loss(model, X, labels, prior=PriorSpec(), magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
+def loss(model, X, labels, prior=PriorSpec()):
     """Objective value: summed cross entropy on one-hot labels plus the prior penalty.
 
     Single-channel models take (batch, 2) labels; wider models one column
     per output channel.
     """
     targets = _targets(model, labels)
-    logits = predict_logits(model, X, magnitude_cap=magnitude_cap)
+    logits = predict_logits(model, X)
     return _cross_entropy(logits, targets) + _penalty(model, prior)
 
 
@@ -230,13 +229,13 @@ def _loss_and_grad(env, targets, prior, theta, out):
     return ce
 
 
-def grad_loss(model, X, labels, prior=PriorSpec(), magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
+def grad_loss(model, X, labels, prior=PriorSpec()):
     """Exact gradient of :func:`loss` with respect to every node entry.
 
     Returns a list of arrays matching ``model.nodes`` shapes.
     """
     targets = _targets(model, labels)
-    env = mps.sweep_env(model, X, magnitude_cap=magnitude_cap)
+    env = mps.sweep_env(model, mps.embed(X))
     theta = mps.flatten_params(model)
     grad = np.empty_like(theta)
     _loss_and_grad(env, targets, prior, theta, grad)
@@ -312,7 +311,8 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
     if X.shape[0] == 0:
         raise DataError("training set is empty")
     test_x = np.asarray(getattr(data, "test_x", np.zeros((0, X.shape[1]))))
-    test_y = np.asarray(getattr(data, "test_y", np.zeros((0, Y.shape[1]))))
+    # checked here, not first at the end of an epoch
+    test_y = _targets(model, getattr(data, "test_y", np.zeros((0, Y.shape[1]))))
     has_test = test_x.shape[0] > 0
 
     # the iterate, its gradient and the optimizer state are flat vectors;
@@ -323,10 +323,9 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
     opt = _OPTIMIZER_CLASSES[config.optimizer](config, theta.size)
     rng = np.random.default_rng(config.seed)
     m = X.shape[0]
-    cap = config.magnitude_cap
 
     try:
-        initial_loss = loss(work, X, Y, prior, cap)
+        initial_loss = loss(work, X, Y, prior)
     except NumericError as exc:
         raise TrainingDiverged(
             f"initial evaluation overflowed: {exc}", epoch=0, batch=0
@@ -344,7 +343,7 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
         for batch_idx, start in enumerate(range(0, m, config.batch_size)):
             rows = order[start : start + config.batch_size]
             try:
-                env = mps.sweep_env(work, X[rows], magnitude_cap=cap, reuse=env)
+                env = mps.sweep_env(work, mps.embed(X[rows]), reuse=env)
                 batch_ce = _loss_and_grad(env, Y[rows], prior, theta, grad)
             except NumericError as exc:
                 raise TrainingDiverged(
@@ -367,12 +366,8 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
         env = None  # the batch buffers are not needed while evaluating
 
         try:
-            logits = predict_logits(work, X, magnitude_cap=cap)
-            test_acc = (
-                accuracy(work, test_x, test_y, magnitude_cap=cap)
-                if has_test
-                else float("nan")
-            )
+            logits = predict_logits(work, X)
+            test_acc = accuracy(work, test_x, test_y) if has_test else float("nan")
         except NumericError as exc:
             raise TrainingDiverged(
                 f"evaluation overflowed after epoch {epoch}: {exc}", epoch=epoch
@@ -403,32 +398,35 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
     return mps.model_from_params(model.shape, best_theta), history
 
 
-def predict_logits(model, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
+def predict_logits(model, X):
     """Logits for a batch, evaluated in chunks to bound peak memory."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-d (batch, features), got shape {X.shape}")
     chunks = mps.map_chunks(
-        lambda rows: mps.forward_batch(model, X[rows], magnitude_cap=magnitude_cap),
+        lambda rows: mps.forward_batch(model, mps.embed(X[rows])),
         X.shape[0],
         mps.forward_row_bytes(model.shape),
     )
     return np.concatenate(chunks)
 
 
-def predict_proba(model, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
+def predict_proba(model, X):
     """Class probabilities; binary models return two columns [P(0), P(1)]."""
-    return probabilities(predict_logits(model, X, magnitude_cap=magnitude_cap))
+    return probabilities(predict_logits(model, X))
 
 
-def predict_labels(model, X, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
+def predict_labels(model, X):
     """Most probable class index per sample (lowest index on ties)."""
-    return np.argmax(predict_proba(model, X, magnitude_cap=magnitude_cap), axis=1)
+    return np.argmax(predict_proba(model, X), axis=1)
 
 
-def accuracy(model, X, labels, magnitude_cap=mps.DEFAULT_MAGNITUDE_CAP):
+def accuracy(model, X, labels):
     """Fraction of samples whose predicted class matches the one-hot label."""
-    labels = np.asarray(labels)
+    labels = _targets(model, labels)
     if labels.shape[0] == 0:
         raise DataError("cannot score an empty batch")
-    return _hit_rate(predict_proba(model, X, magnitude_cap=magnitude_cap), labels)
+    probs = predict_proba(model, X)
+    if probs.shape[0] != labels.shape[0]:
+        raise ShapeError(f"{probs.shape[0]} samples but {labels.shape[0]} label rows")
+    return _hit_rate(probs, labels)

@@ -68,7 +68,7 @@ def fd_grad_logits(model, site_vectors, h=1e-6):
     ``mps.flatten_params``.
     """
     shape = model.shape
-    emb = mps.FeatureEmbedding(site_vectors)
+    phi = np.asarray(site_vectors, dtype=np.float64)[None]
     base = mps.flatten_params(model)
     out = np.zeros((shape.n_labels, base.size))
     for p in range(base.size):
@@ -76,8 +76,8 @@ def fd_grad_logits(model, site_vectors, h=1e-6):
         vp[p] += h
         vm = base.copy()
         vm[p] -= h
-        fp = mps.forward(mps.model_from_params(shape, vp), emb)
-        fm = mps.forward(mps.model_from_params(shape, vm), emb)
+        fp = mps.forward_batch(mps.model_from_params(shape, vp), phi)[0]
+        fm = mps.forward_batch(mps.model_from_params(shape, vm), phi)[0]
         out[:, p] = (fp - fm) / (2.0 * h)
     return out
 
@@ -112,8 +112,9 @@ def fd_hessian_from_grad(grad_fn, vec, h=1e-5):
 def naive_grad_logits(model, site_vectors):
     """Per-node environments recomputed from scratch for every node (no caching).
 
-    Same mathematical object as ``mps.grad_logits`` but O(n^2): for node i the
-    partial products left and right of i are rebuilt with fresh einsum chains.
+    Same mathematical object as one row of ``mps.jacobian_from_env``, the
+    flat (n_labels, param_count) Jacobian, but O(n^2): for node i the partial
+    products left and right of i are rebuilt with fresh einsum chains.
     """
     shape = model.shape
     n, L = shape.n_sites, shape.n_labels
@@ -145,7 +146,7 @@ def naive_grad_logits(model, site_vectors):
                 env = np.broadcast_to(env, (L,) + env.shape[1:])
             g = np.einsum("lar,s->lasr", env, vectors[i])
         tensors.append(np.asarray(g))
-    return mps.LogitGradient(shape, tensors)
+    return np.concatenate([t.reshape(L, -1) for t in tensors], axis=1)
 
 
 def _pair_product(a, b):

@@ -66,7 +66,7 @@ def test_c01_contraction_matches_exhaustive_sum():
         shape = random_shape(rng, max_n=4, max_s=4, max_bond=4, max_labels=3)
         model = random_model(rng, shape, scale=0.8)
         vecs = random_vectors(rng, shape)
-        got = mps.forward(model, mps.FeatureEmbedding(vecs))
+        got = mps.forward_batch(model, vecs[None])[0]
         want = oracle_contract(model, vecs)
         worst = max(worst, rel_err(got, want))
     dt = time.perf_counter() - t0
@@ -86,7 +86,7 @@ def test_c02_gradients_match_finite_differences():
         shape = random_shape(rng, max_n=4, max_s=3, max_bond=3, max_labels=3)
         model = random_model(rng, shape, scale=0.7)
         vecs = random_vectors(rng, shape, lo=0.0, hi=1.0)
-        analytic = mps.grad_logits(model, mps.FeatureEmbedding(vecs)).flatten()
+        analytic = mps.jacobian_from_env(mps.sweep_env(model, vecs[None]))[0]
         fd = fd_grad_logits(model, vecs, h=1e-5)
         worst_logit = max(worst_logit, rel_err(fd, analytic))
 
@@ -132,14 +132,14 @@ def test_c03_response_variance_law():
             var_a = 1.05**2 / (2 * alpha * var_x)  # law becomes 1.05^(2n)
             law = initializer.response_variance_law(shape, var_a, var_x)
             rng = np.random.default_rng(100 + n + alpha)
-            emb = mps.embed(sample, n_sites=n)
+            phi = mps.embed(sample[None])
             vals = np.empty(5000)
             for k in range(5000):
                 nodes = [
                     rng.normal(0.0, np.sqrt(var_a), size=shape.node_shape(i))
                     for i in range(n)
                 ]
-                vals[k] = mps.forward(mps.MpsModel(shape, nodes), emb)[0]
+                vals[k] = mps.forward_batch(mps.MpsModel(shape, nodes), phi)[0, 0]
             centered = vals - vals.mean()
             v_hat = float(np.mean(centered**2))
             m4 = float(np.mean(centered**4))
@@ -156,14 +156,14 @@ def test_c03_response_variance_law():
 
 def _mc_log10_var(shape, sigma, n_inits, seed):
     rng = np.random.default_rng(seed)
-    emb = mps.embed(np.full(shape.n_sites, 0.5), n_sites=shape.n_sites)
+    phi = mps.embed(np.full((1, shape.n_sites), 0.5))
     vals = np.empty(n_inits)
     for k in range(n_inits):
         nodes = [
             rng.normal(0.0, sigma, size=shape.node_shape(i))
             for i in range(shape.n_sites)
         ]
-        vals[k] = mps.forward(mps.MpsModel(shape, nodes), emb)[0]
+        vals[k] = mps.forward_batch(mps.MpsModel(shape, nodes), phi)[0, 0]
     return float(np.log10(vals.var()))
 
 
@@ -231,7 +231,7 @@ def test_c06_ggn_is_psd_and_matches_hessian_near_map():
     model = mps.MpsModel(shape, nodes)
     X = rng.uniform(0, 1, size=(m, n))
     Y = onehot(np.array([0, 1, 2, 0, 1]), L)
-    nodes[shape.label_site] /= np.std(mps.forward_batch(model, X))
+    nodes[shape.label_site] /= np.std(mps.forward_batch(model, mps.embed(X)))
     model = mps.MpsModel(shape, nodes)
 
     dataset = SimpleNamespace(
@@ -329,7 +329,7 @@ def test_c08_moderation_limits_and_no_argmax_flips():
     P = shape.param_count
     post = laplace.LaplacePosterior(model, factors_for(model, np.zeros((0, P))), 1e12)
     moderated = laplace.predictive_batch(post, X).probabilities
-    point = softmax(mps.forward_batch(model, X), axis=1)
+    point = softmax(mps.forward_batch(model, mps.embed(X)), axis=1)
     gap_multi = float(np.abs(moderated - point).max())
 
     bshape = mps.MpsShape(n_sites=4, phys_dim=2, bond_dim=3, n_labels=1)
@@ -338,7 +338,7 @@ def test_c08_moderation_limits_and_no_argmax_flips():
         bmodel, factors_for(bmodel, np.zeros((0, bshape.param_count))), 1e12
     )
     bmod = laplace.predictive_batch(bpost, X).probabilities
-    bpoint = expit(mps.forward_batch(bmodel, X)[:, 0])
+    bpoint = expit(mps.forward_batch(bmodel, mps.embed(X))[:, 0])
     gap_binary = float(np.abs(bmod[:, 1] - bpoint).max())
     degenerate_ok = gap_multi <= 1e-6 and gap_binary <= 1e-6
 

@@ -125,7 +125,7 @@ class TestOutputStats:
             model = initializer.init_model(
                 sh, InitSpec("calibrated_weight", var_x=0.25, seed=11 + k)
             )
-            vals_a.append(mps.forward(model, mps.embed(sample))[0])
+            vals_a.append(mps.forward_batch(model, mps.embed(sample[None]))[0, 0])
         assert np.mean(vals_a) == pytest.approx(a[0], abs=1e-15)
         assert np.mean(vals_a[1:]) == pytest.approx(m2, abs=1e-15)
 
@@ -145,7 +145,7 @@ class TestOutputStats:
                 for i in range(sh.n_sites)
             ]
             model = mps.MpsModel(sh, nodes)
-            rows[k] = mps.forward(model, mps.embed(sample))[0]
+            rows[k] = mps.forward_batch(model, mps.embed(sample[None]))[0, 0]
         want = initializer.response_variance_law(sh, var_a, 0.25)
         got = rows.var()
         m4 = ((rows - rows.mean()) ** 4).mean()

@@ -47,7 +47,7 @@ class TestGgnFactors:
         nodes[shape.label_site][:] = 0.0
         model = mps.MpsModel(shape, nodes)
         X = rng.uniform(0, 1, size=(1, 3))
-        g = mps.grad_logits(model, mps.embed(X[0])).flatten()[0]
+        g = mps.jacobian_from_env(mps.sweep_env(model, mps.embed(X)))[0, 0]
         fac = laplace.ggn_factors(model, X)
         H = fac.factors.T @ fac.factors
         assert np.allclose(H, 0.25 * np.outer(g, g), rtol=1e-12, atol=1e-14)
@@ -58,8 +58,8 @@ class TestGgnFactors:
         X = rng.uniform(0, 1, size=(6, 4))
         fac = laplace.ggn_factors(model, X)
         H = fac.factors.T @ fac.factors
-        jac = mps.jacobian_from_env(mps.sweep_env(model, X))  # (m, L, P)
-        y = softmax(mps.forward_batch(model, X), axis=1)
+        jac = mps.jacobian_from_env(mps.sweep_env(model, mps.embed(X)))  # (m, L, P)
+        y = softmax(mps.forward_batch(model, mps.embed(X)), axis=1)
         want = np.zeros_like(H)
         for i in range(6):
             lam = np.diag(y[i]) - np.outer(y[i], y[i])
@@ -72,8 +72,8 @@ class TestGgnFactors:
         X = rng.uniform(0, 1, size=(5, 4))
         fac = laplace.ggn_factors(model, X)
         H = fac.factors.T @ fac.factors
-        jac = mps.jacobian_from_env(mps.sweep_env(model, X))[:, 0, :]
-        y = expit(mps.forward_batch(model, X)[:, 0])
+        jac = mps.jacobian_from_env(mps.sweep_env(model, mps.embed(X)))[:, 0, :]
+        y = expit(mps.forward_batch(model, mps.embed(X))[:, 0])
         want = (jac * (y * (1 - y))[:, None]).T @ jac
         assert np.allclose(H, want, rtol=1e-10, atol=1e-12)
 
@@ -96,7 +96,7 @@ class TestGgnFactors:
         nodes[model.shape.label_site] *= 3000.0
         saturated = mps.MpsModel(model.shape, nodes)
         X = rng.uniform(0, 1, size=(4, 4))
-        y = softmax(mps.forward_batch(saturated, X), axis=1)
+        y = softmax(mps.forward_batch(saturated, mps.embed(X)), axis=1)
         assert y.max(axis=1).min() > 1 - 1e-12  # every sample saturated
         fac = laplace.ggn_factors(saturated, X)
         norms = np.linalg.norm(fac.factors, axis=1)
@@ -178,7 +178,7 @@ class TestGgnNearTrainedMap:
         X = rng.uniform(0, 1, size=(m, n))
         Y = np.zeros((m, L))
         Y[np.arange(m), [0, 1, 2, 0, 1]] = 1.0
-        nodes[shape.label_site] /= np.std(mps.forward_batch(model, X))
+        nodes[shape.label_site] /= np.std(mps.forward_batch(model, mps.embed(X)))
         model = mps.MpsModel(shape, nodes)
 
         data = SimpleNamespace(
@@ -329,7 +329,7 @@ class TestPredictive:
         post = empty_posterior(model, 1e15)
         x = rng.uniform(0, 1, size=4)
         res = laplace.predictive(post, x)
-        want = softmax(mps.forward(model, mps.embed(x)))
+        want = softmax(mps.forward_batch(model, mps.embed(x[None]))[0])
         assert np.allclose(res.probabilities, want, atol=1e-9)
 
     def test_high_precision_rank_zero_recovers_sigmoid(self):
@@ -338,7 +338,7 @@ class TestPredictive:
         post = empty_posterior(model, 1e15)
         x = rng.uniform(0, 1, size=4)
         res = laplace.predictive(post, x)
-        z = mps.forward(model, mps.embed(x))[0]
+        z = mps.forward_batch(model, mps.embed(x[None]))[0, 0]
         assert res.probabilities == pytest.approx([1 - expit(z), expit(z)], abs=1e-9)
 
     def test_binary_closed_form_variance_point(self):
@@ -347,13 +347,13 @@ class TestPredictive:
         rng = RNG(32)
         model = small_model(rng, 1)
         x = rng.uniform(0, 1, size=4)
-        g = mps.grad_logits(model, mps.embed(x)).flatten()[0]
+        g = mps.jacobian_from_env(mps.sweep_env(model, mps.embed(x[None])))[0, 0]
         lam = float(g @ g) / (8.0 / math.pi)
         post = empty_posterior(model, lam)
         res = laplace.predictive(post, x)
         assert res.sigma2[0] == pytest.approx(8.0 / math.pi, rel=1e-12)
         assert res.kappa[0] == pytest.approx(math.sqrt(0.5), rel=1e-12)
-        z = mps.forward(model, mps.embed(x))[0]
+        z = mps.forward_batch(model, mps.embed(x[None]))[0, 0]
         assert res.probabilities[1] == pytest.approx(
             float(expit(math.sqrt(0.5) * z)), rel=1e-12
         )
@@ -365,7 +365,7 @@ class TestPredictive:
         fac = laplace.ggn_factors(model, X)
         post = laplace.LaplacePosterior(model, fac, 0.01)
         res = laplace.predictive_batch(post, X)
-        z = mps.forward_batch(model, X)[:, 0]
+        z = mps.forward_batch(model, mps.embed(X))[:, 0]
         p_map = expit(z)
         p_mod = res.probabilities[:, 1]
         confident = p_map > 0.5
@@ -382,7 +382,7 @@ class TestPredictive:
             fac = laplace.ggn_factors(model, X)
             post = laplace.LaplacePosterior(model, fac, float(rng.uniform(0.01, 10)))
             res = laplace.predictive_batch(post, X)
-            z = mps.forward_batch(model, X)[:, 0]
+            z = mps.forward_batch(model, mps.embed(X))[:, 0]
             map_label = (z > 0).astype(int)
             mod_label = np.argmax(res.probabilities, axis=1)
             flips += int(np.sum(map_label != mod_label))
@@ -412,7 +412,7 @@ class TestPredictive:
             X = rng.uniform(0, 1, size=(10, 4))
             post = laplace.LaplacePosterior(model, laplace.ggn_factors(model, X), 0.5)
             logits = laplace.predictive_batch(post, X).logits
-            assert np.array_equal(logits, mps.forward_batch(model, X))
+            assert np.array_equal(logits, mps.forward_batch(model, mps.embed(X)))
 
     def test_single_matches_batch(self):
         rng = RNG(36)
@@ -481,7 +481,7 @@ class TestVarianceAgainstDenseReference:
             boundary = ("cyclic", "open")[trial % 2]
             model = small_model(rng, n_labels, boundary=boundary)
             X = rng.uniform(0, 1, size=(5, 4))
-            J = mps.jacobian_from_env(mps.sweep_env(model, X)).reshape(
+            J = mps.jacobian_from_env(mps.sweep_env(model, mps.embed(X))).reshape(
                 -1, model.shape.param_count
             )
             if trial < 4:  # every Jacobian row in U's row space
@@ -552,10 +552,11 @@ class TestChunkedPasses:
             X[4:6] = 1.0
             X[6:8, 16:] = fourth
             calls = [
-                lambda: laplace.ggn_factors(model, X, magnitude_cap=1e40),
-                lambda: laplace.predictive_batch(post, X, magnitude_cap=1e40),
+                lambda: laplace.ggn_factors(model, X),
+                lambda: laplace.predictive_batch(post, X),
             ]
             for call in calls:
+                monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e40)
                 with pytest.raises(NumericError) as serial:
                     call()
                 self.plan(monkeypatch, model, 2, 3)

@@ -20,33 +20,51 @@ def rel_err(a, b):
     return np.abs(a - b).max() / denom
 
 
+def jacobian(model, vecs):
+    """Flat (n_labels, param_count) logit Jacobian of one embedded row."""
+    return mps.jacobian_from_env(mps.sweep_env(model, vecs[None]))[0]
+
+
+def per_node(shape, jac):
+    """The columns of a flat Jacobian, split by node and shaped
+    ``(n_labels,) + node_shape(i)``."""
+    sizes = [int(np.prod(shape.node_shape(i))) for i in range(shape.n_sites)]
+    blocks = np.split(jac, np.cumsum(sizes)[:-1], axis=-1)
+    return [b.reshape((-1,) + shape.node_shape(i)) for i, b in enumerate(blocks)]
+
+
 class TestFeatureMap:
     def test_values(self):
-        np.testing.assert_allclose(mps.feature_map(0.3), [0.3, 0.7], atol=0)
-        np.testing.assert_allclose(mps.feature_map(0.0), [0.0, 1.0], atol=0)
-        np.testing.assert_allclose(mps.feature_map(1.0), [1.0, 0.0], atol=0)
+        want = [[0.3, 0.7], [0.0, 1.0], [1.0, 0.0]]
+        np.testing.assert_allclose(mps.embed([[0.3, 0.0, 1.0]])[0], want, atol=0)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.0001, 17.0])
+    @pytest.mark.parametrize("bad", [-0.1, 1.0001, 17.0, np.nan])
     def test_domain(self, bad):
         with pytest.raises(DataError, match=str(bad)):
-            mps.feature_map(bad)
+            mps.embed([[0.5, bad]])
 
     def test_embed_components_sum_to_one(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, size=25)
-        emb = mps.embed(x)
-        vecs = emb.site_vectors
-        assert vecs.shape == (25, 2)
+        phi = mps.embed(x[None])
+        assert phi.shape == (1, 25, 2)
+        vecs = phi[0]
         np.testing.assert_allclose(vecs.sum(axis=1), 1.0, atol=1e-15)
         assert vecs.min() >= 0.0 and vecs.max() <= 1.0
 
     def test_embed_length_check(self):
+        # a row of the wrong length is caught where it enters the engine
+        model = oracles.random_model(np.random.default_rng(0), mps.MpsShape(3, 2, 2, 1))
         with pytest.raises(ShapeError):
-            mps.embed([0.1, 0.2], n_sites=3)
+            mps.forward_batch(model, mps.embed([[0.1, 0.2]]))
 
     def test_embed_range_check(self):
         with pytest.raises(DataError):
-            mps.embed([0.1, 1.7])
+            mps.embed([[0.1, 1.7]])
+
+    def test_embed_takes_rows(self):
+        with pytest.raises(ShapeError, match="2-D"):
+            mps.embed([0.1, 0.2])
 
 
 class TestShape:
@@ -99,7 +117,7 @@ class TestContraction:
             shape = oracles.random_shape(rng)
             model = oracles.random_model(rng, shape)
             vecs = oracles.random_vectors(rng, shape)
-            got = mps.forward(model, mps.FeatureEmbedding(vecs))
+            got = mps.forward_batch(model, vecs[None])[0]
             want = oracles.oracle_contract(model, vecs)
             assert rel_err(got, want) <= 1e-10
 
@@ -110,40 +128,54 @@ class TestContraction:
         model = oracles.random_model(rng, sh)
         vecs = rng.uniform(0, 1, size=(1, 2))
         want = np.einsum("asla,s->l", model.nodes[0], vecs[0])
-        got = mps.forward(model, mps.FeatureEmbedding(vecs))
+        got = mps.forward_batch(model, vecs[None])[0]
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(7)
         sh = mps.MpsShape(5, 2, 3, 4, boundary="open")
         model = oracles.random_model(rng, sh)
-        X = rng.uniform(0, 1, size=(9, 5))
-        batch = mps.forward_batch(model, X)
+        phi = mps.embed(rng.uniform(0, 1, size=(9, 5)))
+        batch = mps.forward_batch(model, phi)
         for b in range(9):
-            single = mps.forward(model, mps.embed(X[b]))
+            single = mps.forward_batch(model, phi[b : b + 1])[0]
             assert np.array_equal(batch[b], single)
 
     def test_empty_batch(self):
         sh = mps.MpsShape(3, 2, 2, 2)
         model = oracles.random_model(np.random.default_rng(0), sh)
-        out = mps.forward_batch(model, np.zeros((0, 3)))
+        out = mps.forward_batch(model, mps.embed(np.zeros((0, 3))))
         assert out.shape == (0, 2)
 
     def test_shape_mismatch(self):
         sh = mps.MpsShape(4, 2, 2, 1)
         model = oracles.random_model(np.random.default_rng(0), sh)
         with pytest.raises(ShapeError):
-            mps.forward(model, mps.embed(np.full(3, 0.5)))
+            mps.forward_batch(model, mps.embed(np.full((1, 3), 0.5)))
         with pytest.raises(ShapeError):
-            mps.forward_batch(model, np.full((2, 5), 0.5))
+            mps.forward_batch(model, mps.embed(np.full((2, 5), 0.5)))
+
+    @pytest.mark.parametrize("run", [mps.forward_batch, mps.sweep_env])
+    def test_phi_shape_rejected(self, run):
+        sh = mps.MpsShape(4, 3, 2, 2)
+        model = oracles.random_model(np.random.default_rng(0), sh)
+        assert run(model, np.full((2, 4, 3), 0.5)) is not None
+        bad = {
+            "ndim": np.full((4, 3), 0.5),
+            "n_sites": np.full((2, 5, 3), 0.5),
+            "phys_dim": np.full((2, 4, 2), 0.5),
+        }
+        for phi in bad.values():
+            with pytest.raises(ShapeError, match=r"\(batch, 4, 3\)"):
+                run(model, phi)
 
     def test_feature_range_rejected(self):
         sh = mps.MpsShape(3, 2, 2, 1)
         model = oracles.random_model(np.random.default_rng(0), sh)
         with pytest.raises(DataError):
-            mps.forward_batch(model, np.full((2, 3), 1.5))
+            mps.forward_batch(model, mps.embed(np.full((2, 3), 1.5)))
         with pytest.raises(DataError):
-            mps.forward_batch(model, np.array([[0.5, np.nan, 0.5]]))
+            mps.forward_batch(model, mps.embed(np.array([[0.5, np.nan, 0.5]])))
 
     @settings(max_examples=30, deadline=None)
     @given(c=st.floats(-3, 3), site=st.integers(0, 3))
@@ -151,32 +183,33 @@ class TestContraction:
         rng = np.random.default_rng(5)
         sh = mps.MpsShape(4, 2, 3, 2, boundary="cyclic")
         model = oracles.random_model(rng, sh)
-        vecs = oracles.random_vectors(rng, sh, 0.0, 1.0)
-        emb = mps.FeatureEmbedding(vecs)
-        base = mps.forward(model, emb)
+        phi = oracles.random_vectors(rng, sh, 0.0, 1.0)[None]
+        base = mps.forward_batch(model, phi)[0]
         scaled = model.copy()
         scaled.nodes[site] = scaled.nodes[site] * c
         np.testing.assert_allclose(
-            mps.forward(scaled, emb), c * base, rtol=1e-12, atol=1e-12
+            mps.forward_batch(scaled, phi)[0], c * base, rtol=1e-12, atol=1e-12
         )
 
-    def test_overflow_reports_site(self):
+    def test_overflow_reports_site(self, monkeypatch):
         sh = mps.MpsShape(30, 2, 2, 1, boundary="cyclic")
         nodes = [np.full(sh.node_shape(i), 1.0e4) for i in range(30)]
         model = mps.MpsModel(sh, nodes)
-        X = np.full((1, 30), 0.5)
+        phi = mps.embed(np.full((1, 30), 0.5))
         with pytest.raises(NumericError, match="site"):
-            mps.forward_batch(model, X)
+            mps.forward_batch(model, phi)
         # a larger cap lets the same contraction through
-        out = mps.forward_batch(model, X, magnitude_cap=1e300)
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e300)
+        out = mps.forward_batch(model, phi)
         assert np.all(np.isfinite(out))
 
-    def test_nonfinite_intermediate_raises(self):
+    def test_nonfinite_intermediate_raises(self, monkeypatch):
         sh = mps.MpsShape(4, 2, 2, 1, boundary="cyclic")
         nodes = [np.full(sh.node_shape(i), 1.0e200) for i in range(4)]
         model = mps.MpsModel(sh, nodes)
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", np.inf)
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            mps.forward_batch(model, np.full((1, 4), 0.5), magnitude_cap=np.inf)
+            mps.forward_batch(model, mps.embed(np.full((1, 4), 0.5)))
 
 
 def transfer_chain(mats, label_site):
@@ -194,11 +227,12 @@ def transfer_chain(mats, label_site):
     return mps.MpsModel(sh, nodes)
 
 
-def swept(run, model, X, cap):
-    """Run one engine pass by name, for the magnitude-check tests."""
+def swept(run, model, X):
+    """Run one engine pass by name on feature rows, for the magnitude-check
+    tests, which set the cap by monkeypatching ``mps.MAGNITUDE_CAP``."""
     if run == "forward_batch":
-        return mps.forward_batch(model, X, magnitude_cap=cap)
-    env = mps.sweep_env(model, X, magnitude_cap=cap)
+        return mps.forward_batch(model, mps.embed(X))
+    env = mps.sweep_env(model, mps.embed(X))
     if run == "weighted_grad_from_env":
         return mps.weighted_grad_from_env(env, np.ones(env.logits.shape))
     if run == "jacobian_from_env":
@@ -219,15 +253,16 @@ class TestMagnitudeChecks:
     GRADIENT_PASSES = ["weighted_grad_from_env", "jacobian_from_env"]
 
     @pytest.mark.parametrize("run", STREAMED_AND_STACKED)
-    def test_single_negative_inf_names_its_site(self, run):
+    def test_single_negative_inf_names_its_site(self, monkeypatch, run):
         # diag(1e200, 1) @ diag(-1e200, 1) holds one non-finite entry, -inf,
         # which a scan of maxima alone would miss
         eye = np.eye(2)
         mats = [eye, eye, np.diag([1e200, 1.0]), np.diag([-1e200, 1.0]), eye, eye]
         model = transfer_chain(mats, label_site=0)
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="at site 2$"):
-                swept(run, model, np.ones((1, 6)), np.inf)
+                swept(run, model, np.ones((1, 6)))
 
     @pytest.mark.parametrize("run", STREAMED_AND_STACKED)
     def test_single_nan_names_its_site(self, run):
@@ -237,10 +272,10 @@ class TestMagnitudeChecks:
         model.nodes[2] = np.array([[[np.nan], [0.0]]])
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="at site 2$"):
-                swept(run, model, np.ones((1, 6)), mps.DEFAULT_MAGNITUDE_CAP)
+                swept(run, model, np.ones((1, 6)))
 
     @pytest.mark.parametrize("run", GRADIENT_PASSES)
-    def test_negative_inf_in_gradient_pass_names_its_site(self, run):
+    def test_negative_inf_in_gradient_pass_names_its_site(self, monkeypatch, run):
         # the sweep's products from the right underflow to 0, but the running
         # product label @ M1 @ M2 reaches -inf at site 2
         eye = np.eye(2)
@@ -248,10 +283,11 @@ class TestMagnitudeChecks:
                 np.diag([1e-200, 1.0]), np.diag([1e-200, 1.0]), eye]
         model = transfer_chain(mats, label_site=0)
         X = np.ones((2, 6))
-        assert np.all(np.isfinite(mps.sweep_env(model, X, magnitude_cap=np.inf).logits))
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", np.inf)
+        assert np.all(np.isfinite(swept("sweep_env", model, X).logits))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="at site 2$"):
-                swept(run, model, X, np.inf)
+                swept(run, model, X)
 
     @staticmethod
     def excursion_chain(scales):
@@ -263,49 +299,53 @@ class TestMagnitudeChecks:
             mats[i] = np.diag([c, 1.0])
         return transfer_chain(mats, label_site=4)
 
-    def test_sweep_scans_every_partial_product(self):
+    def test_sweep_scans_every_partial_product(self, monkeypatch):
         # the sweep meets site 1 (1e60) before site 7 (1e-60)
         model = self.excursion_chain({1: 1e60, 7: 1e-60})
         X = np.ones((3, 9))
-        assert np.all(np.abs(mps.forward_batch(model, X, magnitude_cap=1e70)) < 10)
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e70)
+        assert np.all(np.abs(swept("forward_batch", model, X)) < 10)
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
         for run in self.STREAMED_AND_STACKED:
             with pytest.raises(NumericError, match="at site 1$"):
-                swept(run, model, X, 1e50)
-        config = trainer.TrainConfig(epochs=1, magnitude_cap=1e50)
+                swept(run, model, X)
+        config = trainer.TrainConfig(epochs=1)
         data = SimpleNamespace(train_x=X, train_y=np.eye(2)[[0, 1, 0]])
         with pytest.raises(TrainingDiverged, match="at site 1$") as exc_info:
             trainer.train_map(model, data, config)
         assert exc_info.value.epoch == 0
 
-    def test_gradient_pass_scans_every_running_product(self):
+    def test_gradient_pass_scans_every_running_product(self, monkeypatch):
         # The environment pass meets sites 6 and 7 (1e40 each) before sites
         # 1 and 2 (1e-40 each), so its running products reach 1e80 at site 7;
         # every environment leaves one site out and stays within 1e40, and
         # the sweep's partial products within 1.
         model = self.excursion_chain({6: 1e40, 7: 1e40, 1: 1e-40, 2: 1e-40})
         X = np.ones((3, 9))
-        assert np.all(np.abs(mps.forward_batch(model, X, magnitude_cap=1e50)) < 10)
-        assert np.all(np.abs(mps.sweep_env(model, X, magnitude_cap=1e50).logits) < 10)
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
+        assert np.all(np.abs(swept("forward_batch", model, X)) < 10)
+        assert np.all(np.abs(swept("sweep_env", model, X).logits) < 10)
         for run in self.GRADIENT_PASSES:
             with pytest.raises(NumericError, match="at site 7$"):
-                swept(run, model, X, 1e50)
-        config = trainer.TrainConfig(epochs=1, magnitude_cap=1e50)
+                swept(run, model, X)
+        config = trainer.TrainConfig(epochs=1)
         data = SimpleNamespace(train_x=X, train_y=np.eye(2)[[0, 1, 0]])
         with pytest.raises(TrainingDiverged, match="at site 7$") as exc_info:
             trainer.train_map(model, data, config)
         assert (exc_info.value.epoch, exc_info.value.batch) == (1, 0)
 
 
-    def test_gradient_pass_scans_every_environment(self):
+    def test_gradient_pass_scans_every_environment(self, monkeypatch):
         # Site 0 (1e-70) sits between sites 6 and 2 (1e35 each): no partial
         # or running product leaves [1e-35, 1e35], but site 0's environment,
         # everything else, is 1e70.
         model = self.excursion_chain({6: 1e35, 0: 1e-70, 2: 1e35})
         X = np.ones((3, 9))
-        assert np.all(np.abs(mps.sweep_env(model, X, magnitude_cap=1e50).logits) < 10)
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
+        assert np.all(np.abs(swept("sweep_env", model, X).logits) < 10)
         for run in self.GRADIENT_PASSES:
             with pytest.raises(NumericError, match="at site 0$"):
-                swept(run, model, X, 1e50)
+                swept(run, model, X)
 
 
 class TestGradients:
@@ -315,7 +355,7 @@ class TestGradients:
             shape = oracles.random_shape(rng, max_n=4, max_s=3, max_bond=3)
             model = oracles.random_model(rng, shape, scale=0.6)
             vecs = oracles.random_vectors(rng, shape)
-            got = mps.grad_logits(model, mps.FeatureEmbedding(vecs)).flatten()
+            got = jacobian(model, vecs)
             want = oracles.fd_grad_logits(model, vecs)
             assert rel_err(got, want) <= 1e-6
 
@@ -325,9 +365,9 @@ class TestGradients:
             shape = oracles.random_shape(rng)
             model = oracles.random_model(rng, shape)
             vecs = oracles.random_vectors(rng, shape)
-            got = mps.grad_logits(model, mps.FeatureEmbedding(vecs))
-            want = oracles.naive_grad_logits(model, vecs)
-            for gi, wi in zip(got.tensors, want.tensors):
+            got = per_node(shape, jacobian(model, vecs))
+            want = per_node(shape, oracles.naive_grad_logits(model, vecs))
+            for gi, wi in zip(got, want):
                 assert rel_err(gi, wi) <= 1e-12
 
     def test_directional_derivative(self):
@@ -335,15 +375,15 @@ class TestGradients:
         sh = mps.MpsShape(3, 2, 3, 2, boundary="cyclic")
         model = oracles.random_model(rng, sh)
         vecs = oracles.random_vectors(rng, sh, 0.0, 1.0)
-        emb = mps.FeatureEmbedding(vecs)
-        grad = mps.grad_logits(model, emb)
+        phi = vecs[None]
+        grad = per_node(sh, jacobian(model, vecs))
         eps = 1e-7
         for i in range(sh.n_sites):
             delta = rng.normal(size=sh.node_shape(i))
             bumped = model.copy()
             bumped.nodes[i] = bumped.nodes[i] + eps * delta
-            lhs = (mps.forward(bumped, emb) - mps.forward(model, emb)) / eps
-            rhs = np.tensordot(grad.tensors[i], delta, axes=delta.ndim)
+            lhs = (mps.forward_batch(bumped, phi) - mps.forward_batch(model, phi))[0] / eps
+            rhs = np.tensordot(grad[i], delta, axes=delta.ndim)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-5, atol=1e-7)
 
     def test_label_node_cross_class_slices_vanish(self):
@@ -351,7 +391,7 @@ class TestGradients:
         sh = mps.MpsShape(3, 2, 2, 3, label_site=1)
         model = oracles.random_model(rng, sh)
         vecs = oracles.random_vectors(rng, sh)
-        g = mps.grad_logits(model, mps.FeatureEmbedding(vecs)).tensors[1]
+        g = per_node(sh, jacobian(model, vecs))[1]
         for l in range(3):
             for l2 in range(3):
                 if l != l2:
@@ -361,17 +401,17 @@ class TestGradients:
         rng = np.random.default_rng(23)
         sh = mps.MpsShape(4, 2, 3, 3, boundary="open")
         model = oracles.random_model(rng, sh)
-        X = rng.uniform(0, 1, size=(5, 4))
-        jac = mps.jacobian_from_env(mps.sweep_env(model, X))
+        phi = mps.embed(rng.uniform(0, 1, size=(5, 4)))
+        jac = mps.jacobian_from_env(mps.sweep_env(model, phi))
         for b in range(5):
-            single = mps.grad_logits(model, mps.embed(X[b])).flatten()
+            single = jacobian(model, phi[b])
             np.testing.assert_allclose(jac[b], single, rtol=1e-12, atol=1e-14)
 
     def test_jacobian_into_out(self):
         rng = np.random.default_rng(25)
         sh = mps.MpsShape(5, 2, 3, 3, boundary="cyclic", label_site=1)
         model = oracles.random_model(rng, sh)
-        env = mps.sweep_env(model, rng.uniform(0, 1, size=(4, 5)))
+        env = mps.sweep_env(model, mps.embed(rng.uniform(0, 1, size=(4, 5))))
         out = np.full((4, 3, sh.param_count), np.nan)
         assert mps.jacobian_from_env(env, out=out) is out
         assert np.array_equal(out, mps.jacobian_from_env(env))
@@ -384,14 +424,14 @@ class TestGradients:
     def test_jacobian_of_empty_batch(self, n_labels):
         sh = mps.MpsShape(4, 2, 3, n_labels, boundary="open")
         model = oracles.random_model(np.random.default_rng(24), sh)
-        jac = mps.jacobian_from_env(mps.sweep_env(model, np.zeros((0, 4))))
+        jac = mps.jacobian_from_env(mps.sweep_env(model, mps.embed(np.zeros((0, 4)))))
         assert jac.shape == (0, n_labels, sh.param_count)
 
     def test_weighted_grad_is_coeff_contraction_of_jacobian(self):
         rng = np.random.default_rng(29)
         cases = set()
         for _ in range(40):
-            # the raw-feature sweep embeds with phys_dim 2
+            # embedded feature rows have phys_dim 2
             sh = dataclasses.replace(oracles.random_shape(rng, max_n=6), phys_dim=2)
             k, n = sh.label_site, sh.n_sites
             where = "first" if k == 0 else "last" if k == n - 1 else "middle"
@@ -399,7 +439,7 @@ class TestGradients:
             model = oracles.random_model(rng, sh)
             X = rng.uniform(0, 1, size=(6, n))
             coeff = rng.normal(size=(6, sh.n_labels))
-            env = mps.sweep_env(model, X)
+            env = mps.sweep_env(model, mps.embed(X))
             grads = mps.weighted_grad_from_env(env, coeff)
             flat = np.concatenate([g.ravel() for g in grads])
             jac = mps.jacobian_from_env(env)
@@ -416,20 +456,19 @@ class TestGradients:
         rng = np.random.default_rng(31 + label_site)
         sh = mps.MpsShape(24, 2, 3, 3, label_site=label_site, boundary="cyclic")
         model = oracles.random_model(rng, sh, scale=0.5)
-        X = rng.uniform(0, 1, size=(4, 24))
-        env = mps.sweep_env(model, X)
+        phi = mps.embed(rng.uniform(0, 1, size=(4, 24)))
+        env = mps.sweep_env(model, phi)
         coeff = rng.normal(size=(4, 3))
         want_grad = 0.0
         for b in range(4):
-            vecs = mps.embed(X[b]).site_vectors
-            naive = oracles.naive_grad_logits(model, vecs)
-            got = mps.grad_logits(model, mps.FeatureEmbedding(vecs))
-            for gi, wi in zip(got.tensors, naive.tensors):
+            naive = oracles.naive_grad_logits(model, phi[b])
+            got = per_node(sh, jacobian(model, phi[b]))
+            for gi, wi in zip(got, per_node(sh, naive)):
                 assert rel_err(gi, wi) <= 1e-12
             # a logit is linear in each node: contract any node with its gradient
-            want = np.tensordot(naive.tensors[5], model.nodes[5], axes=3)
+            want = np.tensordot(per_node(sh, naive)[5], model.nodes[5], axes=3)
             assert rel_err(env.logits[b], want) <= 1e-12
-            want_grad = want_grad + np.einsum("l,lp->p", coeff[b], naive.flatten())
+            want_grad = want_grad + np.einsum("l,lp->p", coeff[b], naive)
         grads = mps.weighted_grad_from_env(env, coeff)
         assert rel_err(np.concatenate([g.ravel() for g in grads]), want_grad) <= 1e-12
 
@@ -449,7 +488,7 @@ class TestGradients:
             coeff = rng.normal(size=(B, n_labels))
 
             def run():
-                env = mps.sweep_env(model, X)
+                env = mps.sweep_env(model, mps.embed(X))
                 grads = mps.weighted_grad_from_env(env, coeff)
                 return [env.logits, *grads, mps.jacobian_from_env(env)]
 
@@ -468,9 +507,9 @@ class TestGradients:
         for label_site in (0, 6, 12):
             sh = mps.MpsShape(13, 2, 2, 2, label_site=label_site, boundary="open")
             model = oracles.random_model(rng, sh)
-            x = rng.uniform(0, 1, size=13)
-            want = oracles.oracle_contract(model, mps.embed(x).site_vectors)
-            assert rel_err(mps.forward_batch(model, x[None])[0], want) <= 1e-12
+            phi = mps.embed(rng.uniform(0, 1, size=(1, 13)))
+            want = oracles.oracle_contract(model, phi[0])
+            assert rel_err(mps.forward_batch(model, phi)[0], want) <= 1e-12
 
 
 class TestChunkPlan:
@@ -531,8 +570,8 @@ class TestSerialization:
         assert back.shape == model.shape
         for a, b in zip(back.nodes, model.nodes):
             assert a.tobytes() == b.tobytes()
-        emb = mps.embed(np.linspace(0, 1, 5))
-        assert mps.forward(back, emb).tobytes() == mps.forward(model, emb).tobytes()
+        phi = mps.embed(np.linspace(0, 1, 5)[None])
+        assert mps.forward_batch(back, phi).tobytes() == mps.forward_batch(model, phi).tobytes()
 
     def test_bytes_roundtrip(self):
         model = self._model()

@@ -1,11 +1,14 @@
 """Tests for the package's public surface."""
 
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import bmps
+from bmps import initializer, laplace, mps, trainer
 
 SRC = str(Path(bmps.__file__).resolve().parent.parent)
 
@@ -22,6 +25,26 @@ def run_python(*args):
 def test_every_exported_name_resolves():
     missing = [name for name in bmps.__all__ if not hasattr(bmps, name)]
     assert missing == []
+
+
+def test_removed_engine_api_stays_removed():
+    # one way into the contraction engine: embedded rows, a fixed cap
+    gone = [
+        "FeatureEmbedding", "feature_map", "forward", "grad_logits", "LogitGradient",
+        "_check_embedding", "_phi_batch", "_phi_matrix", "DEFAULT_MAGNITUDE_CAP",
+    ]
+    assert [name for name in gone if hasattr(bmps, name) or hasattr(mps, name)] == []
+    with_cap = [
+        f"{module.__name__}.{name}"
+        for module in (mps, trainer, laplace, initializer)
+        for name, fn in vars(module).items()
+        if not name.startswith("_")
+        and inspect.isfunction(fn)
+        and fn.__module__ == module.__name__
+        and "magnitude_cap" in inspect.signature(fn).parameters
+    ]
+    assert with_cap == []
+    assert "magnitude_cap" not in {f.name for f in dataclasses.fields(trainer.TrainConfig)}
 
 
 def test_import_leaves_scipy_stats_and_optimize_unloaded():

@@ -43,7 +43,7 @@ class TestLossValues:
         X = rng.uniform(0, 1, size=(7, 4))
         y = rng.integers(0, 2, size=7)
         Y = onehot(y, 2)
-        z = mps.forward_batch(model, X)[:, 0]
+        z = mps.forward_batch(model, mps.embed(X))[:, 0]
         want = np.sum(np.log1p(np.exp(z)) - y * z)
         got = trainer.loss(model, X, Y)
         assert got == pytest.approx(want, rel=1e-12)
@@ -54,7 +54,7 @@ class TestLossValues:
         X = rng.uniform(0, 1, size=(6, 4))
         y = rng.integers(0, 3, size=6)
         Y = onehot(y, 3)
-        z = mps.forward_batch(model, X)
+        z = mps.forward_batch(model, mps.embed(X))
         want = 0.0
         for i in range(6):
             want += math.log(np.sum(np.exp(z[i]))) - z[i, y[i]]
@@ -87,7 +87,7 @@ class TestLossValues:
         nodes = [np.full(shape.node_shape(0), 30.0), np.full(shape.node_shape(1), 30.0)]
         model = mps.MpsModel(shape, nodes)
         X = np.full((2, 2), 0.5)
-        z = mps.forward_batch(model, X)[0, 0]
+        z = mps.forward_batch(model, mps.embed(X))[0, 0]
         assert z > 500.0
         loss_hit = trainer.loss(model, X[:1], onehot([1], 2))
         loss_miss = trainer.loss(model, X[:1], onehot([0], 2))
@@ -177,7 +177,7 @@ class TestGradLoss:
         model = mps.MpsModel(shape, nodes)
         X = np.full((2, 2), 0.5)
         Y = np.array([[1.0, 0.0], [0.0, 1.0]])  # balanced targets
-        assert mps.forward_batch(model, X)[0, 0] == 0.0
+        assert mps.forward_batch(model, mps.embed(X))[0, 0] == 0.0
         grads = trainer.grad_loss(model, X, Y)
         for g in grads:
             assert np.allclose(g, 0.0, atol=1e-14)
@@ -582,3 +582,18 @@ class TestPrediction:
         model = small_model(rng, 2)
         with pytest.raises(DataError):
             trainer.accuracy(model, np.zeros((0, 4)), np.zeros((0, 2)))
+
+    def test_accuracy_checks_its_labels(self):
+        rng = RNG(76)
+        model = small_model(rng, 3)
+        X = rng.uniform(0, 1, size=(5, 4))
+        # one label row would broadcast against all five predictions
+        with pytest.raises(ShapeError, match="5 samples but 1 label rows"):
+            trainer.accuracy(model, X, onehot([0], 3))
+        # labels for four classes on a three-class model
+        with pytest.raises(ShapeError, match=r"\(batch, 3\)"):
+            trainer.accuracy(model, X, onehot([0, 1, 2, 3, 0], 4))
+        # train_map rejects such held-out labels before its first epoch
+        data = split(X, onehot([0, 1, 2, 0, 1], 3), X, onehot([0, 1, 2, 3, 0], 4))
+        with pytest.raises(ShapeError, match=r"\(batch, 3\)"):
+            trainer.train_map(model, data, trainer.TrainConfig(epochs=0))
