@@ -428,10 +428,14 @@ def cmd_predict(cfg):
     if X.shape[0] == 0:
         raise DataError("selected partition has no rows")
 
+    seconds = {"load_posterior": None}
     if cfg["posterior"]:
+        t0 = time.perf_counter()
         post = laplace.load_posterior(cfg["posterior"])
+        seconds["load_posterior"] = time.perf_counter() - t0
         if laplace.model_digest(model) != post.factors.model_digest:
             raise DataError("posterior was fit for a different model")
+        t0 = time.perf_counter()
         # the moderated batch carries the point-estimate logits too
         batch = laplace.predictive_batch(post, X)
         probs, map_probs = batch.probabilities, trainer.probabilities(batch.logits)
@@ -441,8 +445,10 @@ def cmd_predict(cfg):
             "warning: no posterior provided; falling back to point-estimate probabilities",
             file=sys.stderr,
         )
+        t0 = time.perf_counter()
         probs = map_probs = trainer.predict_proba(model, X)
         mode = "map"
+    seconds["predict"] = time.perf_counter() - t0
     row_bytes = mps.jacobian_row_bytes if cfg["posterior"] else mps.forward_row_bytes
     chunk_rows, workers = mps.chunk_plan(X.shape[0], row_bytes(model.shape))
 
@@ -460,7 +466,7 @@ def cmd_predict(cfg):
     _write_csv(out, "predictions", fields, rows)
     _write_meta(
         out, "predictions", dict(cfg, mode=mode), started,
-        chunk_rows=chunk_rows, workers=workers,
+        chunk_rows=chunk_rows, workers=workers, seconds=seconds,
     )
     acc = float(np.mean(moderated == truth))
     print(f"wrote {len(rows)} predictions ({mode}); accuracy {acc:.4f}")

@@ -40,11 +40,20 @@ usable core when the budget sets the size. The factor build writes each
 chunk's rows straight into one preallocated U, so the peak is U plus the
 chunks in flight.
 
-Posterior files use a self-contained container: magic ``BLAP1``, a fixed
-little-endian header (rank, parameter count, prior precision, metadata
+Posterior files use a self-contained container: magic ``BLAP2``, a fixed
+little-endian header (rank R, parameter count P, prior precision, metadata
 length, model-blob length), a JSON metadata block, the embedded model in its
-own format, then the factor rows as little-endian float64 in row-major
-order.
+own format, the R x P factor rows as little-endian float64 in row-major
+order, then the R x R core factor C as ``cho_factor`` leaves it (upper,
+Fortran order, the unused lower triangle included), also little-endian
+float64. Rank 0 writes no core section. Loading reads C instead of forming
+UU' and factoring it again, and checks it against U rather than trusting it:
+every entry must be finite, every diagonal entry positive, and for a fixed
+seeded normal vector v the probe residual ``|C'Cv - (U(U'v) + precision*v)|``
+must be at most 1e-10 times ``|U(U'v) + precision*v|`` (Cholesky's backward
+error here is about R*eps). The probe reads only C's upper triangle and
+makes two passes over U. ``BLAP1`` files, which carry no core factor, must
+be refit.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg.blas import dtrmv
 from scipy.special import expit, logsumexp
 
 from . import mps
@@ -64,7 +74,9 @@ from .errors import DataError, NumericError, ParseError, ShapeError
 
 DEFAULT_RANK_CAP = 2000
 
-_MAGIC = b"BLAP1"
+_MAGIC = b"BLAP2"
+_RETIRED_MAGIC = b"BLAP1"  # factor rows without the core factor
+_CORE_PROBE_TOL = 1e-10
 _HEADER = struct.Struct("<qqdqq")  # rank, n_params, precision, meta len, model len
 
 
@@ -172,24 +184,12 @@ class LaplacePosterior:
     """Gaussian posterior N(map_model, (U'U + precision*I)^{-1}).
 
     Immutable after construction; the R x R Woodbury core factorization is
-    computed once. Safe to share across threads for reads.
+    computed once, or read from a posterior file and checked there. Safe to
+    share across threads for reads.
     """
 
     def __init__(self, map_model, factors, prior_precision):
-        if not np.isfinite(prior_precision) or prior_precision <= 0:
-            raise ValueError(
-                f"prior_precision must be finite and > 0, got {prior_precision}"
-            )
-        n_params = map_model.shape.param_count
-        if factors.n_params != n_params:
-            raise ShapeError(
-                f"factors have {factors.n_params} columns, model has {n_params} parameters"
-            )
-        if factors.model_digest != model_digest(map_model):
-            raise ValueError("factors were built for a different model")
-        self.map_model = map_model
-        self.factors = factors
-        self.prior_precision = float(prior_precision)
+        self._bind(map_model, factors, prior_precision)
         U = factors.factors
         if factors.rank == 0:
             self._core = None
@@ -206,6 +206,37 @@ class LaplacePosterior:
                     "posterior core factorization failed; factors are likely "
                     "contaminated by non-finite values"
                 ) from exc
+
+    @classmethod
+    def _with_core(cls, map_model, factors, prior_precision, c):
+        """A posterior around a core factor computed before (upper, Fortran
+        order, as ``cho_factor`` leaves it), checked against the factor rows
+        by :func:`_check_core` instead of formed and factored again."""
+        post = cls.__new__(cls)
+        post._bind(map_model, factors, prior_precision)
+        if factors.rank == 0:
+            post._core = None
+        else:
+            _check_core(c, factors.factors, post.prior_precision)
+            post._core = (c, False)
+        return post
+
+    def _bind(self, map_model, factors, prior_precision):
+        """Check the three public arguments against each other and store them."""
+        if not np.isfinite(prior_precision) or prior_precision <= 0:
+            raise ValueError(
+                f"prior_precision must be finite and > 0, got {prior_precision}"
+            )
+        n_params = map_model.shape.param_count
+        if factors.n_params != n_params:
+            raise ShapeError(
+                f"factors have {factors.n_params} columns, model has {n_params} parameters"
+            )
+        if factors.model_digest != model_digest(map_model):
+            raise ValueError("factors were built for a different model")
+        self.map_model = map_model
+        self.factors = factors
+        self.prior_precision = float(prior_precision)
 
     def solve(self, v):
         """M^{-1} v for a single flattened-parameter vector."""
@@ -371,14 +402,18 @@ def _posterior_head(post):
     return _MAGIC + header + meta_blob + model_blob
 
 
-def _payload(post):
-    """The factor rows as little-endian float64 (a view on little-endian hosts)."""
-    return np.ascontiguousarray(post.factors.factors, dtype="<f8")
+def _payloads(post):
+    """The factor rows, then the core factor in its Fortran order, as flat
+    little-endian float64 (views on little-endian hosts). Rank 0 has no core."""
+    out = [np.ascontiguousarray(post.factors.factors, dtype="<f8").reshape(-1)]
+    if post._core is not None:
+        out.append(np.asfortranarray(post._core[0], dtype="<f8").ravel(order="F"))
+    return out
 
 
 def posterior_to_bytes(post):
     """Serialize a posterior, embedding the model it moderates."""
-    return _posterior_head(post) + _payload(post).tobytes()
+    return _posterior_head(post) + b"".join(a.tobytes() for a in _payloads(post))
 
 
 def posterior_from_bytes(blob):
@@ -386,12 +421,58 @@ def posterior_from_bytes(blob):
     return _read_posterior(io.BytesIO(blob))
 
 
+def _check_core(c, U, precision):
+    """Raise ParseError unless the upper triangle of ``c`` is a Cholesky
+    factor of ``UU' + precision*I``: finite, a positive diagonal, and a
+    seeded probe within ``_CORE_PROBE_TOL`` (two passes over U and no R x R
+    temporary)."""
+    if not mps._within(c, np.inf):
+        raise ParseError("core factor contains non-finite entries")
+    if not np.all(np.diag(c) > 0):
+        raise ParseError("core factor has a diagonal entry <= 0")
+    v = np.random.default_rng(0).standard_normal(c.shape[0])
+    want = U @ (U.T @ v) + precision * v
+    got = dtrmv(c, dtrmv(c, v), trans=1)  # C'Cv, upper triangle only
+    if np.linalg.norm(got - want) > _CORE_PROBE_TOL * np.linalg.norm(want):
+        raise ParseError("core factor does not match the factor rows")
+
+
+def _is_count(x):
+    """Whether a JSON value is an integer that fits int64 and is >= 0."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < 1 << 63
+
+
+def _read_meta(blob):
+    """The metadata block: a JSON object with a model digest, a count
+    ``n_samples`` and ``sample_ids`` that are null or a list of counts."""
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"metadata block is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ParseError(f"metadata block is not a JSON object: {type(meta).__name__}")
+    n = meta.get("n_samples")
+    if not _is_count(n):
+        raise ParseError(f"metadata n_samples must be an integer >= 0, got {n!r}")
+    ids = meta.get("sample_ids")
+    if ids is not None and not (isinstance(ids, list) and all(map(_is_count, ids))):
+        raise ParseError("metadata sample_ids must be null or a list of integers >= 0")
+    return meta
+
+
 def _read_posterior(fh):
     """Parse a posterior container from a binary file object. The factor
-    rows are read straight into their array, so they are held once."""
+    rows and the core factor are read straight into their arrays, so each is
+    held once, and the core is checked, not recomputed."""
     size = fh.seek(0, io.SEEK_END)
     fh.seek(0)
-    if fh.read(len(_MAGIC)) != _MAGIC:
+    magic = fh.read(len(_MAGIC))
+    if magic == _RETIRED_MAGIC:
+        raise ParseError(
+            f"posterior format changed ({_RETIRED_MAGIC!r} has no core factor); "
+            "re-run laplace-fit"
+        )
+    if magic != _MAGIC:
         raise ParseError(f"bad magic at offset 0: expected {_MAGIC!r}")
     offset = len(_MAGIC)
     if size < offset + _HEADER.size:
@@ -404,44 +485,46 @@ def _read_posterior(fh):
         raise ParseError("negative size field in header")
     if size < offset + meta_len + model_len:
         raise ParseError("file shorter than declared metadata and model blocks")
-    meta_blob = fh.read(meta_len)
+    meta = _read_meta(fh.read(meta_len))
     offset += meta_len
-    try:
-        meta = json.loads(meta_blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"metadata block is not valid JSON: {exc}") from exc
     model_blob = fh.read(model_len)
     offset += model_len
     digest = hashlib.sha256(model_blob).hexdigest()
     if digest != meta.get("model_digest"):
         raise ParseError("embedded model does not match its recorded digest")
     model = mps.model_from_bytes(model_blob)
-    expected = rank * n_params * 8
-    if size - offset != expected:
+    u_bytes, c_bytes = rank * n_params * 8, rank * rank * 8
+    if size - offset != u_bytes + c_bytes:
         raise ParseError(
-            f"factor payload has {size - offset} bytes at offset {offset}, expected {expected}"
+            f"factor payload has {size - offset} bytes at offset {offset}, "
+            f"expected {u_bytes} of factor rows and {c_bytes} of core factor"
         )
     U = np.empty((rank, n_params), dtype="<f8")
-    if fh.readinto(U.reshape(-1).view(np.uint8)) != expected:
+    if fh.readinto(U.reshape(-1).view(np.uint8)) != u_bytes:
         raise ParseError(f"factor payload at offset {offset} could not be read")
+    c = np.empty((rank, rank), dtype="<f8", order="F")
+    if fh.readinto(c.ravel(order="F").view(np.uint8)) != c_bytes:
+        raise ParseError(f"core factor at offset {offset + u_bytes} could not be read")
     sample_ids = meta.get("sample_ids")
     factors = GgnFactors(
         factors=U,
-        n_samples=int(meta.get("n_samples", 0)),
+        n_samples=meta["n_samples"],
         sample_ids=None if sample_ids is None else np.asarray(sample_ids, dtype=np.int64),
         model_digest=meta["model_digest"],
     )
-    return LaplacePosterior(model, factors, precision)
+    return LaplacePosterior._with_core(model, factors, precision, c)
 
 
 def save_posterior(post, path):
     """Write a posterior container; load with :func:`load_posterior`.
 
-    The factor rows go to the file from their array, not through a copy.
+    The factor rows and the core factor go to the file from their arrays,
+    not through a copy.
     """
     with open(path, "wb") as fh:
         fh.write(_posterior_head(post))
-        fh.write(_payload(post).reshape(-1).view(np.uint8))
+        for a in _payloads(post):
+            fh.write(a.view(np.uint8))
 
 
 def load_posterior(path):

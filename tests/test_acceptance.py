@@ -265,7 +265,7 @@ def test_c06_ggn_is_psd_and_matches_hessian_near_map():
     )
 
 
-def _timed_median_solve(n_sites, rng, rank=40, reps=11):
+def _solve_case(n_sites, rng, rank=40):
     shape = mps.MpsShape(
         n_sites=n_sites, phys_dim=2, bond_dim=1, n_labels=1, boundary="open"
     )
@@ -279,12 +279,13 @@ def _timed_median_solve(n_sites, rng, rank=40, reps=11):
     U = rng.normal(0.0, 0.3, size=(rank, P))
     post = laplace.LaplacePosterior(model, factors_for(model, U), 0.5)
     v = rng.normal(size=P)
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        post.solve(v)
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times)), P
+    return post, v, P
+
+
+def _timed_solve(post, v):
+    t0 = time.perf_counter()
+    post.solve(v)
+    return time.perf_counter() - t0
 
 
 def test_c07_low_rank_solver_matches_dense_and_scales_linearly():
@@ -303,11 +304,18 @@ def test_c07_low_rank_solver_matches_dense_and_scales_linearly():
         dense = np.linalg.solve(U.T @ U + lam * np.eye(P), v)
         worst = max(worst, rel_err(post.solve(v), dense))
 
-    # One posterior alive at a time; sizes chosen past the cache knee where
-    # the measured ratio sits stably near 2.
-    t_small, p_small = _timed_median_solve(400_000, rng)
-    t_big, p_big = _timed_median_solve(800_000, rng)
-    ratio = t_big / t_small
+    # Sizes chosen past the cache knee where the measured ratio sits stably
+    # near 2. The two sizes are timed in turn, small then big, and the gate
+    # reads the median of the per-repetition ratios, so a machine speed
+    # change between repetitions moves one ratio, not the whole comparison.
+    post_small, v_small, p_small = _solve_case(400_000, rng)
+    post_big, v_big, p_big = _solve_case(800_000, rng)
+    ratios = []
+    for _ in range(11):
+        t_small = _timed_solve(post_small, v_small)
+        t_big = _timed_solve(post_big, v_big)
+        ratios.append(t_big / t_small)
+    ratio = float(np.median(ratios))
     report(
         "C07",
         worst <= 1e-8 and 1.5 <= ratio <= 3.0,

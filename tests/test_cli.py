@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bmps import cli, mps, trainer
+from bmps import cli, laplace, mps, trainer
 from bmps.laplace import load_posterior
 
 
@@ -213,6 +213,9 @@ class TestPredictAndLaplace:
         assert meta["config"]["mode"] == "moderated"
         assert (meta["chunk_rows"], meta["workers"]) == (4, 2)
         assert 0 < meta["peak_rss_mib"] < 1 << 20
+        seconds = meta["seconds"]
+        assert seconds["load_posterior"] >= 0 and seconds["predict"] >= 0
+        assert seconds["load_posterior"] + seconds["predict"] <= meta["wall_time_seconds"]
 
     def test_predict_without_posterior_warns_and_uses_map(self, tmp_path, trained, capsys):
         pred = tmp_path / "pred"
@@ -226,6 +229,8 @@ class TestPredictAndLaplace:
         assert meta["config"]["mode"] == "map"
         assert (meta["chunk_rows"], meta["workers"]) == (mps.CHUNK_ROWS, 1)
         assert 0 < meta["peak_rss_mib"] < 1 << 20
+        assert meta["seconds"]["load_posterior"] is None
+        assert 0 <= meta["seconds"]["predict"] <= meta["wall_time_seconds"]
         header, rows = read_csv(pred / "predictions.csv")
         model = mps.load_model(trained / "model.bmps")
         ds = cli._load_dataset(dict(cli._COMMAND_DEFAULTS["predict"], n_samples=120, std=0.5))
@@ -259,6 +264,27 @@ class TestPredictAndLaplace:
 
     def test_predict_requires_model(self, tmp_path):
         assert run("predict", *self.data_args(), "--out", tmp_path / "x") == 2
+
+    def test_damaged_posterior_exits_2(self, tmp_path, trained, capsys):
+        lap = tmp_path / "lap"
+        args = ["--model", trained / "model.bmps", *self.data_args()]
+        assert run("laplace-fit", *args, "--reg", "1e-4", "--out", lap) == 0
+        blob = (lap / "posterior.blap").read_bytes()
+        start = len(laplace._MAGIC)
+        head = list(laplace._HEADER.unpack_from(blob, start))
+        rest = blob[start + laplace._HEADER.size + head[3] :]
+        head[3] = 3
+        damaged = {
+            "list-meta": blob[:start] + laplace._HEADER.pack(*head) + b"[1]" + rest,
+            "retired": b"BLAP1" + blob[start:],
+        }
+        for name, data in damaged.items():
+            path = tmp_path / f"{name}.blap"
+            path.write_bytes(data)
+            code = run("predict", *args, "--posterior", path, "--out", tmp_path / name)
+            assert code == 2
+        err = capsys.readouterr().err
+        assert "not a JSON object" in err and "re-run laplace-fit" in err
 
     def test_predict_missing_model_file_exits_2(self, tmp_path):
         code = run(

@@ -1,6 +1,8 @@
 """Tests for the low-rank posterior: curvature factors, solves, predictions."""
 
+import json
 import math
+import struct
 import threading
 import tracemalloc
 from dataclasses import fields
@@ -579,17 +581,20 @@ class TestChunkedPasses:
         assert threading.active_count() == before
 
 
+def fitted_posterior(rng, n_labels=2, subsample=False):
+    """A posterior around GGN factors of 9 random rows, and those rows."""
+    model = small_model(rng, n_labels)
+    X = rng.uniform(0, 1, size=(9, 4))
+    cap = 8 if subsample else laplace.DEFAULT_RANK_CAP
+    fac = laplace.ggn_factors(model, X, rank_cap=cap, seed=3)
+    return laplace.LaplacePosterior(model, fac, 0.25), X
+
+
 class TestPosteriorSerialization:
-    def build(self, rng, n_labels=2, subsample=False):
-        model = small_model(rng, n_labels)
-        X = rng.uniform(0, 1, size=(9, 4))
-        cap = 8 if subsample else laplace.DEFAULT_RANK_CAP
-        fac = laplace.ggn_factors(model, X, rank_cap=cap, seed=3)
-        return laplace.LaplacePosterior(model, fac, 0.25), X
 
     def test_round_trip_file(self, tmp_path):
         rng = RNG(40)
-        post, X = self.build(rng)
+        post, X = fitted_posterior(rng)
         path = tmp_path / "posterior.blap"
         laplace.save_posterior(post, path)
         loaded = laplace.load_posterior(path)
@@ -604,7 +609,7 @@ class TestPosteriorSerialization:
     def test_file_holds_the_byte_container(self, tmp_path):
         # save_posterior streams the factor rows; the bytes stay the same
         rng = RNG(47)
-        post, _ = self.build(rng)
+        post, _ = fitted_posterior(rng)
         path = tmp_path / "posterior.blap"
         for p in (post, empty_posterior(post.map_model, 0.5)):
             laplace.save_posterior(p, path)
@@ -614,14 +619,14 @@ class TestPosteriorSerialization:
 
     def test_round_trip_preserves_sample_ids(self):
         rng = RNG(41)
-        post, _ = self.build(rng, subsample=True)
+        post, _ = fitted_posterior(rng, subsample=True)
         loaded = laplace.posterior_from_bytes(laplace.posterior_to_bytes(post))
         assert np.array_equal(loaded.factors.sample_ids, post.factors.sample_ids)
         assert loaded.factors.n_samples == post.factors.n_samples
 
     def test_bad_magic(self):
         rng = RNG(42)
-        post, _ = self.build(rng)
+        post, _ = fitted_posterior(rng)
         blob = bytearray(laplace.posterior_to_bytes(post))
         blob[0] ^= 0xFF
         with pytest.raises(ParseError, match="magic"):
@@ -629,23 +634,31 @@ class TestPosteriorSerialization:
 
     def test_truncated(self):
         rng = RNG(43)
-        post, _ = self.build(rng)
+        post, _ = fitted_posterior(rng)
         blob = laplace.posterior_to_bytes(post)
+        core_bytes = post.factors.rank ** 2 * 8
         with pytest.raises(ParseError):
             laplace.posterior_from_bytes(blob[:20])
         with pytest.raises(ParseError):
             laplace.posterior_from_bytes(blob[:-7])
+        # the factor rows whole, the core factor cut or missing
+        for cut in (core_bytes // 2, core_bytes, core_bytes + 7):
+            with pytest.raises(ParseError, match="core factor"):
+                laplace.posterior_from_bytes(blob[:-cut])
 
     def test_trailing_garbage(self):
         rng = RNG(44)
-        post, _ = self.build(rng)
+        post, _ = fitted_posterior(rng)
         blob = laplace.posterior_to_bytes(post)
         with pytest.raises(ParseError, match="payload"):
             laplace.posterior_from_bytes(blob + b"x")
+        # a second core factor's worth after the first
+        with pytest.raises(ParseError, match="payload"):
+            laplace.posterior_from_bytes(blob + blob[-post.factors.rank ** 2 * 8 :])
 
     def test_corrupted_model_blob_caught_by_digest(self):
         rng = RNG(45)
-        post, _ = self.build(rng)
+        post, _ = fitted_posterior(rng)
         blob = bytearray(laplace.posterior_to_bytes(post))
         # poke a byte well inside the embedded model block
         meta_len = laplace._HEADER.unpack_from(blob, len(laplace._MAGIC))[3]
@@ -656,9 +669,155 @@ class TestPosteriorSerialization:
 
     def test_corrupted_metadata(self):
         rng = RNG(46)
-        post, _ = self.build(rng)
+        post, _ = fitted_posterior(rng)
         blob = bytearray(laplace.posterior_to_bytes(post))
         start = len(laplace._MAGIC) + laplace._HEADER.size
         blob[start] = ord("x")
         with pytest.raises(ParseError, match="JSON"):
             laplace.posterior_from_bytes(bytes(blob))
+
+    def with_meta(self, post, meta):
+        """The container of ``post`` with its metadata block replaced by ``meta``."""
+        blob = laplace.posterior_to_bytes(post)
+        start = len(laplace._MAGIC)
+        head = list(laplace._HEADER.unpack_from(blob, start))
+        rest = blob[start + laplace._HEADER.size + head[3] :]
+        head[3] = len(meta)
+        return blob[:start] + laplace._HEADER.pack(*head) + meta + rest
+
+    def meta_json(self, post, **change):
+        meta = {
+            "model_digest": post.factors.model_digest,
+            "n_samples": post.factors.n_samples,
+            "sample_ids": None,
+            **change,
+        }
+        return json.dumps(meta).encode()
+
+    def test_metadata_not_an_object(self):
+        post, _ = fitted_posterior(RNG(48))
+        with pytest.raises(ParseError, match="not a JSON object"):
+            laplace.posterior_from_bytes(self.with_meta(post, b"[1]"))
+
+    @pytest.mark.parametrize("n_samples", [-1, 1.5, True, "9", None, 1 << 63])
+    def test_metadata_n_samples_must_be_a_count(self, n_samples):
+        post, _ = fitted_posterior(RNG(49))
+        blob = self.with_meta(post, self.meta_json(post, n_samples=n_samples))
+        with pytest.raises(ParseError, match="n_samples"):
+            laplace.posterior_from_bytes(blob)
+
+    @pytest.mark.parametrize(
+        "sample_ids", ["0", 3, [1, "a"], [1.0], [True], [-1], [1 << 63]]
+    )
+    def test_metadata_sample_ids_must_be_integers(self, sample_ids):
+        post, _ = fitted_posterior(RNG(50))
+        blob = self.with_meta(post, self.meta_json(post, sample_ids=sample_ids))
+        with pytest.raises(ParseError, match="sample_ids"):
+            laplace.posterior_from_bytes(blob)
+
+
+class TestStoredCore:
+    """The core factor travels in the file and is checked, not recomputed."""
+
+    def with_entry(self, post, i, j, fn):
+        """The container of ``post`` with entry (i, j) of its stored core
+        (the last section, in Fortran order) replaced by ``fn`` of itself."""
+        blob = bytearray(laplace.posterior_to_bytes(post))
+        R = post.factors.rank
+        at = len(blob) - R * R * 8 + (j * R + i) * 8
+        (value,) = struct.unpack_from("<d", blob, at)
+        struct.pack_into("<d", blob, at, fn(value))
+        return bytes(blob)
+
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_loaded_core_is_bit_identical(self, tmp_path, n_labels):
+        post, X = fitted_posterior(RNG(60), n_labels)
+        path = tmp_path / "posterior.blap"
+        laplace.save_posterior(post, path)
+        loaded = laplace.load_posterior(path)
+        c, lower = post._core
+        assert lower is False and loaded._core[1] is False
+        assert loaded._core[0].flags.f_contiguous
+        assert loaded._core[0].tobytes(order="F") == c.tobytes(order="F")
+        assert loaded.log_det_precision == post.log_det_precision
+        a, b = laplace.predictive_batch(post, X), laplace.predictive_batch(loaded, X)
+        assert np.array_equal(a.sigma2, b.sigma2)
+        assert np.array_equal(a.probabilities, b.probabilities)
+
+    def test_file_grows_by_the_core(self):
+        post, _ = fitted_posterior(RNG(61))
+        R, P = post.factors.rank, post.factors.n_params
+        blob = laplace.posterior_to_bytes(post)
+        head = laplace._posterior_head(post)
+        assert len(blob) == len(head) + R * P * 8 + R * R * 8
+        assert blob[: len(laplace._MAGIC)] == b"BLAP2"
+
+    def test_load_does_not_refactor(self, tmp_path, monkeypatch):
+        rng = RNG(62)
+        model = small_model(rng, 2)
+        R = 300
+        post = laplace.LaplacePosterior(
+            model, factors_for(model, rng.normal(size=(R, model.shape.param_count))), 0.5
+        )
+        path = tmp_path / "posterior.blap"
+        laplace.save_posterior(post, path)
+
+        def refactor(*args, **kwargs):
+            raise AssertionError("loading refactored the core")
+
+        monkeypatch.setattr(laplace, "cho_factor", refactor)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loaded = laplace.load_posterior(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # U and the stored core, but no R x R product UU' beside them
+        assert peak < post.factors.factors.nbytes + 1.5 * R * R * 8
+        assert loaded.log_det_precision == post.log_det_precision
+
+    def test_non_finite_entry(self):
+        post, _ = fitted_posterior(RNG(63))
+        blob = self.with_entry(post, 0, 1, lambda v: float("nan"))
+        with pytest.raises(ParseError, match="core factor.*non-finite"):
+            laplace.posterior_from_bytes(blob)
+
+    def test_negated_diagonal(self):
+        post, _ = fitted_posterior(RNG(64))
+        blob = self.with_entry(post, 2, 2, lambda v: -v)
+        with pytest.raises(ParseError, match="core factor.*diagonal"):
+            laplace.posterior_from_bytes(blob)
+
+    def test_scaled_upper_entry_fails_the_probe(self):
+        post, _ = fitted_posterior(RNG(65))
+        c = post._core[0]
+        upper = np.triu(np.abs(c), k=1)
+        i, j = np.unravel_index(np.argmax(upper), c.shape)
+        assert upper[i, j] > 0
+        blob = self.with_entry(post, i, j, lambda v: 2.0 * v)
+        with pytest.raises(ParseError, match="core factor does not match"):
+            laplace.posterior_from_bytes(blob)
+
+    def test_lower_triangle_is_not_read(self):
+        # cho_factor leaves the lower triangle unused; the probe reads the upper
+        post, X = fitted_posterior(RNG(66))
+        blob = self.with_entry(post, 3, 1, lambda v: 7.0 * v + 1.0)
+        loaded = laplace.posterior_from_bytes(blob)
+        a, b = laplace.predictive_batch(post, X), laplace.predictive_batch(loaded, X)
+        assert np.array_equal(a.sigma2, b.sigma2)
+
+    def test_retired_format_asks_for_a_refit(self):
+        post, _ = fitted_posterior(RNG(67))
+        blob = b"BLAP1" + laplace.posterior_to_bytes(post)[len(laplace._MAGIC) :]
+        with pytest.raises(ParseError, match="re-run laplace-fit"):
+            laplace.posterior_from_bytes(blob)
+
+    def test_rank_zero_round_trips_without_a_core(self, tmp_path):
+        post = empty_posterior(small_model(RNG(68), 2), 0.5)
+        path = tmp_path / "posterior.blap"
+        laplace.save_posterior(post, path)
+        assert path.stat().st_size == len(laplace._posterior_head(post))
+        loaded = laplace.load_posterior(path)
+        assert loaded._core is None and loaded.factors.rank == 0
+        assert loaded.log_det_precision == post.log_det_precision
