@@ -358,6 +358,7 @@ def _training_summary(dataset, history):
         "epochs": epochs,
         "best_epoch": history.best_epoch,
         "train_seconds": seconds,
+        "eval_seconds": sum(rec.eval_seconds for rec in history.records),
         "samples_per_s": rows * epochs / seconds if seconds > 0 else None,
         "peak_rss_mib": _peak_rss_mib(),
     }

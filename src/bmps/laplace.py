@@ -332,12 +332,15 @@ def _variance(post, J):
 def _moderate(post, X):
     """Moderated predictions of one batch; see :func:`predictive_batch`."""
     n_labels = post.map_model.shape.n_labels
-    env = mps.sweep_env(post.map_model, mps.embed(X))
-    jac = mps.jacobian_from_env(env)  # (b, L, P)
+    phi = mps.embed(X)
+    jac = mps.jacobian_from_env(mps.sweep_env(post.map_model, phi))  # (b, L, P)
     b = jac.shape[0]
     sigma2 = _variance(post, jac.reshape(b * n_labels, -1)).reshape(b, n_labels)
     sigma2 = np.maximum(sigma2, 0.0)
-    gaps = _logit_gaps(env.logits)
+    # the MAP logits as MAP prediction forms them, which groups sites
+    # differently from the environment sweep
+    logits = mps.forward_batch(post.map_model, phi)
+    gaps = _logit_gaps(logits)
     k = kappa(sigma2)
     moderated = expit(k * gaps)
     if n_labels == 1:
@@ -346,7 +349,7 @@ def _moderate(post, X):
     else:
         p = moderated / moderated.sum(axis=1, keepdims=True)
     return PredictiveBatch(
-        probabilities=p, sigma2=sigma2, mu_prime=gaps, kappa=k, logits=env.logits
+        probabilities=p, sigma2=sigma2, mu_prime=gaps, kappa=k, logits=logits
     )
 
 

@@ -106,9 +106,14 @@ class EpochRecord:
     test_acc: float
     param_std: float
     seconds: float
+    # the end-of-epoch evaluation's share of ``seconds``
+    eval_seconds: float
 
 
-_HISTORY_FIELDS = ("epoch", "train_loss", "train_acc", "test_acc", "param_std", "seconds")
+_HISTORY_FIELDS = (
+    "epoch", "train_loss", "train_acc", "test_acc", "param_std", "seconds",
+    "eval_seconds",
+)
 
 
 @dataclass
@@ -365,6 +370,7 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
             opt.step(theta, grad)
         env = None  # the batch buffers are not needed while evaluating
 
+        t_eval = time.perf_counter()
         try:
             logits = predict_logits(work, X)
             test_acc = accuracy(work, test_x, test_y) if has_test else float("nan")
@@ -379,14 +385,17 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
                 f"non-finite training loss after epoch {epoch}",
                 epoch=epoch,
             )
+        param_std = float(theta.std())
+        t1 = time.perf_counter()
         history.records.append(
             EpochRecord(
                 epoch=epoch,
                 train_loss=train_loss,
                 train_acc=train_acc,
                 test_acc=test_acc,
-                param_std=float(theta.std()),
-                seconds=time.perf_counter() - t0,
+                param_std=param_std,
+                seconds=t1 - t0,
+                eval_seconds=t1 - t_eval,
             )
         )
         if train_loss < best_loss:

@@ -66,13 +66,18 @@ class TestTrain:
         training = meta["training"]
         assert set(training) == {
             "rows", "epochs", "best_epoch", "train_seconds", "samples_per_s",
-            "peak_rss_mib",
+            "peak_rss_mib", "eval_seconds",
         }
         assert training["rows"] == 90  # 120 blobs, a quarter held out
         assert training["epochs"] == 20
         assert training["best_epoch"] == history["best_epoch"]
         seconds = sum(rec["seconds"] for rec in history["records"])
         assert training["train_seconds"] == pytest.approx(seconds, rel=1e-12)
+        for rec in history["records"]:
+            assert 0 <= rec["eval_seconds"] <= rec["seconds"]
+        eval_seconds = sum(rec["eval_seconds"] for rec in history["records"])
+        assert training["eval_seconds"] == pytest.approx(eval_seconds, rel=1e-12)
+        assert header[-1] == "eval_seconds"
         assert training["samples_per_s"] == pytest.approx(
             90 * 20 / seconds, rel=1e-12
         )

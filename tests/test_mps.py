@@ -1,6 +1,7 @@
 """Chain contraction, gradients, and the binary model container."""
 
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmps import mps, trainer
+from bmps import initializer, mps, trainer
 from bmps.errors import DataError, NumericError, ParseError, ShapeError, TrainingDiverged
 
 import oracles
@@ -348,6 +349,84 @@ class TestMagnitudeChecks:
                 swept(run, model, X)
 
 
+class TestGroupedForward:
+    """The streamed forward merges groups of ``mps._GROUP`` ring sites into
+    one node tensor; the ring sites that fill no group stream one at a time.
+    The stacked sweep forms every site's product, so its logits are the
+    per-site reference."""
+
+    @pytest.mark.parametrize("boundary", ["open", "cyclic"])
+    @pytest.mark.parametrize("phys", [2, 3])
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_matches_the_stacked_sweep(self, boundary, phys, n_labels):
+        rng = np.random.default_rng(phys * 10 + n_labels)
+        # rings of 1 to 9 sites: below one group, on a multiple, off one
+        for n in range(2, 11):
+            for k in sorted({0, n // 2, n - 1}):
+                sh = mps.MpsShape(n, phys, 3, n_labels, label_site=k, boundary=boundary)
+                model = oracles.random_model(rng, sh)
+                phi = rng.uniform(0, 1, size=(5, n, phys))
+                got = mps.forward_batch(model, phi)
+                want = mps.sweep_env(model, phi).logits
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_matches_the_stacked_sweep_at_digit_scale(self):
+        rng = np.random.default_rng(3)
+        sh = mps.MpsShape(196, 2, 8, 10)
+        spec = initializer.InitSpec(var_x=0.461, seed=3)
+        model = initializer.init_model(sh, spec)
+        # digit-shaped rows: mostly blank, a few strokes
+        X = np.where(rng.uniform(size=(40, 196)) < 0.7, 0.0, rng.uniform(size=(40, 196)))
+        phi = mps.embed(X)
+        got = mps.forward_batch(model, phi)
+        want = mps.sweep_env(model, phi).logits
+        assert np.all(want != 0)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        rng = np.random.default_rng(9)
+        n = 2 * mps._GROUP + 2  # a ring of two groups and a leftover site
+        sh = mps.MpsShape(n, 2, 4, 3, boundary="cyclic")
+        model = oracles.random_model(rng, sh)
+        for size in (1, 2, 7):
+            phi = mps.embed(rng.uniform(0, 1, size=(size, n)))
+            batch = mps.forward_batch(model, phi)
+            for b in range(size):
+                single = mps.forward_batch(model, phi[b : b + 1])[0]
+                assert np.array_equal(batch[b], single)
+
+    def test_overflowing_merged_slice_weighted_zero_is_recomputed(self):
+        # Slice 1 of sites 2 and 3 (one group) is 1e200 I, so their merged
+        # slice (1, 1) overflows to inf; a row of ones weights slice 1 by 0,
+        # and 0 * inf is NaN in the group's product only. The group is
+        # formed again site by site, which gives the exact identity product.
+        n, eye = 2 * mps._GROUP + 1, np.eye(2)
+        model = transfer_chain([eye] * n, label_site=0)
+        for i in (mps._GROUP - 1, mps._GROUP):
+            model.nodes[i][:, 1] = 1e200 * eye
+        X = np.ones((2, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = swept("forward_batch", model, X)
+        assert np.array_equal(got, swept("sweep_env", model, X).logits)
+        assert np.array_equal(got, np.full((2, 1), 2.0))
+
+    def test_excursion_inside_a_group_is_not_checked(self, monkeypatch):
+        # Ring positions 0 .. _GROUP-1 (sites 1 .. _GROUP) form one group. The
+        # stream meets site _GROUP (1e60) before site _GROUP-1 (1e-60): the
+        # partial product between them exceeds the cap, but the group's
+        # product does not, and the forward pass never forms it.
+        g = mps._GROUP
+        mats = [np.eye(2)] * (2 * g + 1)
+        mats[g], mats[g - 1] = np.diag([1e60, 1.0]), np.diag([1e-60, 1.0])
+        model = transfer_chain(mats, label_site=0)
+        X = np.ones((3, 2 * g + 1))
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
+        assert np.all(np.abs(swept("forward_batch", model, X)) < 10)
+        with pytest.raises(NumericError, match=f"at site {g}$"):
+            swept("sweep_env", model, X)
+
+
 class TestGradients:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -419,6 +498,31 @@ class TestGradients:
         for bad in (out[:3], gappy, np.empty((4, 3, sh.param_count + 1))):
             with pytest.raises(ShapeError, match="out"):
                 mps.jacobian_from_env(env, out=bad)
+
+    @pytest.mark.parametrize("boundary", ["open", "cyclic"])
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_jacobian_is_environment_times_phi(self, boundary, n_labels):
+        # every entry is one product of an environment entry and a phi
+        # entry, so the Jacobian equals this assembly exactly
+        rng = np.random.default_rng(26)
+        sh = mps.MpsShape(6, 2, 3, n_labels, label_site=2, boundary=boundary)
+        model = oracles.random_model(rng, sh)
+        env = mps.sweep_env(model, mps.embed(rng.uniform(0, 1, size=(4, 6))))
+        passes = mps._environments(env, env.label, {})
+        envs = [e.copy() for _, block in passes for e in block]  # blocks reuse buffers
+        blocks = {}
+        for i, e in zip(mps._ring(sh), envs):
+            left, right = sh.bond_dims(i)
+            e = e[:, :, :right, :left]
+            blocks[i] = np.einsum("blra,bs->blasr", e, env.phi[:, i])
+        left, right = sh.bond_dims(2)
+        label = np.zeros((4,) + (n_labels,) + sh.node_shape(2))
+        diag = np.einsum("bar,bs->basr", env.closure[:, :left, :right], env.phi[:, 2])
+        for l in range(n_labels):
+            label[:, l, :, :, l] = diag
+        blocks[2] = label
+        want = np.concatenate([blocks[i].reshape(4, n_labels, -1) for i in range(6)], 2)
+        assert np.array_equal(mps.jacobian_from_env(env), want)
 
     @pytest.mark.parametrize("n_labels", [1, 3])
     def test_jacobian_of_empty_batch(self, n_labels):

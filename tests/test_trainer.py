@@ -504,7 +504,10 @@ class TestHistorySerialization:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(trainer._HISTORY_FIELDS)
+        assert rows[0][-2:] == ["seconds", "eval_seconds"]
         assert len(rows) == 1 + 3
+        for rec in history.records:
+            assert 0 <= rec.eval_seconds <= rec.seconds
         assert [int(r[0]) for r in rows[1:]] == [1, 2, 3]
         got = float(rows[1][1])
         assert got == pytest.approx(history.records[0].train_loss, rel=1e-15)
