@@ -374,11 +374,13 @@ def cmd_train(cfg):
     history.to_csv(out / "history.csv")
     history.to_json(out / "history.json")
     _write_meta(out, "train", cfg, started, training=_training_summary(dataset, history))
-    test_acc = (
-        trainer.accuracy(fit, dataset.test_x, dataset.test_y)
-        if dataset.test_x.shape[0]
-        else float("nan")
-    )
+    if history.best_epoch:
+        # recorded at the end of that epoch, on the parameters kept
+        test_acc = history.records[history.best_epoch - 1].test_acc
+    elif dataset.test_x.shape[0]:
+        test_acc = trainer.accuracy(fit, dataset.test_x, dataset.test_y)
+    else:
+        test_acc = float("nan")
     print(
         f"trained {shape.n_sites} sites, bond {shape.bond_dim}: "
         f"best epoch {history.best_epoch}, test accuracy {test_acc:.4f}"

@@ -332,14 +332,13 @@ def _variance(post, J):
 def _moderate(post, X):
     """Moderated predictions of one batch; see :func:`predictive_batch`."""
     n_labels = post.map_model.shape.n_labels
-    phi = mps.embed(X)
-    jac = mps.jacobian_from_env(mps.sweep_env(post.map_model, phi))  # (b, L, P)
+    env = mps.sweep_env(post.map_model, mps.embed(X))
+    # the sweep's logits are MAP prediction's, bit for bit
+    jac, logits = mps.jacobian_from_env(env), env.logits  # (b, L, P), (b, L)
+    env = None  # the sweep's stacks are not needed while solving
     b = jac.shape[0]
     sigma2 = _variance(post, jac.reshape(b * n_labels, -1)).reshape(b, n_labels)
     sigma2 = np.maximum(sigma2, 0.0)
-    # the MAP logits as MAP prediction forms them, which groups sites
-    # differently from the environment sweep
-    logits = mps.forward_batch(post.map_model, phi)
     gaps = _logit_gaps(logits)
     k = kappa(sigma2)
     moderated = expit(k * gaps)

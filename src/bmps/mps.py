@@ -34,24 +34,37 @@ with the site vector restores the physical index.
 
 Bonds are padded to ``bond_dim`` with zeros, so an open chain runs as a
 cyclic one whose end nodes have zero rows or columns and every ring site's
-matrices share one shape. Some passes stack sites, others stream them:
+matrices share one shape. Every sweep cuts the ring into groups of three
+(:data:`_GROUP`) consecutive ring sites and streams or stacks one product a
+group. The node tensors are shared by every row, so one product per call
+merges each group's nodes into the slice products
+``K[s_0, s_1, s_2] = A_j^{s_0} A_{j+1}^{s_1} A_{j+2}^{s_2}``; a row weights
+them by ``psi[s_0, s_1, s_2] = phi_j[s_0] phi_{j+1}[s_1] phi_{j+2}[s_2]``,
+one vector-matrix product, and multiplies the group's matrix onto its
+product so far. The ring sites that fill no group come first, one at a
+time. Both sweeps form these products in the same order, so their logits
+agree bit for bit:
 
-* :func:`sweep_env` forms every ring site's matrices in one batched product
-  and writes the partial products into one preallocated stack.
-  :func:`forward_batch` streams, so a chunk of whole-dataset prediction
-  holds O(batch * bond^2), three (:data:`_GROUP`) consecutive ring sites a
-  product. The node tensors are shared by every row, so one product per
-  call merges each group's nodes into the slice products
-  ``A_j^{s_0} A_{j+1}^{s_1} A_{j+2}^{s_2}``; a row weights them by
-  ``phi_j[s_0] phi_{j+1}[s_1] phi_{j+2}[s_2]`` and multiplies the result
-  onto its product so far: one vector-matrix and one bond-by-bond product a
-  group, not a site. The ring sites that fill no group stream one at a
-  time.
-* The environment pass runs in blocks of ring sites sized by a byte budget
-  (``_BLOCK_BYTES``). In the class-free gradient pass of a training batch a
-  block spans tens of sites: its running products fill one stack, one
-  batched product forms all its environments and another all its sites'
-  gradients. The class-wide Jacobian of a chunk streams, one site a block.
+* :func:`forward_batch` streams, so a chunk of whole-dataset prediction
+  holds O(batch * bond^2).
+* :func:`sweep_env` forms every group's and leftover site's matrix in two
+  batched products and writes the partial products into one preallocated
+  stack, one entry a group.
+* The class-free gradient pass of a training batch runs its environment
+  recurrence over the same groups, in blocks sized by a byte budget
+  (``_BLOCK_BYTES``): a block's running products fill one stack and one
+  batched product forms all its environments. One product over the batch
+  then takes each group's environments to the gradient of its merged
+  tensor, ``H = sum_b psi_b (x) E_b``, and the chain rule through ``K``
+  takes that to the group's three nodes, with no batch axis:
+  ``dA_j^{s_0} = sum H[s_0, s_1, s_2] (A_{j+1}^{s_1} A_{j+2}^{s_2})'``,
+  ``dA_{j+1}^{s_1} = sum (A_j^{s_0})' H (A_{j+2}^{s_2})'`` and
+  ``dA_{j+2}^{s_2} = sum (A_j^{s_0} A_{j+1}^{s_1})' H``.
+* The class-wide Jacobian needs every site's environment: it first forms
+  every site's matrix in one batched product and the partial products
+  inside each group from the group's outgoing one, one batched product a
+  position over all groups, then runs the recurrence per site, streaming
+  one site a block for a chunk.
 
 Whole-dataset passes run through :func:`map_chunks`. A chunk holds at most
 :data:`CHUNK_ROWS` rows, and no more than :data:`CHUNK_BYTES` of the
@@ -66,23 +79,33 @@ Every array the engine forms (partial and running products, closure,
 logits, folded label matrices, environments) is checked against
 :data:`MAGNITUDE_CAP`: an entry above it in magnitude, or a
 NaN or infinite one, raises :class:`~bmps.errors.NumericError` naming the
-site. A streamed product is checked as soon as it is formed. In the
-forward stream that is one product a group: a group whose product fails is
-formed again one site at a time from its incoming product, so the error
-names the site, with the text and warnings, that a per-site stream gives;
-if every site passes (an overflowing merged slice that the row weights by
-0 gives NaN only in the merged form), the stream goes on from there. A
-product inside a group is never formed, so an excursion above the cap that
-starts and ends inside one group passes :func:`forward_batch`;
-:func:`sweep_env` still names its site. A stack (the
-sweep's partial products, a block's running products and environments) is
-scanned once when it is full, by one min and one max reduction that copy
-nothing; only if that scan fails is it rescanned product by product, in
-the order the products were formed, so the error names the site a
-one-at-a-time check would have named. Rows are contracted one by one, so a
-row's results do not depend on its batch. All operations are pure: they
-never mutate their inputs (bar an env handed to :func:`sweep_env` as
-``reuse``), and identical inputs give bit-identical outputs.
+site. A streamed product is checked as soon as it is formed, one product a
+group: a group whose product fails is formed again one site at a time from
+its incoming product, so the error names the site, with the text and
+warnings, that a per-site stream gives; if every site passes (an
+overflowing merged slice that the row weights by 0 gives NaN only in the
+merged form), the sweep goes on from there. A stack (the sweep's partial
+products, a block's running products and environments) is scanned once
+when it is full, by one min and one max reduction that copy nothing; if the
+sweep's scan fails, its products are formed again in order and checked as
+the stream checks them, and if a scan of the Jacobian's stacks fails, they
+are rescanned product by product in the order they were formed. The
+gradient pass scans its group running products and environments, the
+prefix products ``A_j^{s_0} A_{j+1}^{s_1}`` of its chain rule and,
+for non-finite entries, the gradient; if a scan fails, the pass runs
+again per site, which raises the error a per-site pass raises or returns
+its result. (A group the sweep formed site by site because its merged
+form overflowed keeps a non-finite matrix, so its running products fail.)
+A product inside a group is formed by neither sweep nor by the gradient
+pass, so an excursion above the cap that starts and ends inside one group
+passes :func:`forward_batch`, :func:`sweep_env` and
+:func:`weighted_grad_from_env`, and so training; :func:`jacobian_from_env`,
+which forms them, still names its site. Rows
+are contracted one by one, so a row's results do not depend on its batch.
+All operations are pure: they never mutate their inputs (bar an env
+handed to :func:`sweep_env` as ``reuse``, and the per-site stacks the
+Jacobian caches on its env), and identical inputs give bit-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -334,9 +357,10 @@ def _layout(shape):
     where = np.concatenate([nodes.transpose(0, 2, 3, 1).ravel(), label.ravel()])
     grad = np.empty(P, dtype=np.intp)
     grad[where[where < P]] = np.flatnonzero(where < P)
-    return _Layout(
-        starts, ring, nodes.transpose(0, 2, 1, 3), label.transpose(1, 2, 0, 3), grad
-    )
+    # C order, so that gathering through them gives C-contiguous stacks
+    nodes = np.ascontiguousarray(nodes.transpose(0, 2, 1, 3))
+    label = np.ascontiguousarray(label.transpose(1, 2, 0, 3))
+    return _Layout(starts, ring, nodes, label, grad)
 
 
 def _buffer(pool, name, shape):
@@ -351,34 +375,48 @@ def _buffer(pool, name, shape):
 class BatchEnv:
     """Contraction state of one batch: its logits plus what environments need.
 
-    Bonds are padded to ``D = bond_dim`` (see :func:`_layout`). ``mats[j]``
-    (batch, D, D) is the site matrix of ``ring[j]`` (see :func:`_ring`) and
-    ``tails[j]`` the product ``mats[j] @ .. @ mats[-1]``, the identity for
-    ``j = len(ring)``; ``label`` holds the label site's matrices (batch,
+    Bonds are padded to ``D = bond_dim`` (see :func:`_layout`). The ring
+    (see :func:`_ring`) is cut into units: ``G = len(ring) // _GROUP``
+    groups of :data:`_GROUP` consecutive ring positions, then the
+    ``len(ring) % _GROUP`` leftover positions, one unit each. ``mats[u]``
+    (batch, D, D) is unit ``u``'s matrix (for a group, the product of its
+    sites' matrices, formed from the merged node tensor) and ``tails[u]``
+    the product ``mats[u] @ .. @ mats[-1]``, the identity for
+    ``u = len(mats)``. ``nodes`` (len(ring), phys, D, D) are the ring's
+    padded nodes, and ``psi`` and ``suffixes`` the groups' row weights and
+    merged products (see :func:`_merged`), for the gradient's
+    back-propagation. ``label`` holds the label site's matrices (batch,
     n_labels, D, D), and ``closure``, ``tails[0]`` transposed, is the label
     node's environment. ``cap``, :data:`MAGNITUDE_CAP` when the sweep ran,
     is the magnitude cap every later product is checked against.
     ``buffers`` holds ``mats``, ``tails`` and the gradient pass's scratch
-    arrays, for :func:`sweep_env`'s ``reuse``.
+    arrays, for :func:`sweep_env`'s ``reuse``; ``sites`` caches
+    :func:`_site_stacks`.
     """
 
     model: MpsModel
     phi: np.ndarray
     cap: float
+    nodes: np.ndarray
+    psi: np.ndarray
+    suffixes: list
     mats: np.ndarray
     tails: np.ndarray
     label: np.ndarray
     closure: np.ndarray
     logits: np.ndarray
     buffers: dict = field(default_factory=dict, repr=False)
+    sites: tuple | None = field(default=None, repr=False)
 
 
 _PAD = np.zeros(1)
 
-# Consecutive ring sites the streamed forward merges into one node tensor
-# (see the module docstring). A 400-row digit-scale forward (196 sites,
-# bond 8, 10 classes; 2 vCPUs, OpenBLAS, median of 25) took 25.1, 16.5,
-# 14.3, 18.5 and 18.7 ms with groups of 1 to 5.
+# Consecutive ring sites the sweeps merge into one node tensor (see the
+# module docstring). At the digit scale (196 sites, bond 8, 10 classes;
+# 2 vCPUs, OpenBLAS, median of 25 interleaved runs), groups of 1 to 5 took
+# 25.1, 16.5, 14.3, 18.5 and 18.7 ms for a 400-row forward, and 6.07, 3.54,
+# 2.98, 3.18 and 3.91 ms for a 32-row training step (stacked sweep and
+# gradient pass).
 _GROUP = 3
 
 
@@ -387,31 +425,36 @@ def _merged(nodes, phi):
     consecutive ring sites.
 
     ``nodes`` (G * _GROUP, phys, D, D) and ``phi`` (G * _GROUP, batch, phys)
-    give ``merged`` (G, 1, phys**_GROUP, D * D) and ``psi`` (G, batch, 1,
-    phys**_GROUP): for ``j = t * _GROUP``, entry ``(s_0, s_1, ..)`` of group
-    ``t`` is the node slice product ``A_j^{s_0} A_{j+1}^{s_1} ..`` in
-    ``merged`` and the weight ``phi_j[s_0] phi_{j+1}[s_1] ..`` in ``psi``, so
-    ``psi[t] @ merged[t]`` is the product of the group's site matrices.
+    give ``suffixes`` and ``psi`` (G, batch, 1, phys**_GROUP). For
+    ``j = t * _GROUP``, ``suffixes[m]`` (G, phys**(_GROUP - m), D, D) holds
+    the slice products ``A_{j+m}^{s_m} .. A_{j+_GROUP-1}^{s_{_GROUP-1}}`` of
+    the group's last sites, so ``suffixes[0]`` is its merged tensor; entry
+    ``(s_0, s_1, ..)`` of ``psi[t]`` is the weight ``phi_j[s_0]
+    phi_{j+1}[s_1] ..``, and ``psi[t] @ suffixes[0][t]`` (flattened to
+    (phys**_GROUP, D * D)) is the product of the group's site matrices.
     """
     G, (_, B, s), D = len(nodes) // _GROUP, phi.shape, nodes.shape[-1]
     nodes = nodes.reshape(G, _GROUP, s, D, D)
-    phi = phi.reshape(G, _GROUP, B, s)
-    merged, psi = nodes[:, -1], phi[:, -1]
+    suffixes = [nodes[:, -1]]
     for m in reversed(range(_GROUP - 1)):
-        q = s ** (_GROUP - m)
-        merged = np.matmul(nodes[:, m, :, None], merged[:, None]).reshape(G, q, D, D)
-        psi = (phi[:, m, :, :, None] * psi[:, :, None]).reshape(G, B, q)
-    return merged.reshape(G, 1, s**_GROUP, D * D), psi[:, :, None]
+        merged = np.matmul(nodes[:, m, :, None], suffixes[0][:, None])
+        suffixes.insert(0, merged.reshape(G, s ** (_GROUP - m), D, D))
+    # one outer product a row, batch axis last in the factors (C order)
+    phi = np.ascontiguousarray(phi.reshape(G, _GROUP, B, s).transpose(1, 0, 3, 2))
+    axes = "ijklmnopqr"[:_GROUP]
+    psi = np.einsum(",".join(f"g{a}b" for a in axes) + f"->gb{axes}", *phi)
+    return suffixes, psi.reshape(G, B, 1, s**_GROUP)
 
 
 def _sweep(model, phi, keep, reuse=None):
     """Contract a batch of embedded rows ``phi`` (batch, n_sites, phys) round
     the ring (see the module docstring).
 
-    ``keep`` stacks every site matrix and partial product for the
-    environments, and scans the stack once; otherwise the sweep streams
-    :data:`_GROUP` sites a product, each checked as it is formed, so
-    memory stays O(batch * bond^2).
+    Both ways form the same unit products in the same order. ``keep``
+    forms every unit's matrix in two batched products, stacks the partial
+    products for the environments and scans the stack once; otherwise the
+    sweep streams, each product checked as it is formed, so memory stays
+    O(batch * bond^2).
     """
     shape, cap = model.shape, MAGNITUDE_CAP
     phi = np.asarray(phi, dtype=np.float64)
@@ -422,56 +465,70 @@ def _sweep(model, phi, keep, reuse=None):
         )
     lay = _layout(shape)
     B, R, D, k = phi.shape[0], len(lay.ring), shape.bond_dim, shape.label_site
+    s = shape.phys_dim
     theta = np.concatenate([*model.nodes, _PAD], axis=None)
-    # site matrices: each row's are its own vector-matrix product, so they
-    # do not depend on the batch the row is in
-    nodes = theta[lay.nodes].reshape(R, 1, shape.phys_dim, D * D)
-    ring_phi = phi[:, lay.ring, None].swapaxes(0, 1)  # (R, B, 1, phys)
+    nodes = theta[lay.nodes]  # (R, phys, D, D)
+    # each row's matrices are its own vector-matrix products, so they do
+    # not depend on the batch the row is in
+    flat_nodes = nodes.reshape(R, 1, s, D * D)
+    # (R, B, 1, phys)
+    ring_phi = np.take(phi, lay.ring, axis=1).swapaxes(0, 1)[:, :, None]
+    n = R - R % _GROUP  # ring positions [0, n) form groups, the rest stream
+    G = n // _GROUP
+    U = G + R - n
+    # an overflow or 0 * inf in a group's merged tensor or product fails
+    # its check, silently; a failed group's sites are formed, checked and
+    # warn as in a per-site stream
+    quiet = {"over": "ignore", "invalid": "ignore"}
+    with np.errstate(**quiet):
+        suffixes, psi = _merged(nodes[:n], ring_phi[:n, :, 0])
+    merged = suffixes[0].reshape(G, 1, s**_GROUP, D * D)
+
+    def site(j, tail):
+        m = np.matmul(ring_phi[j], flat_nodes[j]).reshape(B, D, D)
+        return _check(np.matmul(m, tail), lay.ring[j], cap)
+
+    def step(u, tail):  # unit u's checked product onto tail
+        if u >= G:
+            return site(n + u - G, tail)
+        with np.errstate(**quiet):
+            out = np.matmul(np.matmul(psi[u], merged[u]).reshape(B, D, D), tail)
+        if _within(out, cap):
+            return out
+        for j in reversed(range(u * _GROUP, (u + 1) * _GROUP)):
+            tail = site(j, tail)
+        return tail
+
     pool = {} if reuse is None else reuse.buffers
     mats = tails = None
     tail = np.broadcast_to(np.eye(D), (B, D, D))
     if keep:
-        mats = _buffer(pool, "mats", (R, B, D, D))
-        np.matmul(ring_phi, nodes, out=mats.reshape(R, B, 1, D * D))
-        tails = _buffer(pool, "tails", (R + 1, B, D, D))
-        tails[R] = tail
-        for j in reversed(range(R)):
-            tail = np.matmul(mats[j], tail, out=tails[j])
-        # one scan; on failure, rescan in the order of formation
-        if not _within(tails[:R], cap):
-            for j in reversed(range(R)):
-                _check(tails[j], lay.ring[j], cap)
+        mats = _buffer(pool, "mats", (U, B, D, D))
+        tails = _buffer(pool, "tails", (U + 1, B, D, D))
+        tails[U] = tail
+        with np.errstate(**quiet):
+            np.matmul(psi, merged, out=mats[:G].reshape(G, B, 1, D * D))
+            leftover = mats[G:].reshape(R - n, B, 1, D * D)
+            np.matmul(ring_phi[n:], flat_nodes[n:], out=leftover)
+            for u in reversed(range(U)):
+                np.matmul(mats[u], tails[u + 1], out=tails[u])
+        # one scan; on failure, form the products again in order, checked
+        # as the stream checks them
+        if not _within(tails[:U], cap):
+            for u in reversed(range(U)):
+                tails[u] = step(u, tails[u + 1])
+        tail = tails[0]
     else:
-
-        def site(j, tail):
-            m = np.matmul(ring_phi[j], nodes[j]).reshape(B, D, D)
-            return _check(np.matmul(m, tail), lay.ring[j], cap)
-
-        n = R - R % _GROUP  # ring positions [0, n) stream in groups
-        for j in reversed(range(n, R)):
-            tail = site(j, tail)
-        # an overflow or 0 * inf in a group fails its check, silently; the
-        # sites of a failed group are formed, checked and warn as in a
-        # per-site stream
-        errs = np.geterr()
-        with np.errstate(over="ignore", invalid="ignore"):
-            merged, psi = _merged(
-                nodes[:n].reshape(n, shape.phys_dim, D, D), ring_phi[:n, :, 0]
-            )
-            for t in reversed(range(n // _GROUP)):
-                out = np.matmul(np.matmul(psi[t], merged[t]).reshape(B, D, D), tail)
-                if _within(out, cap):
-                    tail = out
-                    continue
-                with np.errstate(**errs):
-                    for j in reversed(range(t * _GROUP, (t + 1) * _GROUP)):
-                        tail = site(j, tail)
-    label = np.matmul(phi[:, k, None], theta[lay.label].reshape(shape.phys_dim, -1))
+        for u in reversed(range(U)):
+            tail = step(u, tail)
+    label = np.matmul(phi[:, k, None], theta[lay.label].reshape(s, -1))
     label = label.reshape(B, shape.n_labels, D, D)
     full = _check(np.matmul(label, tail[:, None]), k, cap)
     logits = _check(np.trace(full, axis1=2, axis2=3), k, cap)
     closure = np.swapaxes(tail, 1, 2)
-    return BatchEnv(model, phi, cap, mats, tails, label, closure, logits, pool)
+    return BatchEnv(
+        model, phi, cap, nodes, psi, suffixes, mats, tails, label, closure, logits, pool
+    )
 
 
 def forward_batch(model, phi):
@@ -481,7 +538,7 @@ def forward_batch(model, phi):
 
 def sweep_env(model, phi, reuse=None):
     """Run one full sweep over a batch of embedded rows, caching what
-    gradients need.
+    gradients need. Its logits equal :func:`forward_batch`'s bit for bit.
 
     ``reuse``, an env of an earlier sweep that will not be used again,
     lends its arrays to this one where their shapes match, so a training
@@ -494,28 +551,30 @@ def sweep_env(model, phi, reuse=None):
 
 # Bytes of running products the environment recurrence holds at once (its
 # environments take as much again). A 32-row digit-scale gradient pass
-# (16 KiB a site) runs in four blocks that stay in cache, no slower than one
-# and 4 MB smaller; a 63-row, 10-class Jacobian chunk (320 KB a site)
-# streams one site at a time.
+# (16 KiB a unit) runs its 65 units in two blocks that stay in cache; a
+# 63-row, 10-class Jacobian chunk (320 KB a site) streams one site at a
+# time.
 _BLOCK_BYTES = 1 << 20
 
 
-def _environments(env, label_mats, pool):
-    """Yield ``(j0, envs)`` for blocks of consecutive ring positions.
+def _env_blocks(mats, tails, label_mats, pool):
+    """Yield ``(j0, runs, envs)`` for blocks of consecutive positions of a
+    ring stack: matrices ``mats`` (R, batch, D, D) and their partial products
+    ``tails`` (R + 1, batch, D, D) from the right.
 
     ``label_mats`` (batch, c, D, D) stands in for the label site's
     matrices; ``envs[j - j0, b, c]`` is the derivative of
-    ``trace(M_0 .. label_mats[b, c] .. M_{n-1})`` with respect to the
-    matrix of site ``ring[j]``, transposed (laid out (right, left)). A block
-    holds as many sites as :data:`_BLOCK_BYTES` allows: its running
-    products come one site at a time, its environments from one product.
-    Both live in ``pool``'s arrays, which each block overwrites.
+    ``trace(label_mats[b, c] @ mats[0] @ .. @ mats[-1])`` with respect to
+    ``mats[j]``, transposed (laid out (right, left)), and ``runs[t]`` the
+    running product ``label_mats @ mats[0] @ .. @ mats[j0 + t - 2]``
+    (``runs[0]`` carries the previous block's last one in). A block holds
+    as many positions as :data:`_BLOCK_BYTES` allows: its running products
+    come one position at a time, its environments from one product. Both
+    live in ``pool``'s arrays, which each block overwrites. Nothing is
+    checked here.
     """
-    R, cap = len(env.mats), env.cap
-    ring = _layout(env.model.shape).ring
+    R = len(mats)
     size = max(1, min(R, _BLOCK_BYTES // max(label_mats.nbytes, 1)))
-    # runs[t] = label_mats @ mats[0] @ .. @ mats[j0 + t - 2]; runs[0] carries
-    # the previous block's last run in
     runs = _buffer(pool, "runs", (size + 1,) + label_mats.shape)
     envs = _buffer(pool, "envs", (size,) + label_mats.shape)
     for j0 in range(0, R, size):
@@ -525,15 +584,68 @@ def _environments(env, label_mats, pool):
         else:
             runs[1] = label_mats
         for j in range(max(j0, 1), j0 + n):
-            np.matmul(runs[j - j0], env.mats[j - 1][:, None], out=runs[j - j0 + 1])
-        np.matmul(env.tails[j0 + 1 : j0 + 1 + n, :, None], runs[1 : n + 1], out=envs[:n])
-        # one scan per buffer; on failure, rescan in the order of formation
-        if not (_within(runs[1 if j0 else 2 : n + 1], cap) and _within(envs[:n], cap)):
-            for j in range(j0, j0 + n):
+            np.matmul(runs[j - j0], mats[j - 1][:, None], out=runs[j - j0 + 1])
+        np.matmul(tails[j0 + 1 : j0 + 1 + n, :, None], runs[1 : n + 1], out=envs[:n])
+        yield j0, runs[: n + 1], envs[:n]
+
+
+def _block_within(j0, runs, envs, cap):
+    """One scan per buffer of the products a block of :func:`_env_blocks`
+    formed (``runs[1]`` of the first block is the checked label stand-in)."""
+    return _within(runs[1 if j0 else 2 :], cap) and _within(envs, cap)
+
+
+def _site_stacks(env):
+    """Per-site matrices (R, batch, D, D) and partial products (R + 1,
+    batch, D, D) of a swept batch, laid out as :class:`BatchEnv`'s unit
+    stacks would be with groups of one site.
+
+    The site matrices take one batched product. A group's tails come from
+    its outgoing tail, one batched product over all groups per position
+    inside a group; its first position keeps the sweep's group tail. The
+    new tails are scanned once and, on failure, rescanned in the order a
+    per-site sweep forms them, so the error names that sweep's site. The
+    result is cached on ``env``.
+    """
+    if env.sites is None:
+        ring = _layout(env.model.shape).ring
+        R, s, D = env.nodes.shape[:3]
+        B, n = env.phi.shape[0], len(env.psi) * _GROUP
+        ring_phi = np.take(env.phi, ring, axis=1).swapaxes(0, 1)[:, :, None]
+        mats = np.matmul(ring_phi, env.nodes.reshape(R, 1, s, D * D))
+        mats = mats.reshape(R, B, D, D)
+        tails = np.empty((R + 1, B, D, D))
+        tails[0:n:_GROUP] = env.tails[: n // _GROUP]
+        tails[n:] = env.tails[n // _GROUP :]
+        for m in reversed(range(1, _GROUP)):
+            np.matmul(
+                mats[m:n:_GROUP], tails[m + 1 : n + 1 : _GROUP], out=tails[m:n:_GROUP]
+            )
+        if not _within(tails[:n], env.cap):
+            for j in reversed(range(n)):
+                _check(tails[j], ring[j], env.cap)
+        env.sites = mats, tails
+    return env.sites
+
+
+def _environments(env, label_mats, pool):
+    """Yield ``(j0, envs)`` for blocks of consecutive ring positions.
+
+    ``envs[j - j0, b, c]`` is the derivative of ``trace(M_0 ..
+    label_mats[b, c] .. M_{n-1})`` with respect to the matrix of site
+    ``ring[j]``, transposed (see :func:`_env_blocks`, which forms them over
+    :func:`_site_stacks`). Each block's running products and environments
+    are scanned once, and rescanned in the order of formation on failure.
+    """
+    ring = _layout(env.model.shape).ring
+    mats, tails = _site_stacks(env)
+    for j0, runs, envs in _env_blocks(mats, tails, label_mats, pool):
+        if not _block_within(j0, runs, envs, env.cap):
+            for j in range(j0, j0 + len(envs)):
                 if j:
-                    _check(runs[j - j0 + 1], ring[j - 1], cap)
-                _check(envs[j - j0], ring[j], cap)
-        yield j0, envs[:n]
+                    _check(runs[j - j0 + 1], ring[j - 1], env.cap)
+                _check(envs[j - j0], ring[j], env.cap)
+        yield j0, envs
 
 
 def jacobian_from_env(env, out=None):
@@ -574,6 +686,75 @@ def jacobian_from_env(env, out=None):
     return jac
 
 
+def _backprop(nodes, suffixes, H, out, cap):
+    """Write the gradients of the groups' node slices into ``out`` (G,
+    _GROUP, phys, D, D), transposed, given ``H`` (G, phys**_GROUP, D, D),
+    the gradients of their merged slices, transposed.
+
+    The merged slice is ``prefix @ A_m^s @ suffix``, with ``suffix`` one of
+    :func:`_merged`'s ``suffixes[m + 1]`` and ``prefix`` the slice product
+    ``A_j^{s_0} .. A_{j+m-1}^{s_{m-1}}`` of the group's first sites. So
+    ``dA_m^s`` is the sum of ``prefix' H' suffix'`` over the other sites'
+    slices; transposed, ``suffix @ H[.., s, ..] @ prefix``: two batched
+    products over the groups, with no batch axis. The prefixes, products
+    a running product of the group's sites would hold, are formed first
+    and scanned against ``cap``; returns False, writing nothing, if that
+    scan fails.
+    """
+    G, _, s, D, _ = out.shape
+    A = nodes.reshape(out.shape)
+    prefixes = [None, A[:, 0]]  # prefixes[m] (G, phys**m, D, D)
+    for m in range(1, _GROUP - 1):
+        prefix = np.matmul(prefixes[m][:, :, None], A[:, m, None])
+        prefixes.append(prefix.reshape(G, s ** (m + 1), D, D))
+    if not all(_within(p, cap) for p in prefixes[2:]):
+        return False
+    for m in range(_GROUP):
+        p, q = s**m, s ** (_GROUP - 1 - m)
+        T = H.reshape(G, p * s, q, D, D)
+        if m < _GROUP - 1:  # sum over the suffix slices
+            S = suffixes[m + 1].transpose(0, 2, 1, 3).reshape(G, 1, D, q * D)
+            T = np.matmul(S, T.reshape(G, p * s, q * D, D))
+        if m == 0:
+            out[:, 0] = T.reshape(G, s, D, D)
+            continue
+        # sum over the prefix slices
+        T = T.reshape(G, p, s, D, D).transpose(0, 2, 3, 1, 4).reshape(G, s, D, p * D)
+        np.matmul(T, prefixes[m].reshape(G, 1, p * D, D), out=out[:, m])
+    return True
+
+
+def _grouped_grad(env, folded, ring_grad):
+    """Write the ring sites' part of a class-free gradient into
+    ``ring_grad`` (R, phys, D * D) through the merged group tensors.
+
+    The environment pass runs over the sweep's units, and each group's
+    gradient reaches its nodes by :func:`_backprop`. Returns False, with
+    ``ring_grad`` partly written, if a block's scan fails or the gradient
+    is not finite.
+    """
+    B, (R, s, D) = env.phi.shape[0], env.nodes.shape[:3]
+    G = len(env.psi)
+    n = G * _GROUP
+    psi = env.psi[:, :, 0].swapaxes(1, 2)  # (G, phys**_GROUP, B)
+    phi = env.phi[:, _layout(env.model.shape).ring[n:]].transpose(1, 2, 0)
+    H = _buffer(env.buffers, "merged_grad", (G, s**_GROUP, D * D))
+    for u0, runs, envs in _env_blocks(env.mats, env.tails, folded, env.buffers):
+        if not _block_within(u0, runs, envs, env.cap):
+            return False
+        u1 = u0 + len(envs)
+        envs = envs.reshape(u1 - u0, B, D * D)
+        # H[t, sigma, (r, a)] = sum_b psi[t, b, sigma] * envs[t, b, 0, r, a];
+        # a leftover site's gradient is its phi against its environments
+        g1, lo, hi = min(u1, G), max(u0, G) - G, max(u1, G) - G
+        np.matmul(psi[u0:g1], envs[: max(g1 - u0, 0)], out=H[u0:g1])
+        np.matmul(phi[lo:hi], envs[lo + G - u0 :], out=ring_grad[n + lo : n + hi])
+    grad = ring_grad[:n].reshape(G, _GROUP, s, D, D)
+    return _backprop(env.nodes[:n], env.suffixes, H, grad, env.cap) and _within(
+        ring_grad, np.inf
+    )
+
+
 def weighted_grad_from_env(env, coeff, out=None):
     """sum_b sum_l coeff[b, l] * d logits[b, l] / d nodes.
 
@@ -582,8 +763,11 @@ def weighted_grad_from_env(env, coeff, out=None):
     the gradient into it in :func:`flatten_params` order and returns it.
     Per-sample Jacobians are never formed: the coefficients are folded into
     the label site's matrices first, so one class-free environment pass
-    serves every site, and each block of sites takes one product for its
-    gradients. This is the workhorse behind loss gradients.
+    serves every site. It runs over the sweep's units, one product a group
+    per batch takes each group's gradient to its merged tensor, and
+    :func:`_backprop` takes it to the nodes. If a scan of that pass fails,
+    it runs again per site, which raises the error a per-site pass raises
+    or gives its result. This is the workhorse behind loss gradients.
     """
     shape = env.model.shape
     lay = _layout(shape)
@@ -595,13 +779,18 @@ def weighted_grad_from_env(env, coeff, out=None):
     R, s = lay.nodes.shape[:2]
     pad = _buffer(env.buffers, "grad", (R * s * D * D + lay.label.size,))
     ring_grad = pad[: R * s * D * D].reshape(R, s, D * D)
-    phi = env.phi[:, lay.ring].transpose(1, 2, 0)  # (R, phys, batch)
-    for j0, envs in _environments(env, folded, env.buffers):
-        j1 = j0 + len(envs)
-        # grad[j, s, (r, a)] = sum_b phi[b, ring[j], s] * envs[j, b, 0, r, a]
-        np.matmul(phi[j0:j1], envs.reshape(j1 - j0, B, D * D), out=ring_grad[j0:j1])
-    label = pad[R * s * D * D :].reshape(D, s, L, D)
-    np.einsum("bl,bar,bs->aslr", coeff, env.closure, env.phi[:, k], out=label)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grouped = _grouped_grad(env, folded, ring_grad)
+    if not grouped:  # the per-site pass
+        phi = env.phi[:, lay.ring].transpose(1, 2, 0)  # (R, phys, batch)
+        for j0, envs in _environments(env, folded, env.buffers):
+            j1 = j0 + len(envs)
+            # grad[j, s, (r, a)] = sum_b phi[b, ring[j], s] * envs[j, b, 0, r, a]
+            np.matmul(phi[j0:j1], envs.reshape(j1 - j0, B, D * D), out=ring_grad[j0:j1])
+    # label[a, s, l, r] = sum_b phi[b, k, s] * coeff[b, l] * closure[b, a, r]
+    weights = (env.phi[:, k, :, None] * coeff[:, None]).reshape(B, s * L)
+    label = np.matmul(weights.T, env.closure.reshape(B, D * D)).reshape(s, L, D, D)
+    pad[R * s * D * D :].reshape(D, s, L, D)[...] = label.transpose(2, 0, 1, 3)
     flat = np.take(pad, lay.grad, out=out)
     return flat if out is not None else unflatten_params(shape, flat, copy=False)
 

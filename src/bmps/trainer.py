@@ -249,15 +249,20 @@ def grad_loss(model, X, labels, prior=PriorSpec()):
 
 # Each optimizer updates the flat parameter vector in place with the usual
 # elementwise rule, so every entry sees exactly the arithmetic of a
-# per-node update.
+# per-node update. The rule's temporaries are written into scratch vectors
+# allocated with the optimizer, once per run, in the order the expression
+# form ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` evaluates them,
+# so the bits are the same.
 
 
 class _Sgd:
     def __init__(self, config, size):
         self.lr = config.learning_rate
+        self.scratch = np.empty(size)
 
     def step(self, theta, grad):
-        theta -= self.lr * grad
+        # theta -= lr * grad
+        theta -= np.multiply(self.lr, grad, out=self.scratch)
 
 
 class _SgdMomentum:
@@ -265,12 +270,14 @@ class _SgdMomentum:
         self.lr = config.learning_rate
         self.mu = config.momentum
         self.velocity = np.zeros(size)
+        self.scratch = np.empty(size)
 
     def step(self, theta, grad):
+        # v = mu * v + grad; theta -= lr * v
         v = self.velocity
         v *= self.mu
         v += grad
-        theta -= self.lr * v
+        theta -= np.multiply(self.lr, v, out=self.scratch)
 
 
 class _Adam:
@@ -282,17 +289,26 @@ class _Adam:
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self.scratch = np.empty(size)
+        self.denom = np.empty(size)
 
     def step(self, theta, grad):
+        # m = b1 * m + (1 - b1) * grad; v = b2 * v + (1 - b2) * grad**2;
+        # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         self.t += 1
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
-        m, v = self.m, self.v
+        m, v, tmp, denom = self.m, self.v, self.scratch, self.denom
         m *= self.b1
-        m += (1.0 - self.b1) * grad
+        m += np.multiply(1.0 - self.b1, grad, out=tmp)
         v *= self.b2
-        v += (1.0 - self.b2) * np.square(grad)
-        theta -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        v += np.multiply(1.0 - self.b2, np.square(grad, out=tmp), out=tmp)
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(m, bc1, out=tmp)
+        np.multiply(self.lr, tmp, out=tmp)
+        theta -= np.divide(tmp, denom, out=tmp)
 
 
 _OPTIMIZER_CLASSES = {"sgd": _Sgd, "sgd_momentum": _SgdMomentum, "adam": _Adam}

@@ -149,6 +149,47 @@ def naive_grad_logits(model, site_vectors):
     return np.concatenate([t.reshape(L, -1) for t in tensors], axis=1)
 
 
+def site_loop(model, phi, coeff):
+    """Logits and coefficient-weighted gradient of a batch, one row and one
+    site at a time.
+
+    For each row, plain loops multiply the transfer matrices round the ring
+    from the label site and keep every partial product from both ends, so
+    each site's environment is one product of two cached partial products.
+    Returns ``(logits, grad)``: (batch, n_labels), and ``sum_b sum_l
+    coeff[b, l] * d logits[b, l] / d params`` flat in
+    ``mps.flatten_params`` order.
+    """
+    shape = model.shape
+    n, k = shape.n_sites, shape.label_site
+    phi = np.asarray(phi, dtype=np.float64)
+    coeff = np.asarray(coeff, dtype=np.float64)
+    ring = [*range(k + 1, n), *range(k)]
+    logits = np.zeros((phi.shape[0], shape.n_labels))
+    grads = [np.zeros(shape.node_shape(i)) for i in range(n)]
+    for b, vecs in enumerate(phi):
+        mats = {i: np.einsum("s,asr->ar", vecs[i], model.nodes[i]) for i in ring}
+        label = np.einsum("s,aslr->lar", vecs[k], model.nodes[k])
+        right = shape.bond_dims(k)[1]
+        # before[j] = M_ring[0] .. M_ring[j-1]; after[j] = M_ring[j] .. M_ring[-1]
+        before = [np.eye(right)]
+        for i in ring:
+            before.append(before[-1] @ mats[i])
+        after = [np.eye(shape.bond_dims(k)[0])]
+        for i in reversed(ring):
+            after.insert(0, mats[i] @ after[0])
+        closure = before[-1]  # (right of k, left of k)
+        for l in range(shape.n_labels):
+            logits[b, l] = np.trace(label[l] @ closure)
+        folded = np.einsum("l,lar->ar", coeff[b], label)
+        grads[k] += np.einsum("l,ra,s->aslr", coeff[b], closure, vecs[k])
+        for j, i in enumerate(ring):
+            # d trace(folded @ before[j] @ M_i @ after[j + 1]) / d M_i
+            env = (after[j + 1] @ folded @ before[j]).T
+            grads[i] += np.einsum("ar,s->asr", env, vecs[i])
+    return logits, np.concatenate([g.ravel() for g in grads])
+
+
 def _pair_product(a, b):
     c = max(a.shape[0], b.shape[0])
     a = np.broadcast_to(a, (c,) + a.shape[1:])

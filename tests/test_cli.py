@@ -83,6 +83,37 @@ class TestTrain:
         )
         assert 0 < training["peak_rss_mib"] < 1 << 20
 
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_prints_the_kept_models_test_accuracy(self, tmp_path, capsys, monkeypatch, epochs):
+        # The epoch kept (best_epoch >= 1) recorded its test accuracy on the
+        # same parameters, so only the initial model (best_epoch 0) is
+        # evaluated again after training.
+        seen, calls = {}, []
+        real_train, real_accuracy = trainer.train_map, trainer.accuracy
+
+        def train(model, data, *args):
+            seen["data"] = data
+            fit, history = real_train(model, data, *args)
+            calls.clear()  # the per-epoch evaluations
+            return fit, history
+
+        def accuracy(*args):
+            calls.append(args)
+            return real_accuracy(*args)
+
+        monkeypatch.setattr(trainer, "train_map", train)
+        monkeypatch.setattr(trainer, "accuracy", accuracy)
+        out = tmp_path / "run"
+        assert run(*blob_train_args(out, epochs=epochs)) == 0
+        best = json.loads((out / "history.json").read_text())["best_epoch"]
+        assert (best >= 1) == (epochs > 0)
+        assert len(calls) == (best == 0)
+        data = seen["data"]
+        want = real_accuracy(mps.load_model(out / "model.bmps"), data.test_x, data.test_y)
+        assert capsys.readouterr().out == (
+            f"trained 2 sites, bond 3: best epoch {best}, test accuracy {want:.4f}\n"
+        )
+
     def test_trains_to_separable_accuracy(self, tmp_path):
         out = tmp_path / "run"
         assert run(*blob_train_args(out, epochs=60)) == 0

@@ -349,10 +349,20 @@ class TestMagnitudeChecks:
                 swept(run, model, X)
 
 
+def site_loop_logits(model, phi):
+    """Per-site reference logits (see ``oracles.site_loop``)."""
+    return oracles.site_loop(model, phi, np.zeros((len(phi), model.shape.n_labels)))[0]
+
+
+def norm_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
 class TestGroupedForward:
-    """The streamed forward merges groups of ``mps._GROUP`` ring sites into
+    """The forward stream merges groups of ``mps._GROUP`` ring sites into
     one node tensor; the ring sites that fill no group stream one at a time.
-    The stacked sweep forms every site's product, so its logits are the
+    The stacked sweep forms the same products in the same order, so its
+    logits are the stream's bit for bit; ``oracles.site_loop`` is the
     per-site reference."""
 
     @pytest.mark.parametrize("boundary", ["open", "cyclic"])
@@ -367,8 +377,8 @@ class TestGroupedForward:
                 model = oracles.random_model(rng, sh)
                 phi = rng.uniform(0, 1, size=(5, n, phys))
                 got = mps.forward_batch(model, phi)
-                want = mps.sweep_env(model, phi).logits
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+                assert np.array_equal(got, mps.sweep_env(model, phi).logits)
+                assert norm_err(got, site_loop_logits(model, phi)) <= 1e-12
 
     def test_matches_the_stacked_sweep_at_digit_scale(self):
         rng = np.random.default_rng(3)
@@ -379,9 +389,10 @@ class TestGroupedForward:
         X = np.where(rng.uniform(size=(40, 196)) < 0.7, 0.0, rng.uniform(size=(40, 196)))
         phi = mps.embed(X)
         got = mps.forward_batch(model, phi)
-        want = mps.sweep_env(model, phi).logits
+        assert np.array_equal(got, mps.sweep_env(model, phi).logits)
+        want = site_loop_logits(model, phi)
         assert np.all(want != 0)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert norm_err(got, want) <= 1e-12
 
     def test_rows_do_not_depend_on_their_batch(self):
         rng = np.random.default_rng(9)
@@ -412,10 +423,12 @@ class TestGroupedForward:
         assert np.array_equal(got, np.full((2, 1), 2.0))
 
     def test_excursion_inside_a_group_is_not_checked(self, monkeypatch):
-        # Ring positions 0 .. _GROUP-1 (sites 1 .. _GROUP) form one group. The
-        # stream meets site _GROUP (1e60) before site _GROUP-1 (1e-60): the
-        # partial product between them exceeds the cap, but the group's
-        # product does not, and the forward pass never forms it.
+        # Ring positions 0 .. _GROUP-1 (sites 1 .. _GROUP) form one group.
+        # Going from the right, site _GROUP (1e60) comes before site
+        # _GROUP-1 (1e-60): the partial product between them exceeds the
+        # cap, but the group's product does not, and neither the sweeps nor
+        # the gradient pass form it. The Jacobian, which needs every site's
+        # partial product, names the site.
         g = mps._GROUP
         mats = [np.eye(2)] * (2 * g + 1)
         mats[g], mats[g - 1] = np.diag([1e60, 1.0]), np.diag([1e-60, 1.0])
@@ -423,8 +436,150 @@ class TestGroupedForward:
         X = np.ones((3, 2 * g + 1))
         monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
         assert np.all(np.abs(swept("forward_batch", model, X)) < 10)
+        assert np.all(np.abs(swept("sweep_env", model, X).logits) < 10)
+        grads = swept("weighted_grad_from_env", model, X)
+        assert all(np.all(np.isfinite(g)) for g in grads)
         with pytest.raises(NumericError, match=f"at site {g}$"):
-            swept("sweep_env", model, X)
+            swept("jacobian_from_env", model, X)
+        # steps too small to move the excursion out of the group
+        config = trainer.TrainConfig(epochs=1, learning_rate=1e-70)
+        data = SimpleNamespace(train_x=X, train_y=np.eye(2)[[0, 1, 0]])
+        _, history = trainer.train_map(model, data, config)
+        assert len(history.records) == 1
+
+
+class TestGroupedTrainingStep:
+    """The stacked sweep and the class-free gradient pass run over the same
+    groups as the forward stream and take each group's gradient back to its
+    nodes once per batch; ``oracles.site_loop`` is their per-site
+    reference."""
+
+    @staticmethod
+    def check(model, phi, coeff):
+        env = mps.sweep_env(model, phi)
+        grad = mps.weighted_grad_from_env(env, coeff, out=np.empty(model.shape.param_count))
+        logits, want = oracles.site_loop(model, phi, coeff)
+        assert norm_err(env.logits, logits) <= 1e-12
+        assert norm_err(grad, want) <= 1e-12
+        return env, grad
+
+    @pytest.mark.parametrize("boundary", ["open", "cyclic"])
+    @pytest.mark.parametrize("phys", [2, 3])
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_matches_the_per_site_loop(self, boundary, phys, n_labels):
+        rng = np.random.default_rng(phys * 10 + n_labels + 100)
+        # rings of 1 to 9 sites: below one group, on a multiple, off one
+        for n in range(2, 11):
+            for k in sorted({0, n // 2, n - 1}):
+                sh = mps.MpsShape(n, phys, 3, n_labels, label_site=k, boundary=boundary)
+                model = oracles.random_model(rng, sh)
+                phi = rng.uniform(0, 1, size=(5, n, phys))
+                self.check(model, phi, rng.normal(size=(5, n_labels)))
+
+    def test_matches_the_per_site_loop_at_digit_scale(self):
+        rng = np.random.default_rng(4)
+        sh = mps.MpsShape(196, 2, 8, 10)
+        model = initializer.init_model(sh, initializer.InitSpec(var_x=0.461, seed=4))
+        X = np.where(rng.uniform(size=(12, 196)) < 0.7, 0.0, rng.uniform(size=(12, 196)))
+        self.check(model, mps.embed(X), rng.normal(size=(12, 10)))
+
+    @pytest.mark.parametrize("group", [1, 2, 4])
+    def test_other_group_sizes_match_the_per_site_loop(self, monkeypatch, group):
+        monkeypatch.setattr(mps, "_GROUP", group)
+        rng = np.random.default_rng(group)
+        for n, k in ((2, 1), (7, 3), (10, 0), (11, 10)):
+            sh = mps.MpsShape(n, 2, 3, 3, label_site=k, boundary="open")
+            model = oracles.random_model(rng, sh)
+            phi = rng.uniform(0, 1, size=(4, n, 2))
+            self.check(model, phi, rng.normal(size=(4, 3)))
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        rng = np.random.default_rng(10)
+        n = 2 * mps._GROUP + 2  # a ring of two groups and a leftover site
+        sh = mps.MpsShape(n, 2, 4, 3, boundary="cyclic")
+        model = oracles.random_model(rng, sh)
+        for size in (1, 2, 7):
+            phi = mps.embed(rng.uniform(0, 1, size=(size, n)))
+            coeff = rng.normal(size=(size, 3))
+            env, _ = self.check(model, phi, coeff)
+            for b in range(size):
+                single = mps.sweep_env(model, phi[b : b + 1]).logits[0]
+                assert np.array_equal(env.logits[b], single)
+
+    @pytest.mark.parametrize("label_site", [0, 4, 8])
+    def test_blocks_of_groups_and_leftover_sites_are_invisible(self, monkeypatch, label_site):
+        # a ring of two groups and two leftover sites, in blocks of 1 to 3
+        # units (the default holds them all)
+        rng = np.random.default_rng(50 + label_site)
+        B, bond = 4, 3
+        sh = mps.MpsShape(2 * mps._GROUP + 3, 2, bond, 2, label_site=label_site)
+        model = oracles.random_model(rng, sh)
+        phi = mps.embed(rng.uniform(0, 1, size=(B, sh.n_sites)))
+        coeff = rng.normal(size=(B, 2))
+        env, whole = self.check(model, phi, coeff)
+        for units in (1, 2, 3):
+            monkeypatch.setattr(mps, "_BLOCK_BYTES", units * B * bond * bond * 8)
+            got = mps.weighted_grad_from_env(env, coeff, out=np.empty(sh.param_count))
+            assert np.array_equal(got, whole)
+
+    def test_running_product_excursion_inside_a_group_is_not_checked(self, monkeypatch):
+        # Ring 5 6 7 | 8 0 1 | 2 3. The running products from the label site
+        # reach 1e40 at site 5 and 1e60 at site 8, back to 1e40 at site 0, so
+        # only a product inside the second group exceeds the cap; every
+        # group's running product and environment stays within it.
+        model = TestMagnitudeChecks.excursion_chain({5: 1e40, 8: 1e20, 0: 1e-20})
+        X = np.ones((3, 9))
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
+        grads = swept("weighted_grad_from_env", model, X)
+        assert all(np.all(np.isfinite(g)) for g in grads)
+        with pytest.raises(NumericError, match="at site 8$"):
+            swept("jacobian_from_env", model, X)
+
+    def test_overflow_inside_the_back_propagation_names_the_per_site_site(self, monkeypatch):
+        # Ring 5 6 7 | 8 0 1 | 2 3. The second group's product is finite, so
+        # the sweep and every group's running product pass; the slice
+        # product of sites 8 and 0 that its back-propagation forms is -inf,
+        # and the per-site pass names the site whose running product is.
+        model = TestMagnitudeChecks.excursion_chain({8: 1e200, 0: -1e200, 1: 1e-200, 2: 1e-200})
+        X = np.ones((2, 9))
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", np.inf)
+        env = swept("sweep_env", model, X)
+        assert np.all(np.isfinite(env.logits))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in ("weighted_grad_from_env", "jacobian_from_env"):
+                with pytest.raises(NumericError, match="at site 0$"):
+                    swept(run, model, X)
+
+    def test_non_finite_gradient_falls_back_to_the_per_site_pass(self, monkeypatch):
+        # Ring 5 6 7 | 8 0 1 | 2 3. Every product of the sweep and of the
+        # groups' running products stays finite, but the first group's
+        # gradient at site 5, its environment (1e200) times sites 6 and 7
+        # (1e100 each), is inf; the per-site pass names site 6, whose
+        # partial product is.
+        model = TestMagnitudeChecks.excursion_chain({5: 1e-200, 6: 1e100, 7: 1e100, 8: 1e200})
+        X = np.ones((2, 9))
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", np.inf)
+        env = swept("sweep_env", model, X)
+        assert np.all(np.isfinite(env.logits))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="at site 6$"):
+                swept("weighted_grad_from_env", model, X)
+
+    def test_overflowing_merged_slice_weighted_zero_gives_the_per_site_step(self):
+        # As in the forward stream's test: the first group's merged slice
+        # (.., 1, 1) is inf and weighted by 0, so the sweep forms that group
+        # again site by site; the group's matrix is NaN, so the gradient
+        # pass runs per site. Neither warns.
+        n, eye = 2 * mps._GROUP + 1, np.eye(2)
+        model = transfer_chain([eye] * n, label_site=0)
+        for i in (mps._GROUP - 1, mps._GROUP):
+            model.nodes[i][:, 1] = 1e200 * eye
+        phi = mps.embed(np.ones((2, n)))
+        coeff = np.array([[1.0], [-0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env, _ = self.check(model, phi, coeff)
+        assert np.array_equal(env.logits, np.full((2, 1), 2.0))
 
 
 class TestGradients:

@@ -270,6 +270,9 @@ class TestOptimizerSteps:
         v = [np.zeros_like(n) for n in nodes]
         theta = mps.flatten_params(model)
         opt = trainer._OPTIMIZER_CLASSES[optimizer](config, theta.size)
+        # the same rule on the flat vector, written as expressions with
+        # temporaries: the in-place optimizer must match it bit for bit
+        flat, flat_m, flat_v = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
         stds = []
         for t in range(1, 5):
             grads = trainer.grad_loss(mps.MpsModel(model.shape, nodes), X, Y, prior)
@@ -286,7 +289,25 @@ class TestOptimizerSteps:
                     nodes[i] = nodes[i] - lr * step
             want = np.concatenate([n.ravel() for n in nodes])
             flat_grad = trainer.grad_loss(mps.model_from_params(model.shape, theta), X, Y, prior)
-            opt.step(theta, np.concatenate([g.ravel() for g in flat_grad]))
+            g = np.concatenate([g.ravel() for g in flat_grad])
+            if optimizer == "sgd":
+                flat -= lr * g
+            elif optimizer == "sgd_momentum":
+                flat_m *= mu
+                flat_m += g
+                flat -= lr * flat_m
+            else:
+                flat_m *= b1
+                flat_m += (1.0 - b1) * g
+                flat_v *= b2
+                flat_v += (1.0 - b2) * np.square(g)
+                flat -= lr * (flat_m / (1.0 - b1**t)) / (np.sqrt(flat_v / (1.0 - b2**t)) + eps)
+            opt.step(theta, g)
+            assert np.array_equal(theta, flat)
+            if optimizer == "sgd_momentum":
+                assert np.array_equal(opt.velocity, flat_m)
+            elif optimizer == "adam":
+                assert np.array_equal(opt.m, flat_m) and np.array_equal(opt.v, flat_v)
             assert np.abs(theta - want).max() <= 1e-12 * np.abs(want).max()
             stds.append(want.std())
 
