@@ -10,6 +10,8 @@ Every command writes its CSVs plus a ``<name>.meta.json`` sidecar carrying
 the fully merged configuration, the package version, and the wall time.
 Options may come from a JSON config file (``--config``); explicit
 command-line flags win over the file, which wins over built-in defaults.
+Each command and option is declared once, in the tables near the end of
+this module: the parser, the defaults and the config-file check read them.
 
 Multi-seed sweeps use seeds {base, base+1, ..., base+n_seeds-1} so that
 orderings are reproducible. Exit codes: 0 success, 2 usage or data errors,
@@ -32,179 +34,24 @@ from . import __version__, data, decision, initializer, laplace, mps, trainer
 from .baseline import LogisticBaseline
 from .errors import DataError, NumericError, ParseError, TrainingDiverged
 
-_DATA_DEFAULTS = {
-    "dataset": "blobs",
-    "n_samples": 200,
-    "std": 1.0,
-    "data_seed": 0,
-    "test_fraction": 0.25,
-    "images": None,
-    "labels": None,
-    "test_images": None,
-    "test_labels": None,
-    "subset_size": None,
-    "test_subset_size": None,
-    "downsample": "pool_to_14x14",
-    "csv": None,
-    "label_column": None,
-    "schema": None,
-    "classes": None,
-}
 
-_MODEL_DEFAULTS = {
-    "bond": 4,
-    "boundary": "cyclic",
-    "channels": "auto",
-    "init": "calibrated_weight",
-    "scale_factor": 1.0,
-    "var_x": None,
-    "epochs": 20,
-    "batch_size": 32,
-    "learning_rate": 1e-3,
-    "optimizer": "adam",
-    "reg": 0.0,
-    "seed": 0,
-    "out": "bmps-out",
-}
-
-
-def _defaults(*extra):
-    cfg = dict(_DATA_DEFAULTS)
-    cfg.update(_MODEL_DEFAULTS)
-    for d in extra:
-        cfg.update(d)
-    return cfg
-
-
-_COMMAND_DEFAULTS = {
-    "train": _defaults(),
-    "predict": _defaults({"model": None, "posterior": None, "utility": None, "on": "auto"}),
-    "laplace-fit": _defaults({"model": None, "rank_cap": laplace.DEFAULT_RANK_CAP}),
-    "init-compare": _defaults({"methods": "calibrated_weight,xavier,he", "n_seeds": 3}),
-    "std-perturb": _defaults({"scales": "1,0.25,4", "n_seeds": 3}),
-    "boundary-grid": _defaults({"grid": 200, "rank_cap": laplace.DEFAULT_RANK_CAP}),
-    "param-hist": _defaults({"regs": "0,1e-4,1e-3"}),
-    "bond-sweep": _defaults({"bonds": "2,4,8", "n_seeds": 3}),
-}
-
-
-def _add_option(parser, flag, **kwargs):
-    parser.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
-
-
-def _add_common_options(parser):
-    _add_option(parser, "--config", help="JSON file of option overrides")
-    _add_option(parser, "--out", help="output directory")
-    _add_option(parser, "--seed", type=int, help="base random seed")
-    # dataset selection
-    _add_option(parser, "--dataset", choices=("blobs", "mnist", "csv"))
-    _add_option(parser, "--n-samples", dest="n_samples", type=int)
-    _add_option(parser, "--std", type=float, help="blob standard deviation")
-    _add_option(parser, "--data-seed", dest="data_seed", type=int)
-    _add_option(parser, "--test-fraction", dest="test_fraction", type=float)
-    _add_option(parser, "--images", help="IDX image file (mnist)")
-    _add_option(parser, "--labels", help="IDX label file (mnist)")
-    _add_option(parser, "--test-images", dest="test_images")
-    _add_option(parser, "--test-labels", dest="test_labels")
-    _add_option(parser, "--subset-size", dest="subset_size", type=int)
-    _add_option(parser, "--test-subset-size", dest="test_subset_size", type=int)
-    _add_option(parser, "--downsample", choices=("none", "pool_to_14x14"))
-    _add_option(parser, "--csv", help="CSV dataset path")
-    _add_option(parser, "--label-column", dest="label_column")
-    _add_option(parser, "--schema", help="JSON schema file for --csv")
-    _add_option(parser, "--classes", help="comma-separated label order for --csv")
-    # model and training
-    _add_option(parser, "--bond", type=int)
-    _add_option(parser, "--boundary", choices=("cyclic", "open"))
-    _add_option(parser, "--channels", choices=("auto", "binary", "multi"))
-    _add_option(parser, "--init", choices=initializer.METHODS)
-    _add_option(parser, "--scale-factor", dest="scale_factor", type=float)
-    _add_option(parser, "--var-x", dest="var_x", type=float)
-    _add_option(parser, "--epochs", type=int)
-    _add_option(parser, "--batch-size", dest="batch_size", type=int)
-    _add_option(parser, "--learning-rate", dest="learning_rate", type=float)
-    _add_option(parser, "--optimizer", choices=trainer.OPTIMIZERS)
-    _add_option(parser, "--reg", type=float, help="prior precision")
-
-
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="bmps",
-        description="Tensor-network classifier experiments and model tools",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    specs = {
-        "train": "fit a model and write it with its training history",
-        "predict": "write per-sample probabilities and labels",
-        "laplace-fit": "fit a low-rank posterior around a saved model",
-        "init-compare": "accuracy-vs-epoch for several initializers",
-        "std-perturb": "accuracy-vs-epoch for perturbed init scales",
-        "boundary-grid": "class-1 probability on a grid over [0,1]^2",
-        "param-hist": "trained weight values per regularization",
-        "bond-sweep": "final test accuracy per bond dimension",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        _add_common_options(p)
-        if name == "predict":
-            _add_option(p, "--model", help="model file to load")
-            _add_option(p, "--posterior", help="posterior file to load")
-            _add_option(p, "--utility", help="CSV utility matrix")
-            _add_option(p, "--on", choices=("auto", "train", "test"))
-        elif name == "laplace-fit":
-            _add_option(p, "--model", help="model file to load")
-            _add_option(p, "--rank-cap", dest="rank_cap", type=int)
-        elif name == "init-compare":
-            _add_option(p, "--methods", help="comma-separated initializer names")
-            _add_option(p, "--n-seeds", dest="n_seeds", type=int)
-        elif name == "std-perturb":
-            _add_option(p, "--scales", help="comma-separated scale factors")
-            _add_option(p, "--n-seeds", dest="n_seeds", type=int)
-        elif name == "boundary-grid":
-            _add_option(p, "--grid", type=int, help="grid resolution per axis")
-            _add_option(p, "--rank-cap", dest="rank_cap", type=int)
-        elif name == "param-hist":
-            _add_option(p, "--regs", help="comma-separated prior precisions")
-        elif name == "bond-sweep":
-            _add_option(p, "--bonds", help="comma-separated bond dimensions")
-            _add_option(p, "--n-seeds", dest="n_seeds", type=int)
-    return parser
-
-
-def _merge_config(command, args):
-    cfg = dict(_COMMAND_DEFAULTS[command])
-    given = {k: v for k, v in vars(args).items() if k != "command"}
-    config_path = given.pop("config", None)
-    if config_path:
-        try:
-            overrides = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{config_path}: invalid JSON ({exc})") from exc
-        if not isinstance(overrides, dict):
-            raise ParseError(f"{config_path}: config must be a JSON object")
-        unknown = sorted(set(overrides) - set(cfg))
-        if unknown:
-            raise DataError(f"unknown config keys {unknown} in {config_path}")
-        cfg.update(overrides)
-    cfg.update(given)
-    cfg["command"] = command
-    return cfg
-
-
-def _float_list(text, flag):
+def _number_list(text, flag, kind=float):
+    """The comma-separated ``kind`` values of ``flag``; at least one."""
     try:
-        values = [float(v) for v in str(text).split(",") if v.strip() != ""]
+        values = [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise DataError(f"{flag} must be comma-separated numbers, got {text!r}") from exc
+        noun = "integers" if kind is int else "numbers"
+        raise DataError(f"{flag} must be comma-separated {noun}, got {text!r}") from exc
     if not values:
         raise DataError(f"{flag} must list at least one value")
     return values
 
 
-def _int_list(text, flag):
-    return [int(v) for v in _float_list(text, flag)]
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _load_dataset(cfg):
@@ -238,7 +85,7 @@ def _load_dataset(cfg):
     elif kind == "csv":
         if not cfg["csv"] or not cfg["label_column"] or not cfg["schema"]:
             raise DataError("--csv, --label-column and --schema are required")
-        schema = json.loads(Path(cfg["schema"]).read_text())
+        schema = _read_json(cfg["schema"])
         classes = cfg["classes"].split(",") if cfg["classes"] else None
         ds = data.load_csv(cfg["csv"], cfg["label_column"], schema, classes=classes)
     else:
@@ -513,7 +360,7 @@ def cmd_init_compare(cfg):
 
 def cmd_std_perturb(cfg):
     started = time.perf_counter()
-    scales = _float_list(cfg["scales"], "--scales")
+    scales = _number_list(cfg["scales"], "--scales")
     dataset = _load_dataset(cfg)
     rows = _seed_sweep(
         cfg,
@@ -532,6 +379,9 @@ def cmd_std_perturb(cfg):
 
 def cmd_boundary_grid(cfg):
     started = time.perf_counter()
+    grid = cfg["grid"]
+    if grid < 2:
+        raise DataError(f"--grid must be >= 2, got {grid}")
     dataset = _load_dataset(cfg)
     if dataset.n_features != 2:
         raise DataError(
@@ -549,9 +399,6 @@ def cmd_boundary_grid(cfg):
         post = None
         mode = "map"
 
-    grid = cfg["grid"]
-    if grid < 2:
-        raise DataError(f"--grid must be >= 2, got {grid}")
     axis = np.linspace(0.0, 1.0, grid)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     points = np.column_stack([xx.ravel(), yy.ravel()])
@@ -575,7 +422,7 @@ def cmd_param_hist(cfg):
     from scipy.stats import kurtosis
 
     started = time.perf_counter()
-    regs = _float_list(cfg["regs"], "--regs")
+    regs = _number_list(cfg["regs"], "--regs")
     dataset = _load_dataset(cfg)
     shape = _build_shape(dataset, cfg)
     param_rows, summary_rows = [], []
@@ -619,7 +466,7 @@ def cmd_param_hist(cfg):
 
 def cmd_bond_sweep(cfg):
     started = time.perf_counter()
-    bonds = _int_list(cfg["bonds"], "--bonds")
+    bonds = _number_list(cfg["bonds"], "--bonds", int)
     if any(b < 1 for b in bonds):
         raise DataError("bond dimensions must be >= 1")
     dataset = _load_dataset(cfg)
@@ -643,24 +490,136 @@ def cmd_bond_sweep(cfg):
     return 0
 
 
-_COMMANDS = {
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "laplace-fit": cmd_laplace_fit,
-    "init-compare": cmd_init_compare,
-    "std-perturb": cmd_std_perturb,
-    "boundary-grid": cmd_boundary_grid,
-    "param-hist": cmd_param_hist,
-    "bond-sweep": cmd_bond_sweep,
+
+
+# Every option maps its name to (default, argparse keywords); its flag is
+# "--" plus the name with "-" for "_". Each command takes the shared options,
+# then its own, in this order.
+_SHARED_OPTIONS = {
+    "out": ("bmps-out", {"help": "output directory"}),
+    "seed": (0, {"type": int, "help": "base random seed"}),
+    # dataset selection
+    "dataset": ("blobs", {"choices": ("blobs", "mnist", "csv")}),
+    "n_samples": (200, {"type": int}),
+    "std": (1.0, {"type": float, "help": "blob standard deviation"}),
+    "data_seed": (0, {"type": int}),
+    "test_fraction": (0.25, {"type": float}),
+    "images": (None, {"help": "IDX image file (mnist)"}),
+    "labels": (None, {"help": "IDX label file (mnist)"}),
+    "test_images": (None, {}),
+    "test_labels": (None, {}),
+    "subset_size": (None, {"type": int}),
+    "test_subset_size": (None, {"type": int}),
+    "downsample": ("pool_to_14x14", {"choices": ("none", "pool_to_14x14")}),
+    "csv": (None, {"help": "CSV dataset path"}),
+    "label_column": (None, {}),
+    "schema": (None, {"help": "JSON schema file for --csv"}),
+    "classes": (None, {"help": "comma-separated label order for --csv"}),
+    # model and training
+    "bond": (4, {"type": int}),
+    "boundary": ("cyclic", {"choices": ("cyclic", "open")}),
+    "channels": ("auto", {"choices": ("auto", "binary", "multi")}),
+    "init": ("calibrated_weight", {"choices": initializer.METHODS}),
+    "scale_factor": (1.0, {"type": float}),
+    "var_x": (None, {"type": float}),
+    "epochs": (20, {"type": int}),
+    "batch_size": (32, {"type": int}),
+    "learning_rate": (1e-3, {"type": float}),
+    "optimizer": ("adam", {"choices": trainer.OPTIMIZERS}),
+    "reg": (0.0, {"type": float, "help": "prior precision"}),
 }
+
+_OWN_OPTIONS = {
+    "model": (None, {"help": "model file to load"}),
+    "posterior": (None, {"help": "posterior file to load"}),
+    "utility": (None, {"help": "CSV utility matrix"}),
+    "on": ("auto", {"choices": ("auto", "train", "test")}),
+    "rank_cap": (laplace.DEFAULT_RANK_CAP, {"type": int}),
+    "methods": ("calibrated_weight,xavier,he", {"help": "comma-separated initializer names"}),
+    "scales": ("1,0.25,4", {"help": "comma-separated scale factors"}),
+    "grid": (200, {"type": int, "help": "grid resolution per axis"}),
+    "regs": ("0,1e-4,1e-3", {"help": "comma-separated prior precisions"}),
+    "bonds": ("2,4,8", {"help": "comma-separated bond dimensions"}),
+    "n_seeds": (3, {"type": int}),
+}
+
+# command -> (handler, help line, names of its own options)
+_COMMANDS = {
+    "train": (cmd_train, "fit a model and write it with its training history", ()),
+    "predict": (cmd_predict, "write per-sample probabilities and labels",
+                ("model", "posterior", "utility", "on")),
+    "laplace-fit": (cmd_laplace_fit, "fit a low-rank posterior around a saved model",
+                    ("model", "rank_cap")),
+    "init-compare": (cmd_init_compare, "accuracy-vs-epoch for several initializers",
+                     ("methods", "n_seeds")),
+    "std-perturb": (cmd_std_perturb, "accuracy-vs-epoch for perturbed init scales",
+                    ("scales", "n_seeds")),
+    "boundary-grid": (cmd_boundary_grid, "class-1 probability on a grid over [0,1]^2",
+                      ("grid", "rank_cap")),
+    "param-hist": (cmd_param_hist, "trained weight values per regularization", ("regs",)),
+    "bond-sweep": (cmd_bond_sweep, "final test accuracy per bond dimension",
+                   ("bonds", "n_seeds")),
+}
+
+# the JSON types a config-file value may have, by its flag's argparse type
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+
+
+def _options(command):
+    """The options of ``command``, name -> (default, argparse keywords)."""
+    return {**_SHARED_OPTIONS, **{name: _OWN_OPTIONS[name] for name in _COMMANDS[command][2]}}
+
+
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="bmps",
+        description="Tensor-network classifier experiments and model tools",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", default=argparse.SUPPRESS, help="JSON file of option overrides")
+        for name, (_, kwargs) in _options(command).items():
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
+    return parser
+
+
+def _merge_config(command, args):
+    options = _options(command)
+    cfg = {name: default for name, (default, _) in options.items()}
+    given = {k: v for k, v in vars(args).items() if k != "command"}
+    config_path = given.pop("config", None)
+    if config_path:
+        overrides = _read_json(config_path)
+        if not isinstance(overrides, dict):
+            raise ParseError(f"{config_path}: config must be a JSON object")
+        unknown = sorted(set(overrides) - set(cfg))
+        if unknown:
+            raise DataError(f"unknown config keys {unknown} in {config_path}")
+        for key, value in overrides.items():
+            default, kwargs = options[key]
+            kinds, what = _JSON_TYPES[kwargs.get("type", str)]
+            if value is None:
+                ok = default is None
+            else:
+                ok = isinstance(value, kinds) and not isinstance(value, bool)
+                ok = ok and value in kwargs.get("choices", (value,))
+            if not ok:
+                what = f"one of {list(kwargs['choices'])}" if "choices" in kwargs else what
+                raise DataError(f"{config_path}: config key {key!r} must be {what}, got {value!r}")
+        cfg.update(overrides)
+    cfg.update(given)
+    cfg["command"] = command
+    return cfg
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args.command, args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -239,9 +239,33 @@ def load_mnist(image_path, label_path, subset_size=None, downsample="none", seed
     )
 
 
+def _check_schema(schema):
+    """Refuse a schema whose structure cannot scale a cell, naming the column.
+
+    The cells' own checks (value type, declared range, category) stay with
+    the cells, so the first bad cell in file order is the one named.
+    """
+    if not isinstance(schema, dict):
+        raise DataError(f"schema must be a JSON object, got {type(schema).__name__}")
+    for column, spec in schema.items():
+        if not isinstance(spec, dict):
+            raise DataError(f"column {column!r}: spec must be a JSON object, got {spec!r}")
+        kind = spec.get("kind")
+        if kind not in ("range", "map"):
+            raise DataError(f"column {column!r}: unknown schema kind {kind!r}")
+        try:
+            if kind == "range":
+                float(spec["min"]), float(spec["max"])
+            else:
+                [float(v) for v in spec["values"].values()]
+        except KeyError as exc:
+            raise DataError(f"column {column!r}: {kind} spec has no {exc}") from exc
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+            raise DataError(f"column {column!r}: malformed {kind} spec {spec!r}") from exc
+
+
 def _scale_cell(column, spec, value, line_no):
-    kind = spec.get("kind")
-    if kind == "range":
+    if spec["kind"] == "range":
         try:
             v = float(value)
         except ValueError as exc:
@@ -257,14 +281,10 @@ def _scale_cell(column, spec, value, line_no):
                 f"range [{lo}, {hi}]"
             )
         return (v - lo) / (hi - lo)
-    if kind == "map":
-        mapping = spec["values"]
-        if value not in mapping:
-            raise DataError(
-                f"line {line_no}: column {column!r}: unknown category {value!r}"
-            )
-        return float(mapping[value])
-    raise DataError(f"column {column!r}: unknown schema kind {kind!r}")
+    mapping = spec["values"]  # a "map" spec, by _check_schema
+    if value not in mapping:
+        raise DataError(f"line {line_no}: column {column!r}: unknown category {value!r}")
+    return float(mapping[value])
 
 
 def _scale_cells(feature_cols, schema, rows, line_nos):
@@ -289,20 +309,17 @@ def _scale_columns(feature_cols, schema, rows):
     for j, (column, cells) in enumerate(zip(feature_cols, zip(*rows))):
         spec = schema[column]
         try:
-            kind = spec.get("kind")
-            if kind == "range":
+            if spec["kind"] == "range":
                 lo, hi = float(spec["min"]), float(spec["max"])
                 v = np.fromiter(map(float, cells), np.float64, n)
                 # NaN fails both comparisons, as it does in _scale_cell
                 if not lo < hi or not np.all((lo <= v) & (v <= hi)):
                     return None
                 X[:, j] = (v - lo) / (hi - lo)
-            elif kind == "map":
+            else:
                 mapping = spec["values"]
                 X[:, j] = np.fromiter((float(mapping[c]) for c in cells), np.float64, n)
-            else:
-                return None
-        except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError):
+        except (LookupError, ValueError):  # a cell _scale_cell refuses
             return None
     return X
 
@@ -316,9 +333,12 @@ def load_csv(path, label_column, schema, classes=None):
     (exact category strings to values in [0,1]). Rows with missing values
     ('' or '?') in used columns are dropped and counted in provenance.
     ``classes`` fixes the label order; by default the sorted distinct
-    observed labels are used. The result has an empty test half.
+    observed labels are used. The result has an empty test half. A schema
+    of the wrong structure raises ``DataError`` naming the column before
+    any cell is read.
     """
-    feature_cols = list(schema.keys())
+    _check_schema(schema)
+    feature_cols = list(schema)
     if label_column in schema:
         raise DataError(f"label column {label_column!r} also appears in the schema")
     if not feature_cols:

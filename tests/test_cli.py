@@ -39,6 +39,10 @@ def blob_train_args(out, **overrides):
     return args
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("reached a stage the run should have stopped before")
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -159,6 +163,28 @@ class TestTrain:
     def test_missing_csv_flags_exit_2(self, tmp_path):
         assert run("train", "--dataset", "csv", "--out", tmp_path / "x") == 2
 
+    @pytest.mark.parametrize(
+        "schema, message",
+        [
+            ("{not json", "invalid JSON"),
+            ("[1, 2]", "schema must be a JSON object"),
+        ],
+    )
+    def test_malformed_schema_file_exits_2(self, tmp_path, capsys, schema, message):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("size,kind\n1,a\n2,b\n")
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(schema)
+        code = run(
+            "train", "--dataset", "csv", "--csv", csv_path, "--label-column", "kind",
+            "--schema", schema_path, "--out", tmp_path / "x",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        if message == "invalid JSON":
+            assert str(schema_path) in err
+
 
 class TestConfigMerge:
     def test_flag_beats_config_beats_default(self, tmp_path):
@@ -185,6 +211,54 @@ class TestConfigMerge:
         conf = tmp_path / "conf.json"
         conf.write_text("{not json")
         assert run("train", "--config", conf, "--out", tmp_path / "x") == 2
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("train", {"epochs": "5"}),
+            ("bond-sweep", {"n_seeds": "2"}),
+            ("train", {"classes": ["x", "z"]}),
+            ("train", {"bond": 2.5}),
+            ("train", {"epochs": True}),
+            ("train", {"epochs": None}),
+            ("train", {"optimizer": "sgdx"}),
+            ("predict", {"on": 1}),
+        ],
+    )
+    def test_config_value_the_flag_cannot_parse_to_exits_2(
+        self, tmp_path, capsys, monkeypatch, command, overrides
+    ):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(overrides))
+        monkeypatch.setattr(mps, "MpsShape", refuse)  # refused before any model is built
+        assert run(command, "--config", conf, "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        (key,) = overrides
+        assert f"{conf}: config key {key!r} must be" in err
+
+    @pytest.mark.parametrize("overrides", [{"var_x": None}, {"reg": 1}])
+    def test_config_null_default_and_integer_number_pass(self, tmp_path, overrides):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(overrides))
+        out = tmp_path / "run"
+        assert run(*blob_train_args(out, epochs=2), "--config", conf) == 0
+        meta = json.loads((out / "train.meta.json").read_text())
+        (key, value), = overrides.items()
+        assert meta["config"][key] == value
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_defaults_and_flags_come_from_the_table(self, command):
+        options = cli._options(command)
+        parser = cli._build_parser()
+        cfg = cli._merge_config(command, parser.parse_args([command]))
+        assert set(cfg) == set(options) | {"command"}
+        for name, (default, kwargs) in options.items():
+            assert cfg[name] == default
+            value = kwargs.get("choices", ["7"])[0]
+            args = parser.parse_args([command, "--" + name.replace("_", "-"), value])
+            assert vars(args)[name] == kwargs.get("type", str)(value)
 
 
 class TestPredictAndLaplace:
@@ -269,7 +343,8 @@ class TestPredictAndLaplace:
         assert 0 <= meta["seconds"]["predict"] <= meta["wall_time_seconds"]
         header, rows = read_csv(pred / "predictions.csv")
         model = mps.load_model(trained / "model.bmps")
-        ds = cli._load_dataset(dict(cli._COMMAND_DEFAULTS["predict"], n_samples=120, std=0.5))
+        defaults = {name: d for name, (d, _) in cli._options("predict").items()}
+        ds = cli._load_dataset(dict(defaults, n_samples=120, std=0.5))
         expected = trainer.predict_labels(model, ds.test_x)
         assert [int(r[2]) for r in rows] == list(expected)
         assert [r[2] for r in rows] == [r[3] for r in rows]
@@ -390,7 +465,8 @@ class TestExperimentCommands:
             meta = json.loads((out / "boundary-grid.meta.json").read_text())
             assert meta["config"]["mode"] == mode
 
-    def test_boundary_grid_rejects_tiny_grid(self, tmp_path):
+    def test_boundary_grid_rejects_tiny_grid(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(trainer, "train_map", refuse)  # checked before any fit
         code = run(
             "boundary-grid", "--dataset", "blobs", "--grid", "1",
             "--out", tmp_path / "x",
@@ -436,3 +512,8 @@ class TestExperimentCommands:
     def test_bond_sweep_rejects_bad_bonds(self, tmp_path):
         assert run("bond-sweep", "--bonds", "0", "--out", tmp_path / "x") == 2
         assert run("bond-sweep", "--bonds", "", "--out", tmp_path / "x") == 2
+
+    def test_bond_sweep_rejects_fractional_bonds(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(trainer, "train_map", refuse)
+        assert run("bond-sweep", "--bonds", "2.5,4", "--out", tmp_path / "x") == 2
+        assert "--bonds must be comma-separated integers" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Tests for dataset loading, preprocessing, synthesis, and splitting."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -265,6 +266,33 @@ class TestCsvLoading:
         schema = dict(CSV_SCHEMA, size={"kind": "range", "min": 3, "max": 3})
         with pytest.raises(DataError, match=r"column 'size': declared range \[3.0, 3.0\] is empty"):
             data.load_csv(path, "outcome", schema)
+
+
+    @pytest.mark.parametrize(
+        "column, spec, message",
+        [
+            ("size", "range", "column 'size': spec must be a JSON object"),
+            ("size", {"kind": "range", "max": 10}, "column 'size': range spec has no 'min'"),
+            ("shade", {"kind": "map"}, "column 'shade': map spec has no 'values'"),
+            ("shade", {"kind": "map", "values": [0, 1]}, "column 'shade': malformed map spec"),
+            ("size", {"kind": "range", "min": [1], "max": 10}, "column 'size': malformed range"),
+            ("size", {"kind": "log"}, "column 'size': unknown schema kind 'log'"),
+        ],
+    )
+    def test_malformed_spec_rejected_before_any_cell(
+        self, tmp_path, monkeypatch, column, spec, message
+    ):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["x,2,0,a", "2,3,1,b"])  # a bad first cell loses to the schema
+        monkeypatch.setattr(data, "_scale_columns", lambda *args: pytest.fail("scaled a cell"))
+        with pytest.raises(DataError, match=re.escape(message)):
+            data.load_csv(path, "outcome", dict(CSV_SCHEMA, **{column: spec}))
+
+    def test_schema_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["1,2,0,a", "2,3,1,b"])
+        with pytest.raises(DataError, match="schema must be a JSON object, got list"):
+            data.load_csv(path, "outcome", ["clump", "size", "shade"])
 
 
 class TestBlobs:
