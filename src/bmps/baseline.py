@@ -11,9 +11,9 @@ so importing this module, or ``bmps``, does not load it.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import softmax
 
 from .errors import DataError
+from .trainer import softmax
 
 
 class LogisticBaseline:
@@ -49,7 +49,7 @@ class LogisticBaseline:
         def objective(vec):
             W, b = unpack(vec)
             logits = X @ W + b
-            probs = softmax(logits, axis=1)
+            probs = softmax(logits)
             z = logits - logits.max(axis=1, keepdims=True)
             lse = np.log(np.exp(z).sum(axis=1)) + logits.max(axis=1)
             nll = float(np.sum(lse - np.sum(logits * Y, axis=1)))
@@ -71,7 +71,7 @@ class LogisticBaseline:
         if self.weights_ is None:
             raise DataError("fit the model before predicting")
         X = np.asarray(X, dtype=np.float64)
-        return softmax(X @ self.weights_ + self.intercept_, axis=1)
+        return softmax(X @ self.weights_ + self.intercept_)
 
     def predict(self, X):
         return np.argmax(self.predict_proba(X), axis=1)

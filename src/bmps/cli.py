@@ -136,6 +136,8 @@ def _seed_sweep(cfg, dataset, variants, cell_cfg, ok_rows, diverged_row):
     never raised. ``cell_start`` is the cell's ``time.perf_counter()`` start.
     Each row is prefixed with the variant and seed and ends with its status.
     """
+    if cfg["n_seeds"] < 1:
+        raise DataError(f"--n-seeds must be >= 1, got {cfg['n_seeds']}")
     rows = []
     for variant in variants:
         variant_cfg = cell_cfg(variant)

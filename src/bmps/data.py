@@ -240,7 +240,8 @@ def load_mnist(image_path, label_path, subset_size=None, downsample="none", seed
 
 
 def _check_schema(schema):
-    """Refuse a schema whose structure cannot scale a cell, naming the column.
+    """Refuse a schema whose structure cannot scale a cell, or a ``map``
+    value outside [0, 1], naming the column.
 
     The cells' own checks (value type, declared range, category) stay with
     the cells, so the first bad cell in file order is the one named.
@@ -257,11 +258,17 @@ def _check_schema(schema):
             if kind == "range":
                 float(spec["min"]), float(spec["max"])
             else:
-                [float(v) for v in spec["values"].values()]
+                mapped = {key: float(v) for key, v in spec["values"].items()}
         except KeyError as exc:
             raise DataError(f"column {column!r}: {kind} spec has no {exc}") from exc
         except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise DataError(f"column {column!r}: malformed {kind} spec {spec!r}") from exc
+        if kind == "map":
+            for key, v in mapped.items():
+                if not 0.0 <= v <= 1.0:  # NaN fails too
+                    raise DataError(
+                        f"column {column!r}: map value {v} of {key!r} is outside [0, 1]"
+                    )
 
 
 def _scale_cell(column, spec, value, line_no):
@@ -332,10 +339,11 @@ def load_csv(path, label_column, schema, classes=None):
     declared range onto [0,1]) or ``{"kind": "map", "values": {...}}``
     (exact category strings to values in [0,1]). Rows with missing values
     ('' or '?') in used columns are dropped and counted in provenance.
-    ``classes`` fixes the label order; by default the sorted distinct
-    observed labels are used. The result has an empty test half. A schema
-    of the wrong structure raises ``DataError`` naming the column before
-    any cell is read.
+    ``classes`` fixes the label order and may not repeat a class; by
+    default the sorted distinct observed labels are used. The result has an
+    empty test half. A schema of the wrong structure, or a ``map`` value
+    outside [0, 1], raises ``DataError`` naming the column before any cell
+    is read.
     """
     _check_schema(schema)
     feature_cols = list(schema)
@@ -378,6 +386,9 @@ def load_csv(path, label_column, schema, classes=None):
     if classes is None:
         classes = sorted(set(labels))
     classes = [str(c) for c in classes]
+    repeated = sorted({c for c in classes if classes.count(c) > 1})
+    if repeated:
+        raise DataError(f"classes {repeated} repeated in declared classes {classes}")
     index = {c: i for i, c in enumerate(classes)}
     unknown = sorted(set(labels) - set(classes))
     if unknown:

@@ -40,6 +40,12 @@ usable core when the budget sets the size. The factor build writes each
 chunk's rows straight into one preallocated U, so the peak is U plus the
 chunks in flight.
 
+Importing this module loads numpy and no scipy module. The sigmoid,
+softmax and logsumexp are the numpy forms of :mod:`bmps.trainer`, and
+``scipy.linalg`` (the Cholesky factor, its solves and the core check's
+triangular product) is imported where a posterior is first built or
+loaded, so a process that never holds a posterior never loads it.
+
 Posterior files use a self-contained container: magic ``BLAP2``, a fixed
 little-endian header (rank R, parameter count P, prior precision, metadata
 length, model-blob length), a JSON metadata block, the embedded model in its
@@ -65,12 +71,10 @@ import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
-from scipy.linalg.blas import dtrmv
-from scipy.special import expit, logsumexp
 
 from . import mps
 from .errors import DataError, NumericError, ParseError, ShapeError
+from .trainer import expit, logsumexp, softmax
 
 DEFAULT_RANK_CAP = 2000
 
@@ -172,9 +176,7 @@ def _ggn_rows(model, X, out):
         y = expit(env.logits[:, 0])
         jac *= np.sqrt(y * (1.0 - y))[:, None, None]
         return
-    z = env.logits - env.logits.max(axis=1, keepdims=True)
-    y = np.exp(z)
-    y /= y.sum(axis=1, keepdims=True)
+    y = softmax(env.logits)
     mean_g = np.einsum("bl,blp->bp", y, jac)
     jac -= mean_g[:, None]
     jac *= np.sqrt(y)[:, :, None]
@@ -194,6 +196,8 @@ class LaplacePosterior:
         if factors.rank == 0:
             self._core = None
         else:
+            from scipy.linalg import LinAlgError, cho_factor
+
             core = U @ U.T
             core[np.diag_indices_from(core)] += self.prior_precision
             try:
@@ -257,6 +261,8 @@ class LaplacePosterior:
         lam = self.prior_precision
         if self._core is None:
             return V / lam
+        from scipy.linalg import cho_solve
+
         U = self.factors.factors
         w = U @ V.T  # (R, k)
         s = cho_solve(self._core, w)
@@ -308,7 +314,7 @@ def _logit_gaps(logits):
     out = np.empty_like(logits)
     for j in range(n_labels):
         others = np.delete(logits, j, axis=1)
-        out[:, j] = logits[:, j] - logsumexp(others, axis=1)
+        out[:, j] = logits[:, j] - logsumexp(others)
     return out
 
 
@@ -322,6 +328,8 @@ def _variance(post, J):
     """
     sq = np.einsum("kp,kp->k", J, J)
     if post._core is not None:
+        from scipy.linalg import solve_triangular
+
         c, lower = post._core
         A = post.factors.factors @ J.T  # (R, k)
         Z = solve_triangular(c, A, trans=0 if lower else 1, lower=lower)
@@ -428,6 +436,8 @@ def _check_core(c, U, precision):
     factor of ``UU' + precision*I``: finite, a positive diagonal, and a
     seeded probe within ``_CORE_PROBE_TOL`` (two passes over U and no R x R
     temporary)."""
+    from scipy.linalg.blas import dtrmv
+
     if not mps._within(c, np.inf):
         raise ParseError("core factor contains non-finite entries")
     if not np.all(np.diag(c) > 0):

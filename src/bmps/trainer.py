@@ -8,7 +8,9 @@ Gaussian weight penalty:
 where |A|^2 runs over every node entry. Binary models (one output channel)
 score class 1 with a sigmoid; wider models use a softmax over the output
 channels. Both cross entropies are evaluated in log space so saturated
-logits stay finite.
+logits stay finite. The sigmoid, softmax and logsumexp defined here are
+numpy forms of ``scipy.special``'s, which :mod:`bmps.laplace` and
+:mod:`bmps.baseline` share, so importing the package loads no scipy.
 
 Gradients come from one cached-environment sweep per batch
 (:func:`bmps.mps.sweep_env`), so a step costs the same order of work as the
@@ -32,7 +34,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, softmax
 
 from . import mps
 from .errors import DataError, NumericError, ShapeError, TrainingDiverged
@@ -173,13 +174,46 @@ def _targets(model, labels):
     return labels
 
 
+# e^t overflows for t above this, the log of the largest float64
+_EXP_LIMIT = np.log(np.finfo(np.float64).max)
+
+
+def expit(x):
+    """Logistic sigmoid ``1 / (1 + e^-x)``, the arithmetic of
+    ``scipy.special.expit`` without its overflow: below ``-_EXP_LIMIT``,
+    where ``e^-x`` would overflow, the result is 0, as scipy's is."""
+    gone = x < -_EXP_LIMIT
+    return np.where(gone, 0.0, 1.0 / (1.0 + np.exp(-np.where(gone, 0.0, x))))
+
+
+def softmax(a):
+    """Softmax along the last axis, bit for bit as ``scipy.special.softmax``."""
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def logsumexp(a):
+    """``log(sum(exp(a)))`` along the last axis, bit for bit as
+    ``scipy.special.logsumexp``: the maxima leave the sum as their count m,
+    ``log1p(s) + log(m) + max`` with s the rest's shifted sum over m, and a
+    result that is not finite comes from the direct sum."""
+    top = a.max(axis=-1, keepdims=True)
+    at_top = a == top
+    m = at_top.sum(axis=-1, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=-1, keepdims=True) / m
+        out = np.log1p(s) + np.log(m) + top
+        direct = np.log(np.exp(a).sum(axis=-1, keepdims=True))
+    return np.where(np.isfinite(out), out, direct)[..., 0]
+
+
 def probabilities(logits):
     """Class probabilities from (batch, n_labels) logits: sigmoid of a single
     logit as two columns [P(0), P(1)], else softmax."""
     if logits.shape[1] == 1:
         p1 = expit(logits[:, 0])
         return np.column_stack([1.0 - p1, p1])
-    return softmax(logits, axis=1)
+    return softmax(logits)
 
 
 def _cross_entropy(logits, targets):

@@ -221,3 +221,17 @@ def random_model(rng, shape, scale=0.8):
 
 def random_vectors(rng, shape, lo=-1.0, hi=1.0):
     return rng.uniform(lo, hi, size=(shape.n_sites, shape.phys_dim))
+
+
+def awkward_logits(rng, width, n=60):
+    """Logit rows that reach the edge cases of softmax and logsumexp: random
+    rows, tied maxima, entries near ``mps.MAGNITUDE_CAP``, ``-inf`` entries
+    and rows of ``-inf`` only."""
+    rows = rng.normal(scale=30.0, size=(n, width))
+    rows[:15] = rng.integers(-2, 3, size=(15, width))  # small integers tie
+    rows[15:25] *= mps.MAGNITUDE_CAP / 300.0
+    hole = rng.random((n, width)) < 0.2
+    hole[30:] = False
+    rows[hole] = -np.inf
+    rows[-3:] = -np.inf
+    return rows

@@ -154,6 +154,19 @@ class TestTrain:
         model = mps.load_model(out / "model.bmps")
         assert model.shape.n_sites == 2
 
+    def test_repeated_class_exits_2(self, tmp_path, capsys, monkeypatch):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("size,kind\n1,a\n2,b\n3,a\n4,b\n")
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps({"size": {"kind": "range", "min": 0, "max": 5}}))
+        monkeypatch.setattr(mps, "MpsShape", refuse)
+        code = run(
+            "train", "--dataset", "csv", "--csv", csv_path, "--label-column", "kind",
+            "--schema", schema_path, "--classes", "a,a,b", "--out", tmp_path / "x",
+        )
+        assert code == 2
+        assert "classes ['a'] repeated" in capsys.readouterr().err
+
     def test_divergence_exits_3(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = run(*blob_train_args(out, epochs=3, learning_rate=1e9))
@@ -508,6 +521,24 @@ class TestExperimentCommands:
         for row in rows:
             assert float(row[3]) > 0
             assert 0.0 <= float(row[2]) <= 1.0
+
+    @pytest.mark.parametrize("command", ["bond-sweep", "init-compare", "std-perturb"])
+    @pytest.mark.parametrize("n_seeds", [0, -2])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_n_seeds_below_1_exits_2(
+        self, tmp_path, capsys, monkeypatch, command, n_seeds, from_config
+    ):
+        monkeypatch.setattr(trainer, "train_map", refuse)
+        out = tmp_path / "x"
+        if from_config:
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"n_seeds": n_seeds}))
+            args = ["--config", conf]
+        else:
+            args = ["--n-seeds", n_seeds]
+        assert run(command, *args, "--out", out) == 2
+        assert f"--n-seeds must be >= 1, got {n_seeds}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bond_sweep_rejects_bad_bonds(self, tmp_path):
         assert run("bond-sweep", "--bonds", "0", "--out", tmp_path / "x") == 2

@@ -207,6 +207,12 @@ class TestCsvLoading:
         with pytest.raises(DataError, match="label column"):
             data.load_csv(path, "outcome", schema)
 
+    def test_repeated_class_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["1,2,0,a", "2,3,1,b"])
+        with pytest.raises(DataError, match=re.escape("classes ['a'] repeated")):
+            data.load_csv(path, "outcome", CSV_SCHEMA, classes=["a", "a", "b"])
+
     def test_unknown_label_value_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, ["1,2,0,a", "2,3,1,c"])
@@ -277,6 +283,14 @@ class TestCsvLoading:
             ("shade", {"kind": "map", "values": [0, 1]}, "column 'shade': malformed map spec"),
             ("size", {"kind": "range", "min": [1], "max": 10}, "column 'size': malformed range"),
             ("size", {"kind": "log"}, "column 'size': unknown schema kind 'log'"),
+            ("shade", {"kind": "map", "values": {"-1": 0, "1": 5}},
+             "column 'shade': map value 5.0 of '1' is outside [0, 1]"),
+            ("shade", {"kind": "map", "values": {"-1": -0.5, "1": 1}},
+             "column 'shade': map value -0.5 of '-1' is outside [0, 1]"),
+            ("shade", {"kind": "map", "values": {"-1": 0, "1": float("nan")}},
+             "column 'shade': map value nan of '1' is outside [0, 1]"),
+            ("shade", {"kind": "map", "values": {"-1": "inf", "1": 1}},
+             "column 'shade': map value inf of '-1' is outside [0, 1]"),
         ],
     )
     def test_malformed_spec_rejected_before_any_cell(

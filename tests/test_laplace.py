@@ -10,12 +10,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.special import expit, softmax
+import scipy.linalg
+from scipy.special import expit, logsumexp, softmax
 
 from bmps import laplace, mps, trainer
 from bmps.errors import DataError, NumericError, ParseError, ShapeError
 
-from oracles import fd_hessian_from_grad, random_model
+from oracles import awkward_logits, fd_hessian_from_grad, random_model
 
 RNG = np.random.default_rng
 
@@ -325,6 +326,17 @@ class TestKappa:
 
 
 class TestPredictive:
+    @pytest.mark.parametrize("width", [1, 2, 3, 10])
+    def test_logit_gaps_are_the_scipy_logsumexp_gaps(self, width):
+        logits = awkward_logits(RNG(29 + width), width)
+        want = logits.copy()
+        with np.errstate(invalid="ignore"):  # -inf less -inf, in both
+            for j in range(width if width > 1 else 0):
+                others = np.delete(logits, j, axis=1)
+                want[:, j] = logits[:, j] - logsumexp(others, axis=1)
+            got = laplace._logit_gaps(logits)
+        assert np.array_equal(got, want, equal_nan=True)
+
     def test_high_precision_rank_zero_recovers_softmax(self):
         rng = RNG(30)
         model = small_model(rng, 4)
@@ -765,7 +777,8 @@ class TestStoredCore:
         def refactor(*args, **kwargs):
             raise AssertionError("loading refactored the core")
 
-        monkeypatch.setattr(laplace, "cho_factor", refactor)
+        # laplace imports scipy.linalg's names when it first needs them
+        monkeypatch.setattr(scipy.linalg, "cho_factor", refactor)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]

@@ -47,18 +47,47 @@ def test_removed_engine_api_stays_removed():
     assert "magnitude_cap" not in {f.name for f in dataclasses.fields(trainer.TrainConfig)}
 
 
-def test_import_leaves_scipy_stats_and_optimize_unloaded():
+def test_import_loads_no_scipy():
     code = (
         "import sys\n"
         "import bmps, bmps.cli, bmps.data, bmps.decision, bmps.initializer, "
         "bmps.laplace, bmps.mps, bmps.trainer\n"
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))\n"
-        "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True True"]
+    assert proc.stdout.splitlines() == ["[]"]
+
+
+def scipy_imported(*argv):
+    """The scipy modules a fresh ``python -m bmps`` run imports, by the
+    interpreter's own import log (``-X importtime``, on stderr)."""
+    proc = run_python("-X", "importtime", "-m", "bmps", *map(str, argv))
+    assert proc.returncode == 0, proc.stderr
+    names = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return {name for name in names if name.split(".")[0] == "scipy"}
+
+
+def test_only_the_posterior_commands_load_scipy_linalg(tmp_path):
+    data = ["--dataset", "blobs", "--n-samples", "40", "--reg", "1"]
+    model = tmp_path / "train" / "model.bmps"
+    posterior = tmp_path / "post" / "posterior.blap"
+    trained = scipy_imported(
+        "train", *data, "--epochs", "1", "--bond", "2", "--out", model.parent
+    )
+    assert trained == set()
+    for argv in (
+        ["laplace-fit", *data, "--model", model, "--out", posterior.parent],
+        ["predict", *data, "--model", model, "--posterior", posterior,
+         "--out", tmp_path / "pred"],
+    ):
+        loaded = scipy_imported(*argv)
+        assert "scipy.linalg" in loaded, argv[0]
+        assert not any(name.startswith("scipy.special") for name in loaded), argv[0]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -4,15 +4,17 @@ import csv
 import io
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.special
 
 from bmps import mps, trainer
 from bmps.errors import DataError, ShapeError, TrainingDiverged
 
-from oracles import fd_grad_scalar, random_model
+from oracles import awkward_logits, fd_grad_scalar, random_model
 
 RNG = np.random.default_rng
 
@@ -621,3 +623,48 @@ class TestPrediction:
         data = split(X, onehot([0, 1, 2, 0, 1], 3), X, onehot([0, 1, 2, 3, 0], 4))
         with pytest.raises(ShapeError, match=r"\(batch, 3\)"):
             trainer.train_map(model, data, trainer.TrainConfig(epochs=0))
+
+
+class TestNumpyForms:
+    """trainer's softmax, logsumexp and expit against scipy.special's."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 10])
+    def test_softmax_and_logsumexp_are_scipys_bit_for_bit(self, width):
+        rows = awkward_logits(RNG(80 + width), width)
+        with np.errstate(invalid="ignore"):  # softmax of a row of -inf is nan in both
+            assert np.array_equal(
+                trainer.softmax(rows), scipy.special.softmax(rows, axis=1), equal_nan=True
+            )
+        assert np.array_equal(
+            trainer.logsumexp(rows), scipy.special.logsumexp(rows, axis=1), equal_nan=True
+        )
+
+    def test_expit_is_scipys_arithmetic_within_4_ulps(self):
+        # scipy evaluates 1 / (1 + e^-x) with the C library's exp, which
+        # numpy's exp can miss by 1 ulp; rounding the sum and the quotient
+        # can turn that into up to 4 ulps of the result. Logits reach
+        # MAGNITUDE_CAP, so nothing may overflow.
+        limit = trainer._EXP_LIMIT
+        x = np.concatenate([
+            np.linspace(-800.0, 800.0, 1_600_001),
+            RNG(81).normal(scale=40.0, size=100_000),
+            [0.0, -0.0, np.inf, -np.inf, mps.MAGNITUDE_CAP, -mps.MAGNITUDE_CAP],
+            [-limit, np.nextafter(-limit, -np.inf)],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = trainer.expit(x)
+            assert np.isnan(trainer.expit(np.array([np.nan]))[0])
+        want = scipy.special.expit(x)
+        assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4
+        # exactly scipy's result wherever numpy's exp is the C library's
+        fits = -x <= limit
+        same = np.zeros_like(fits)
+        same[fits] = np.exp(-x[fits]) == [math.exp(v) for v in -x[fits]]
+        assert same.mean() > 0.9
+        assert np.array_equal(got[same], want[same])
+        # and 0 where e^-x overflows, as there
+        assert np.all(got[~fits] == 0.0) and np.all(want[~fits] == 0.0)
+        assert list(trainer.expit(np.array([0.0, -0.0, np.inf, -np.inf]))) == [
+            0.5, 0.5, 1.0, 0.0
+        ]
