@@ -35,8 +35,9 @@ from .baseline import LogisticBaseline
 from .errors import DataError, NumericError, ParseError, TrainingDiverged
 
 
-def _number_list(text, flag, kind=float):
-    """The comma-separated ``kind`` values of ``flag``; at least one."""
+def _comma_list(text, flag, kind=float):
+    """The comma-separated ``kind`` values of ``flag``, blank entries
+    dropped; at least one."""
     try:
         values = [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
@@ -86,7 +87,9 @@ def _load_dataset(cfg):
         if not cfg["csv"] or not cfg["label_column"] or not cfg["schema"]:
             raise DataError("--csv, --label-column and --schema are required")
         schema = _read_json(cfg["schema"])
-        classes = cfg["classes"].split(",") if cfg["classes"] else None
+        classes = None
+        if cfg["classes"]:
+            classes = _comma_list(cfg["classes"], "--classes", str.strip)
         ds = data.load_csv(cfg["csv"], cfg["label_column"], schema, classes=classes)
     else:
         raise DataError(f"unknown dataset kind {kind!r}")
@@ -338,9 +341,7 @@ def _diverged_epoch_row(exc, cell_start):
 
 def cmd_init_compare(cfg):
     started = time.perf_counter()
-    methods = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
-    if not methods:
-        raise DataError("--methods must list at least one initializer")
+    methods = _comma_list(cfg["methods"], "--methods", str.strip)
     for m in methods:
         if m not in initializer.METHODS:
             raise DataError(f"unknown initializer {m!r} (choose from {initializer.METHODS})")
@@ -362,7 +363,7 @@ def cmd_init_compare(cfg):
 
 def cmd_std_perturb(cfg):
     started = time.perf_counter()
-    scales = _number_list(cfg["scales"], "--scales")
+    scales = _comma_list(cfg["scales"], "--scales")
     dataset = _load_dataset(cfg)
     rows = _seed_sweep(
         cfg,
@@ -424,35 +425,18 @@ def cmd_param_hist(cfg):
     from scipy.stats import kurtosis
 
     started = time.perf_counter()
-    regs = _number_list(cfg["regs"], "--regs")
+    regs = _comma_list(cfg["regs"], "--regs")
     dataset = _load_dataset(cfg)
     shape = _build_shape(dataset, cfg)
     param_rows, summary_rows = [], []
     for reg in regs:
         fit, _ = _fit(dataset, shape, dict(cfg, reg=reg), cfg["seed"])
-        values = mps.flatten_params(fit)
-        param_rows.extend(["mps", reg, float(v)] for v in values)
-        summary_rows.append(
-            [
-                "mps",
-                reg,
-                values.size,
-                float(values.std()),
-                float(kurtosis(values, fisher=True)),
-            ]
-        )
         ref = LogisticBaseline(l2=reg).fit(dataset.train_x, dataset.train_y)
-        ref_values = ref.weights_.ravel()
-        param_rows.extend(["logistic", reg, float(v)] for v in ref_values)
-        summary_rows.append(
-            [
-                "logistic",
-                reg,
-                ref_values.size,
-                float(ref_values.std()),
-                float(kurtosis(ref_values, fisher=True)),
-            ]
-        )
+        for name, values in (("mps", mps.flatten_params(fit)), ("logistic", ref.weights_.ravel())):
+            param_rows.extend([name, reg, float(v)] for v in values)
+            summary_rows.append(
+                [name, reg, values.size, float(values.std()), float(kurtosis(values, fisher=True))]
+            )
     out = _out_dir(cfg)
     _write_csv(out, "params", ["model", "reg", "value"], param_rows)
     _write_csv(
@@ -468,7 +452,7 @@ def cmd_param_hist(cfg):
 
 def cmd_bond_sweep(cfg):
     started = time.perf_counter()
-    bonds = _number_list(cfg["bonds"], "--bonds", int)
+    bonds = _comma_list(cfg["bonds"], "--bonds", int)
     if any(b < 1 for b in bonds):
         raise DataError("bond dimensions must be >= 1")
     dataset = _load_dataset(cfg)

@@ -60,11 +60,11 @@ agree bit for bit:
   ``dA_j^{s_0} = sum H[s_0, s_1, s_2] (A_{j+1}^{s_1} A_{j+2}^{s_2})'``,
   ``dA_{j+1}^{s_1} = sum (A_j^{s_0})' H (A_{j+2}^{s_2})'`` and
   ``dA_{j+2}^{s_2} = sum (A_j^{s_0} A_{j+1}^{s_1})' H``.
-* The class-wide Jacobian needs every site's environment: it first forms
-  every site's matrix in one batched product and the partial products
-  inside each group from the group's outgoing one, one batched product a
-  position over all groups, then runs the recurrence per site, streaming
-  one site a block for a chunk.
+* The class-wide Jacobian needs every site's environment, so it sweeps
+  the batch again in groups of one site: the stacked sweep forms and
+  checks every site's matrix and partial product. It then runs the
+  recurrence per site, streaming one site a block for a chunk. The
+  gradient pass falls back to the same per-site recurrence.
 
 Whole-dataset passes run through :func:`map_chunks`. A chunk holds at most
 :data:`CHUNK_ROWS` rows, and no more than :data:`CHUNK_BYTES` of the
@@ -88,8 +88,8 @@ merged form), the sweep goes on from there. A stack (the sweep's partial
 products, a block's running products and environments) is scanned once
 when it is full, by one min and one max reduction that copy nothing; if the
 sweep's scan fails, its products are formed again in order and checked as
-the stream checks them, and if a scan of the Jacobian's stacks fails, they
-are rescanned product by product in the order they were formed. The
+the stream checks them, and if a scan of the per-site recurrence fails,
+its products are rescanned one by one in the order they were formed. The
 gradient pass scans its group running products and environments, the
 prefix products ``A_j^{s_0} A_{j+1}^{s_1}`` of its chain rule and,
 for non-finite entries, the gradient; if a scan fails, the pass runs
@@ -100,12 +100,11 @@ A product inside a group is formed by neither sweep nor by the gradient
 pass, so an excursion above the cap that starts and ends inside one group
 passes :func:`forward_batch`, :func:`sweep_env` and
 :func:`weighted_grad_from_env`, and so training; :func:`jacobian_from_env`,
-which forms them, still names its site. Rows
+whose one-site sweep forms them, still names its site. Rows
 are contracted one by one, so a row's results do not depend on its batch.
 All operations are pure: they never mutate their inputs (bar an env
-handed to :func:`sweep_env` as ``reuse``, and the per-site stacks the
-Jacobian caches on its env), and identical inputs give bit-identical
-outputs.
+handed to :func:`sweep_env` as ``reuse``), and identical inputs give
+bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -376,9 +375,10 @@ class BatchEnv:
     """Contraction state of one batch: its logits plus what environments need.
 
     Bonds are padded to ``D = bond_dim`` (see :func:`_layout`). The ring
-    (see :func:`_ring`) is cut into units: ``G = len(ring) // _GROUP``
-    groups of :data:`_GROUP` consecutive ring positions, then the
-    ``len(ring) % _GROUP`` leftover positions, one unit each. ``mats[u]``
+    (see :func:`_ring`) is cut into units: ``G = len(ring) // group``
+    groups of ``group`` consecutive ring positions (:data:`_GROUP` unless
+    the sweep was given another size), then the ``len(ring) % group``
+    leftover positions, one unit each. ``mats[u]``
     (batch, D, D) is unit ``u``'s matrix (for a group, the product of its
     sites' matrices, formed from the merged node tensor) and ``tails[u]``
     the product ``mats[u] @ .. @ mats[-1]``, the identity for
@@ -387,16 +387,17 @@ class BatchEnv:
     merged products (see :func:`_merged`), for the gradient's
     back-propagation. ``label`` holds the label site's matrices (batch,
     n_labels, D, D), and ``closure``, ``tails[0]`` transposed, is the label
-    node's environment. ``cap``, :data:`MAGNITUDE_CAP` when the sweep ran,
-    is the magnitude cap every later product is checked against.
+    node's environment. ``cap``, :data:`MAGNITUDE_CAP` when the sweep ran
+    unless it was given another, is the magnitude cap every later product
+    is checked against.
     ``buffers`` holds ``mats``, ``tails`` and the gradient pass's scratch
-    arrays, for :func:`sweep_env`'s ``reuse``; ``sites`` caches
-    :func:`_site_stacks`.
+    arrays, for :func:`sweep_env`'s ``reuse``.
     """
 
     model: MpsModel
     phi: np.ndarray
     cap: float
+    group: int
     nodes: np.ndarray
     psi: np.ndarray
     suffixes: list
@@ -406,7 +407,6 @@ class BatchEnv:
     closure: np.ndarray
     logits: np.ndarray
     buffers: dict = field(default_factory=dict, repr=False)
-    sites: tuple | None = field(default=None, repr=False)
 
 
 _PAD = np.zeros(1)
@@ -420,33 +420,37 @@ _PAD = np.zeros(1)
 _GROUP = 3
 
 
-def _merged(nodes, phi):
-    """Merged node tensors and row weights of groups of :data:`_GROUP`
+def _merged(nodes, phi, group):
+    """Merged node tensors and row weights of groups of ``group``
     consecutive ring sites.
 
-    ``nodes`` (G * _GROUP, phys, D, D) and ``phi`` (G * _GROUP, batch, phys)
-    give ``suffixes`` and ``psi`` (G, batch, 1, phys**_GROUP). For
-    ``j = t * _GROUP``, ``suffixes[m]`` (G, phys**(_GROUP - m), D, D) holds
-    the slice products ``A_{j+m}^{s_m} .. A_{j+_GROUP-1}^{s_{_GROUP-1}}`` of
+    ``nodes`` (G * group, phys, D, D) and ``phi`` (G * group, batch, phys)
+    give ``suffixes`` and ``psi`` (G, batch, 1, phys**group). For
+    ``j = t * group``, ``suffixes[m]`` (G, phys**(group - m), D, D) holds
+    the slice products ``A_{j+m}^{s_m} .. A_{j+group-1}^{s_{group-1}}`` of
     the group's last sites, so ``suffixes[0]`` is its merged tensor; entry
     ``(s_0, s_1, ..)`` of ``psi[t]`` is the weight ``phi_j[s_0]
     phi_{j+1}[s_1] ..``, and ``psi[t] @ suffixes[0][t]`` (flattened to
-    (phys**_GROUP, D * D)) is the product of the group's site matrices.
+    (phys**group, D * D)) is the product of the group's site matrices.
     """
-    G, (_, B, s), D = len(nodes) // _GROUP, phi.shape, nodes.shape[-1]
-    nodes = nodes.reshape(G, _GROUP, s, D, D)
+    G, (_, B, s), D = len(nodes) // group, phi.shape, nodes.shape[-1]
+    nodes = nodes.reshape(G, group, s, D, D)
     suffixes = [nodes[:, -1]]
-    for m in reversed(range(_GROUP - 1)):
+    for m in reversed(range(group - 1)):
         merged = np.matmul(nodes[:, m, :, None], suffixes[0][:, None])
-        suffixes.insert(0, merged.reshape(G, s ** (_GROUP - m), D, D))
+        suffixes.insert(0, merged.reshape(G, s ** (group - m), D, D))
     # one outer product a row, batch axis last in the factors (C order)
-    phi = np.ascontiguousarray(phi.reshape(G, _GROUP, B, s).transpose(1, 0, 3, 2))
-    axes = "ijklmnopqr"[:_GROUP]
+    phi = np.ascontiguousarray(phi.reshape(G, group, B, s).transpose(1, 0, 3, 2))
+    axes = "ijklmnopqr"[:group]
     psi = np.einsum(",".join(f"g{a}b" for a in axes) + f"->gb{axes}", *phi)
-    return suffixes, psi.reshape(G, B, 1, s**_GROUP)
+    if group == 1:
+        # einsum returns phi itself, strided; its products with the nodes
+        # would take another BLAS path in a one-row batch than in a larger one
+        psi = np.ascontiguousarray(psi)
+    return suffixes, psi.reshape(G, B, 1, s**group)
 
 
-def _sweep(model, phi, keep, reuse=None):
+def _sweep(model, phi, keep, reuse=None, group=None, cap=None):
     """Contract a batch of embedded rows ``phi`` (batch, n_sites, phys) round
     the ring (see the module docstring).
 
@@ -454,9 +458,12 @@ def _sweep(model, phi, keep, reuse=None):
     forms every unit's matrix in two batched products, stacks the partial
     products for the environments and scans the stack once; otherwise the
     sweep streams, each product checked as it is formed, so memory stays
-    O(batch * bond^2).
+    O(batch * bond^2). ``group`` and ``cap`` default to :data:`_GROUP` and
+    :data:`MAGNITUDE_CAP` as they are when the sweep runs.
     """
-    shape, cap = model.shape, MAGNITUDE_CAP
+    shape = model.shape
+    group = _GROUP if group is None else group
+    cap = MAGNITUDE_CAP if cap is None else cap
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape[1:] != (shape.n_sites, shape.phys_dim):
         raise ShapeError(
@@ -473,16 +480,16 @@ def _sweep(model, phi, keep, reuse=None):
     flat_nodes = nodes.reshape(R, 1, s, D * D)
     # (R, B, 1, phys)
     ring_phi = np.take(phi, lay.ring, axis=1).swapaxes(0, 1)[:, :, None]
-    n = R - R % _GROUP  # ring positions [0, n) form groups, the rest stream
-    G = n // _GROUP
+    n = R - R % group  # ring positions [0, n) form groups, the rest stream
+    G = n // group
     U = G + R - n
     # an overflow or 0 * inf in a group's merged tensor or product fails
     # its check, silently; a failed group's sites are formed, checked and
     # warn as in a per-site stream
     quiet = {"over": "ignore", "invalid": "ignore"}
     with np.errstate(**quiet):
-        suffixes, psi = _merged(nodes[:n], ring_phi[:n, :, 0])
-    merged = suffixes[0].reshape(G, 1, s**_GROUP, D * D)
+        suffixes, psi = _merged(nodes[:n], ring_phi[:n, :, 0], group)
+    merged = suffixes[0].reshape(G, 1, s**group, D * D)
 
     def site(j, tail):
         m = np.matmul(ring_phi[j], flat_nodes[j]).reshape(B, D, D)
@@ -495,7 +502,7 @@ def _sweep(model, phi, keep, reuse=None):
             out = np.matmul(np.matmul(psi[u], merged[u]).reshape(B, D, D), tail)
         if _within(out, cap):
             return out
-        for j in reversed(range(u * _GROUP, (u + 1) * _GROUP)):
+        for j in reversed(range(u * group, (u + 1) * group)):
             tail = site(j, tail)
         return tail
 
@@ -527,7 +534,8 @@ def _sweep(model, phi, keep, reuse=None):
     logits = _check(np.trace(full, axis1=2, axis2=3), k, cap)
     closure = np.swapaxes(tail, 1, 2)
     return BatchEnv(
-        model, phi, cap, nodes, psi, suffixes, mats, tails, label, closure, logits, pool
+        model, phi, cap, group, nodes, psi, suffixes, mats, tails, label, closure,
+        logits, pool,
     )
 
 
@@ -595,51 +603,21 @@ def _block_within(j0, runs, envs, cap):
     return _within(runs[1 if j0 else 2 :], cap) and _within(envs, cap)
 
 
-def _site_stacks(env):
-    """Per-site matrices (R, batch, D, D) and partial products (R + 1,
-    batch, D, D) of a swept batch, laid out as :class:`BatchEnv`'s unit
-    stacks would be with groups of one site.
-
-    The site matrices take one batched product. A group's tails come from
-    its outgoing tail, one batched product over all groups per position
-    inside a group; its first position keeps the sweep's group tail. The
-    new tails are scanned once and, on failure, rescanned in the order a
-    per-site sweep forms them, so the error names that sweep's site. The
-    result is cached on ``env``.
-    """
-    if env.sites is None:
-        ring = _layout(env.model.shape).ring
-        R, s, D = env.nodes.shape[:3]
-        B, n = env.phi.shape[0], len(env.psi) * _GROUP
-        ring_phi = np.take(env.phi, ring, axis=1).swapaxes(0, 1)[:, :, None]
-        mats = np.matmul(ring_phi, env.nodes.reshape(R, 1, s, D * D))
-        mats = mats.reshape(R, B, D, D)
-        tails = np.empty((R + 1, B, D, D))
-        tails[0:n:_GROUP] = env.tails[: n // _GROUP]
-        tails[n:] = env.tails[n // _GROUP :]
-        for m in reversed(range(1, _GROUP)):
-            np.matmul(
-                mats[m:n:_GROUP], tails[m + 1 : n + 1 : _GROUP], out=tails[m:n:_GROUP]
-            )
-        if not _within(tails[:n], env.cap):
-            for j in reversed(range(n)):
-                _check(tails[j], ring[j], env.cap)
-        env.sites = mats, tails
-    return env.sites
-
-
 def _environments(env, label_mats, pool):
     """Yield ``(j0, envs)`` for blocks of consecutive ring positions.
 
     ``envs[j - j0, b, c]`` is the derivative of ``trace(M_0 ..
     label_mats[b, c] .. M_{n-1})`` with respect to the matrix of site
-    ``ring[j]``, transposed (see :func:`_env_blocks`, which forms them over
-    :func:`_site_stacks`). Each block's running products and environments
-    are scanned once, and rescanned in the order of formation on failure.
+    ``ring[j]``, transposed (see :func:`_env_blocks`). They are formed over
+    every ring site's matrix and partial product: a sweep of the batch in
+    one-site groups, ``env`` itself if it is one. Each block's running
+    products and environments are scanned once, and rescanned in the
+    order of formation on failure.
     """
     ring = _layout(env.model.shape).ring
-    mats, tails = _site_stacks(env)
-    for j0, runs, envs in _env_blocks(mats, tails, label_mats, pool):
+    if env.group != 1:
+        env = _sweep(env.model, env.phi, keep=True, group=1, cap=env.cap)
+    for j0, runs, envs in _env_blocks(env.mats, env.tails, label_mats, pool):
         if not _block_within(j0, runs, envs, env.cap):
             for j in range(j0, j0 + len(envs)):
                 if j:
@@ -688,7 +666,7 @@ def jacobian_from_env(env, out=None):
 
 def _backprop(nodes, suffixes, H, out, cap):
     """Write the gradients of the groups' node slices into ``out`` (G,
-    _GROUP, phys, D, D), transposed, given ``H`` (G, phys**_GROUP, D, D),
+    group, phys, D, D), transposed, given ``H`` (G, phys**group, D, D),
     the gradients of their merged slices, transposed.
 
     The merged slice is ``prefix @ A_m^s @ suffix``, with ``suffix`` one of
@@ -701,18 +679,18 @@ def _backprop(nodes, suffixes, H, out, cap):
     and scanned against ``cap``; returns False, writing nothing, if that
     scan fails.
     """
-    G, _, s, D, _ = out.shape
+    G, group, s, D, _ = out.shape
     A = nodes.reshape(out.shape)
     prefixes = [None, A[:, 0]]  # prefixes[m] (G, phys**m, D, D)
-    for m in range(1, _GROUP - 1):
+    for m in range(1, group - 1):
         prefix = np.matmul(prefixes[m][:, :, None], A[:, m, None])
         prefixes.append(prefix.reshape(G, s ** (m + 1), D, D))
     if not all(_within(p, cap) for p in prefixes[2:]):
         return False
-    for m in range(_GROUP):
-        p, q = s**m, s ** (_GROUP - 1 - m)
+    for m in range(group):
+        p, q = s**m, s ** (group - 1 - m)
         T = H.reshape(G, p * s, q, D, D)
-        if m < _GROUP - 1:  # sum over the suffix slices
+        if m < group - 1:  # sum over the suffix slices
             S = suffixes[m + 1].transpose(0, 2, 1, 3).reshape(G, 1, D, q * D)
             T = np.matmul(S, T.reshape(G, p * s, q * D, D))
         if m == 0:
@@ -734,11 +712,11 @@ def _grouped_grad(env, folded, ring_grad):
     is not finite.
     """
     B, (R, s, D) = env.phi.shape[0], env.nodes.shape[:3]
-    G = len(env.psi)
-    n = G * _GROUP
-    psi = env.psi[:, :, 0].swapaxes(1, 2)  # (G, phys**_GROUP, B)
+    G, group = len(env.psi), env.group
+    n = G * group
+    psi = env.psi[:, :, 0].swapaxes(1, 2)  # (G, phys**group, B)
     phi = env.phi[:, _layout(env.model.shape).ring[n:]].transpose(1, 2, 0)
-    H = _buffer(env.buffers, "merged_grad", (G, s**_GROUP, D * D))
+    H = _buffer(env.buffers, "merged_grad", (G, s**group, D * D))
     for u0, runs, envs in _env_blocks(env.mats, env.tails, folded, env.buffers):
         if not _block_within(u0, runs, envs, env.cap):
             return False
@@ -749,7 +727,7 @@ def _grouped_grad(env, folded, ring_grad):
         g1, lo, hi = min(u1, G), max(u0, G) - G, max(u1, G) - G
         np.matmul(psi[u0:g1], envs[: max(g1 - u0, 0)], out=H[u0:g1])
         np.matmul(phi[lo:hi], envs[lo + G - u0 :], out=ring_grad[n + lo : n + hi])
-    grad = ring_grad[:n].reshape(G, _GROUP, s, D, D)
+    grad = ring_grad[:n].reshape(G, group, s, D, D)
     return _backprop(env.nodes[:n], env.suffixes, H, grad, env.cap) and _within(
         ring_grad, np.inf
     )

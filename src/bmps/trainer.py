@@ -28,7 +28,6 @@ initialization.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -130,20 +129,12 @@ class TrainHistory:
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
-            self._write_csv(fh)
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(_HISTORY_FIELDS)
+            for rec in self.records:
+                writer.writerow([getattr(rec, name) for name in _HISTORY_FIELDS])
 
-    def to_csv_string(self):
-        buf = io.StringIO()
-        self._write_csv(buf)
-        return buf.getvalue()
-
-    def _write_csv(self, fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_HISTORY_FIELDS)
-        for rec in self.records:
-            writer.writerow([getattr(rec, name) for name in _HISTORY_FIELDS])
-
-    def to_json(self, path=None):
+    def to_json(self, path):
         payload = {
             "best_epoch": self.best_epoch,
             "records": [
@@ -151,12 +142,9 @@ class TrainHistory:
                 for rec in self.records
             ],
         }
-        if path is None:
-            return json.dumps(payload, indent=2)
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        return None
 
 
 def _targets(model, labels):

@@ -167,6 +167,35 @@ class TestTrain:
         assert code == 2
         assert "classes ['a'] repeated" in capsys.readouterr().err
 
+    @staticmethod
+    def csv_args(tmp_path, classes):
+        """``train`` arguments for a 10-row, two-feature CSV labelled x and z."""
+        csv_path = tmp_path / "d.csv"
+        rows = "".join(f"{i},{i % 3},{'xz'[i % 2]}\n" for i in range(10))
+        csv_path.write_text("size,shade,kind\n" + rows)
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps({
+            "size": {"kind": "range", "min": 0, "max": 10},
+            "shade": {"kind": "range", "min": 0, "max": 2},
+        }))
+        return [
+            "train", "--dataset", "csv", "--csv", csv_path, "--label-column", "kind",
+            "--schema", schema_path, "--classes", classes, "--epochs", "1",
+            "--out", tmp_path / "run",
+        ]
+
+    @pytest.mark.parametrize("classes", ["x,z,", "x, z", " z ,, x "])
+    def test_classes_are_stripped_and_blank_entries_dropped(self, tmp_path, classes):
+        assert run(*self.csv_args(tmp_path, classes)) == 0
+        # two classes: one binary channel, no empty third class
+        model = mps.load_model(tmp_path / "run" / "model.bmps")
+        assert model.shape.n_labels == 1
+
+    def test_blank_classes_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(mps, "MpsShape", refuse)
+        assert run(*self.csv_args(tmp_path, " , ,")) == 2
+        assert "--classes must list at least one value" in capsys.readouterr().err
+
     def test_divergence_exits_3(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = run(*blob_train_args(out, epochs=3, learning_rate=1e9))
@@ -434,12 +463,28 @@ class TestExperimentCommands:
         assert {r[1] for r in rows} == {"0", "1"}
         assert all(r[5] == "ok" for r in rows)
 
+    def test_init_compare_strips_methods(self, tmp_path):
+        out = tmp_path / "ic"
+        code = run(
+            "init-compare", "--dataset", "blobs", "--n-samples", "60", "--epochs", "1",
+            "--n-seeds", "1", "--methods", " xavier , he,", "--out", out,
+        )
+        assert code == 0
+        _, rows = read_csv(out / "init-compare.csv")
+        assert [r[0] for r in rows] == ["xavier", "he"]
+
     def test_init_compare_rejects_unknown_method(self, tmp_path):
         code = run(
             "init-compare", "--dataset", "blobs", "--methods", "glorp",
             "--out", tmp_path / "x",
         )
         assert code == 2
+
+    def test_init_compare_rejects_blank_methods(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(trainer, "train_map", refuse)
+        code = run("init-compare", "--methods", " , ,", "--out", tmp_path / "x")
+        assert code == 2
+        assert "--methods must list at least one value" in capsys.readouterr().err
 
     def test_std_perturb_records_divergence_and_continues(self, tmp_path):
         # 1e200 overflows the two-site contraction outright; the sweep must

@@ -506,6 +506,19 @@ class TestGroupedTrainingStep:
                 single = mps.sweep_env(model, phi[b : b + 1]).logits[0]
                 assert np.array_equal(env.logits[b], single)
 
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_jacobian_rows_do_not_depend_on_their_batch(self, n_labels):
+        rng = np.random.default_rng(20 + n_labels)
+        n = 2 * mps._GROUP + 2  # a ring of two groups and a leftover site
+        sh = mps.MpsShape(n, 2, 4, n_labels, boundary="cyclic")
+        model = oracles.random_model(rng, sh)
+        for size in (1, 2, 7):
+            phi = mps.embed(rng.uniform(0, 1, size=(size, n)))
+            jac = mps.jacobian_from_env(mps.sweep_env(model, phi))
+            for b in range(size):
+                single = mps.jacobian_from_env(mps.sweep_env(model, phi[b : b + 1]))
+                assert np.array_equal(jac[b], single[0])
+
     @pytest.mark.parametrize("label_site", [0, 4, 8])
     def test_blocks_of_groups_and_leftover_sites_are_invisible(self, monkeypatch, label_site):
         # a ring of two groups and two leftover sites, in blocks of 1 to 3

@@ -34,6 +34,11 @@ def test_removed_engine_api_stays_removed():
         "_check_embedding", "_phi_batch", "_phi_matrix", "DEFAULT_MAGNITUDE_CAP",
     ]
     assert [name for name in gone if hasattr(bmps, name) or hasattr(mps, name)] == []
+    # the Jacobian's per-site stacks come from a one-site-group sweep, and
+    # a training history has one writer per format
+    assert not hasattr(mps, "_site_stacks")
+    assert "sites" not in {f.name for f in dataclasses.fields(mps.BatchEnv)}
+    assert not hasattr(trainer.TrainHistory, "to_csv_string")
     with_cap = [
         f"{module.__name__}.{name}"
         for module in (mps, trainer, laplace, initializer)

@@ -536,21 +536,30 @@ class TestHistorySerialization:
         assert got == pytest.approx(history.records[0].train_loss, rel=1e-15)
 
     def test_csv_string_matches_file(self, tmp_path):
+        # a header line, then one line a record, each value as str() writes it
         _, history = self.run_short()
         path = tmp_path / "history.csv"
         history.to_csv(path)
-        assert path.read_text() == history.to_csv_string()
+        fields = trainer._HISTORY_FIELDS
+        lines = [",".join(fields)] + [
+            ",".join(str(getattr(rec, name)) for name in fields) for rec in history.records
+        ]
+        assert path.read_text() == "\n".join(lines) + "\n"
 
     def test_json_payload(self, tmp_path):
         _, history = self.run_short()
-        text = history.to_json()
+        path = tmp_path / "history.json"
+        history.to_json(path)
+        text = path.read_text()
+        assert text.endswith("}\n")
         payload = json.loads(text)
         assert payload["best_epoch"] == history.best_epoch
         assert len(payload["records"]) == 3
         assert payload["records"][2]["epoch"] == 3
-        path = tmp_path / "history.json"
-        history.to_json(path)
-        assert json.loads(path.read_text()) == payload
+        assert payload["records"] == [
+            {name: getattr(rec, name) for name in trainer._HISTORY_FIELDS}
+            for rec in history.records
+        ]
 
 
 class TestPrediction:
