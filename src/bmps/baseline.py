@@ -15,15 +15,16 @@ import numpy as np
 from .errors import DataError
 from .trainer import softmax
 
+MAX_ITER = 500  # L-BFGS iterations a fit may take
+
 
 class LogisticBaseline:
     """Softmax regression; ``weights_`` is (n_features, n_classes)."""
 
-    def __init__(self, l2=0.0, max_iter=500):
+    def __init__(self, l2=0.0):
         if l2 < 0:
             raise ValueError(f"l2 must be >= 0, got {l2}")
         self.l2 = float(l2)
-        self.max_iter = int(max_iter)
         self.weights_ = None
         self.intercept_ = None
 
@@ -62,7 +63,7 @@ class LogisticBaseline:
         start = np.zeros(d * k + k)
         result = minimize(
             objective, start, jac=True, method="L-BFGS-B",
-            options={"maxiter": self.max_iter},
+            options={"maxiter": MAX_ITER},
         )
         self.weights_, self.intercept_ = unpack(result.x)
         return self

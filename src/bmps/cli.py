@@ -432,7 +432,7 @@ def cmd_param_hist(cfg):
     for reg in regs:
         fit, _ = _fit(dataset, shape, dict(cfg, reg=reg), cfg["seed"])
         ref = LogisticBaseline(l2=reg).fit(dataset.train_x, dataset.train_y)
-        for name, values in (("mps", mps.flatten_params(fit)), ("logistic", ref.weights_.ravel())):
+        for name, values in (("mps", fit.params), ("logistic", ref.weights_.ravel())):
             param_rows.extend([name, reg, float(v)] for v in values)
             summary_rows.append(
                 [name, reg, values.size, float(values.std()), float(kurtosis(values, fisher=True))]

@@ -191,31 +191,37 @@ class MpsShape:
 
 @dataclass
 class MpsModel:
-    """A shape plus its node tensors (float64, finite)."""
+    """A shape plus its parameters (float64, finite), stored once.
+
+    ``params`` holds every node entry, nodes in site order and C order
+    within a node (the ``model.bmps`` payload order); ``nodes`` is a tuple
+    of views of it. The constructor copies the given nodes into a new vector.
+    """
 
     shape: MpsShape
-    nodes: list = field(repr=False)
+    nodes: tuple = field(repr=False)
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.nodes) != self.shape.n_sites:
             raise ShapeError(
                 f"expected {self.shape.n_sites} nodes, got {len(self.nodes)}"
             )
-        cast = []
-        for i, node in enumerate(self.nodes):
-            arr = np.ascontiguousarray(node, dtype=np.float64)
-            want = self.shape.node_shape(i)
-            if arr.shape != want:
+        given, self.params = self.nodes, np.empty(self.shape.param_count)
+        self.nodes = tuple(unflatten_params(self.shape, self.params))
+        for i, (node, view) in enumerate(zip(given, self.nodes)):
+            arr = np.asarray(node, dtype=np.float64)
+            if arr.shape != view.shape:
                 raise ShapeError(
-                    f"node {i} has shape {arr.shape}, expected {want}"
+                    f"node {i} has shape {arr.shape}, expected {view.shape}"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"node {i} contains non-finite entries")
-            cast.append(arr)
-        self.nodes = cast
+            view[...] = arr
+        if not _within(self.params, np.inf):
+            i = next(i for i, n in enumerate(self.nodes) if not _within(n, np.inf))
+            raise ValueError(f"node {i} contains non-finite entries")
 
     def copy(self):
-        return MpsModel(self.shape, [n.copy() for n in self.nodes])
+        return MpsModel(self.shape, self.nodes)
 
 
 def embed(X):
@@ -409,8 +415,6 @@ class BatchEnv:
     buffers: dict = field(default_factory=dict, repr=False)
 
 
-_PAD = np.zeros(1)
-
 # Consecutive ring sites the sweeps merge into one node tensor (see the
 # module docstring). At the digit scale (196 sites, bond 8, 10 classes;
 # 2 vCPUs, OpenBLAS, median of 25 interleaved runs), groups of 1 to 5 took
@@ -473,7 +477,7 @@ def _sweep(model, phi, keep, reuse=None, group=None, cap=None):
     lay = _layout(shape)
     B, R, D, k = phi.shape[0], len(lay.ring), shape.bond_dim, shape.label_site
     s = shape.phys_dim
-    theta = np.concatenate([*model.nodes, _PAD], axis=None)
+    theta = np.append(model.params, 0.0)
     nodes = theta[lay.nodes]  # (R, phys, D, D)
     # each row's matrices are its own vector-matrix products, so they do
     # not depend on the batch the row is in
@@ -738,7 +742,7 @@ def weighted_grad_from_env(env, coeff, out=None):
 
     ``coeff`` has shape (batch, n_labels). Returns one array per node,
     shaped like the node; or, given a ``param_count`` vector ``out``, writes
-    the gradient into it in :func:`flatten_params` order and returns it.
+    the gradient into it in ``model.params`` order and returns it.
     Per-sample Jacobians are never formed: the coefficients are folded into
     the label site's matrices first, so one class-free environment pass
     serves every site. It runs over the sweep's units, one product a group
@@ -770,7 +774,7 @@ def weighted_grad_from_env(env, coeff, out=None):
     label = np.matmul(weights.T, env.closure.reshape(B, D * D)).reshape(s, L, D, D)
     pad[R * s * D * D :].reshape(D, s, L, D)[...] = label.transpose(2, 0, 1, 3)
     flat = np.take(pad, lay.grad, out=out)
-    return flat if out is not None else unflatten_params(shape, flat, copy=False)
+    return flat if out is not None else unflatten_params(shape, flat)
 
 
 def weight_norm_sq(model):
@@ -778,31 +782,23 @@ def weight_norm_sq(model):
     return float(sum(np.vdot(n, n) for n in model.nodes))
 
 
-def flatten_params(model):
-    """All node entries as one vector, nodes in site order, C order within a node."""
-    return np.concatenate([n.ravel() for n in model.nodes])
+def unflatten_params(shape, vec):
+    """A flat ``param_count`` vector in ``model.params`` order, split into a
+    list of node arrays.
 
-
-def unflatten_params(shape, vec, copy=True):
-    """Inverse of :func:`flatten_params`; returns a list of node arrays.
-
-    With ``copy=False`` the node arrays are views of ``vec`` when it is a
-    contiguous float64 vector, so writing to either writes to both.
+    The node arrays are views of ``vec`` when it is a contiguous float64
+    vector, so writing to either writes to both; copy them to keep them.
     """
     vec = np.asarray(vec, dtype=np.float64).ravel()
-    if vec.size != shape.param_count:
-        raise ShapeError(f"vector has {vec.size} entries, expected {shape.param_count}")
-    nodes, pos = [], 0
-    for i in range(shape.n_sites):
-        ns = shape.node_shape(i)
-        size = math.prod(ns)
-        node = vec[pos : pos + size].reshape(ns)
-        nodes.append(node.copy() if copy else node)
-        pos += size
-    return nodes
+    shapes = [shape.node_shape(i) for i in range(shape.n_sites)]
+    starts = np.cumsum([0] + [math.prod(ns) for ns in shapes]).tolist()
+    if vec.size != starts[-1]:
+        raise ShapeError(f"vector has {vec.size} entries, expected {starts[-1]}")
+    return [vec[a:b].reshape(ns) for ns, a, b in zip(shapes, starts, starts[1:])]
 
 
 def model_from_params(shape, vec):
+    """A model holding a copy of the flat parameter vector ``vec``."""
     return MpsModel(shape, unflatten_params(shape, vec))
 
 
@@ -823,8 +819,7 @@ def model_to_bytes(model):
         shape.n_sites, shape.phys_dim, shape.bond_dim, shape.n_labels, shape.label_site
     )
     head += struct.pack("B", _BOUNDARY_FLAGS[shape.boundary])
-    body = b"".join(n.astype("<f8").tobytes(order="C") for n in model.nodes)
-    return head + body
+    return head + model.params.astype("<f8").tobytes()
 
 
 def model_from_bytes(data):
@@ -852,7 +847,7 @@ def model_from_bytes(data):
         )
     vec = np.frombuffer(data, dtype="<f8", count=shape.param_count, offset=pos)
     try:
-        return model_from_params(shape, vec.astype(np.float64))
+        return model_from_params(shape, vec)
     except ValueError as exc:
         raise ParseError(f"corrupted payload: {exc}") from exc
 

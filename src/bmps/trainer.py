@@ -239,11 +239,11 @@ def loss(model, X, labels, prior=PriorSpec()):
     return _cross_entropy(logits, targets) + _penalty(model, prior)
 
 
-def _loss_and_grad(env, targets, prior, theta, out):
+def _loss_and_grad(env, targets, prior, out):
     """Batch cross entropy at a swept batch; writes the gradient of the
-    penalized loss into ``out``, flat in :func:`bmps.mps.flatten_params` order.
+    penalized loss into ``out``, flat in ``model.params`` order.
 
-    ``theta`` holds the same parameters flat, for the penalty. The gradient
+    The penalty's gradient reads the swept model's ``params``. The gradient
     of the summed cross entropy with respect to the logits is the predicted
     probability minus the target; a single-logit model's channel is the
     class-1 column.
@@ -252,21 +252,21 @@ def _loss_and_grad(env, targets, prior, theta, out):
     residual = probabilities(env.logits) - targets
     mps.weighted_grad_from_env(env, residual[:, -env.model.shape.n_labels :], out=out)
     if prior.precision != 0.0:
-        out += prior.precision * theta
+        out += prior.precision * env.model.params
     return ce
 
 
 def grad_loss(model, X, labels, prior=PriorSpec()):
     """Exact gradient of :func:`loss` with respect to every node entry.
 
-    Returns a list of arrays matching ``model.nodes`` shapes.
+    Returns a list of arrays matching ``model.nodes`` shapes, views of one
+    flat gradient in ``model.params`` order.
     """
     targets = _targets(model, labels)
     env = mps.sweep_env(model, mps.embed(X))
-    theta = mps.flatten_params(model)
-    grad = np.empty_like(theta)
-    _loss_and_grad(env, targets, prior, theta, grad)
-    return mps.unflatten_params(model.shape, grad, copy=False)
+    grad = np.empty_like(model.params)
+    _loss_and_grad(env, targets, prior, grad)
+    return mps.unflatten_params(model.shape, grad)
 
 
 # Each optimizer updates the flat parameter vector in place with the usual
@@ -358,10 +358,10 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
     test_y = _targets(model, getattr(data, "test_y", np.zeros((0, Y.shape[1]))))
     has_test = test_x.shape[0] > 0
 
-    # the iterate, its gradient and the optimizer state are flat vectors;
-    # work's nodes are views of theta
-    theta = mps.flatten_params(model)
-    work = mps.MpsModel(model.shape, mps.unflatten_params(model.shape, theta, copy=False))
+    # the iterate is work's parameter vector, stepped in place; its
+    # gradient and the optimizer state are flat vectors in the same order
+    work = model.copy()
+    theta = work.params
     grad = np.empty_like(theta)
     opt = _OPTIMIZER_CLASSES[config.optimizer](config, theta.size)
     rng = np.random.default_rng(config.seed)
@@ -387,7 +387,7 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
             rows = order[start : start + config.batch_size]
             try:
                 env = mps.sweep_env(work, mps.embed(X[rows]), reuse=env)
-                batch_ce = _loss_and_grad(env, Y[rows], prior, theta, grad)
+                batch_ce = _loss_and_grad(env, Y[rows], prior, grad)
             except NumericError as exc:
                 raise TrainingDiverged(
                     f"contraction overflowed at epoch {epoch}, batch {batch_idx}: {exc}",

@@ -64,12 +64,11 @@ def oracle_contract(model, site_vectors, full_phys_limit=200_000):
 def fd_grad_logits(model, site_vectors, h=1e-6):
     """Central finite differences of the logits w.r.t. every parameter.
 
-    Returns an (n_labels, param_count) array in the flattening order of
-    ``mps.flatten_params``.
+    Returns an (n_labels, param_count) array in ``model.params`` order.
     """
     shape = model.shape
     phi = np.asarray(site_vectors, dtype=np.float64)[None]
-    base = mps.flatten_params(model)
+    base = model.params.copy()
     out = np.zeros((shape.n_labels, base.size))
     for p in range(base.size):
         vp = base.copy()
@@ -157,8 +156,8 @@ def site_loop(model, phi, coeff):
     from the label site and keep every partial product from both ends, so
     each site's environment is one product of two cached partial products.
     Returns ``(logits, grad)``: (batch, n_labels), and ``sum_b sum_l
-    coeff[b, l] * d logits[b, l] / d params`` flat in
-    ``mps.flatten_params`` order.
+    coeff[b, l] * d logits[b, l] / d params`` flat in ``model.params``
+    order.
     """
     shape = model.shape
     n, k = shape.n_sites, shape.label_site

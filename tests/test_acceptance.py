@@ -107,7 +107,7 @@ def test_c02_gradients_match_finite_differences():
         )
         fd_loss = fd_grad_scalar(
             lambda v: trainer.loss(mps.model_from_params(lshape, v), X, Y, prior),
-            mps.flatten_params(lmodel),
+            lmodel.params.copy(),
             h=1e-5,
         )
         worst_loss = max(worst_loss, rel_err(fd_loss, analytic_loss))
@@ -253,7 +253,7 @@ def test_c06_ggn_is_psd_and_matches_hessian_near_map():
         grads = trainer.grad_loss(mps.model_from_params(shape, vec), X, Y)
         return np.concatenate([g.ravel() for g in grads])
 
-    H_fd = fd_hessian_from_grad(grad_nll, mps.flatten_params(fit))
+    H_fd = fd_hessian_from_grad(grad_nll, fit.params.copy())
     rel = np.linalg.norm(H_fd - H_ggn) / np.linalg.norm(H_fd)
     dt = time.perf_counter() - t0
     report(
@@ -406,7 +406,7 @@ def test_c09_blobs_fit_shrinkage_and_boundary_smoothing():
         )
         if lam == 0.0:
             best_acc = max(r.train_acc for r in history.records)
-        stds.append(float(mps.flatten_params(fit).std()))
+        stds.append(float(fit.params.std()))
         crossings.append(_grid_crossings(fit))
     shrinkage_ok = stds[0] >= stds[1] >= stds[2]
     smoothing_ok = crossings[0] >= crossings[1] >= crossings[2]

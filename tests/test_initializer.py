@@ -84,7 +84,7 @@ class TestInitModel:
         spec = InitSpec("calibrated_weight", var_x=0.25, seed=3)
         model = initializer.init_model(sh, spec)
         sigma = np.sqrt(initializer.init_variance(spec, sh))
-        entries = mps.flatten_params(model)
+        entries = model.params
         assert abs(entries.mean()) < 4 * sigma / np.sqrt(entries.size)
         assert entries.std() == pytest.approx(sigma, rel=0.05)
 

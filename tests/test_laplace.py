@@ -198,7 +198,7 @@ class TestGgnNearTrainedMap:
             grads = trainer.grad_loss(mps.model_from_params(shape, vec), X, Y)
             return np.concatenate([g.ravel() for g in grads])
 
-        H_fd = fd_hessian_from_grad(grad_nll, mps.flatten_params(fit))
+        H_fd = fd_hessian_from_grad(grad_nll, fit.params.copy())
         U = laplace.ggn_factors(fit, X).factors
         H_ggn = U.T @ U
         rel = np.linalg.norm(H_fd - H_ggn) / np.linalg.norm(H_fd)

@@ -187,7 +187,7 @@ class TestContraction:
         phi = oracles.random_vectors(rng, sh, 0.0, 1.0)[None]
         base = mps.forward_batch(model, phi)[0]
         scaled = model.copy()
-        scaled.nodes[site] = scaled.nodes[site] * c
+        scaled.nodes[site][...] *= c
         np.testing.assert_allclose(
             mps.forward_batch(scaled, phi)[0], c * base, rtol=1e-12, atol=1e-12
         )
@@ -270,7 +270,7 @@ class TestMagnitudeChecks:
         # bond 1: each product is one number. Node 2 is given a NaN after
         # construction, as an optimizer step writes one into the iterate.
         model = transfer_chain([[[1.0]]] * 6, label_site=0)
-        model.nodes[2] = np.array([[[np.nan], [0.0]]])
+        model.nodes[2][...] = [[[np.nan], [0.0]]]
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="at site 2$"):
                 swept(run, model, np.ones((1, 6)))
@@ -628,7 +628,7 @@ class TestGradients:
         for i in range(sh.n_sites):
             delta = rng.normal(size=sh.node_shape(i))
             bumped = model.copy()
-            bumped.nodes[i] = bumped.nodes[i] + eps * delta
+            bumped.nodes[i][...] += eps * delta
             lhs = (mps.forward_batch(bumped, phi) - mps.forward_batch(model, phi))[0] / eps
             rhs = np.tensordot(grad[i], delta, axes=delta.ndim)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-5, atol=1e-7)
@@ -810,11 +810,67 @@ class TestParams:
         rng = np.random.default_rng(31)
         sh = mps.MpsShape(4, 3, 2, 2, boundary="open")
         model = oracles.random_model(rng, sh)
-        vec = mps.flatten_params(model)
+        vec = model.params.copy()
         assert vec.size == sh.param_count
         back = mps.model_from_params(sh, vec)
         for a, b in zip(back.nodes, model.nodes):
             assert np.array_equal(a, b)
+
+    def test_params_is_every_node_entry_in_site_order(self):
+        rng = np.random.default_rng(41)
+        sh = mps.MpsShape(4, 2, 3, 2, label_site=1, boundary="open")
+        nodes = [rng.normal(size=sh.node_shape(i)) for i in range(sh.n_sites)]
+        model = mps.MpsModel(sh, nodes)
+        assert model.params.dtype == np.float64
+        assert model.params.tobytes() == b"".join(n.tobytes() for n in nodes)
+        assert all(np.shares_memory(n, model.params) for n in model.nodes)
+
+    def test_writes_through_a_node_and_through_params_are_shared(self):
+        rng = np.random.default_rng(43)
+        sh = mps.MpsShape(4, 2, 3, 2, boundary="cyclic")
+        model = oracles.random_model(rng, sh)
+        phi = mps.embed(rng.uniform(size=(3, 4)))
+        base = mps.forward_batch(model, phi)
+        model.nodes[2][...] *= 2.0
+        start = sum(np.prod(sh.node_shape(i)) for i in range(2))
+        np.testing.assert_array_equal(
+            model.params[start : start + model.nodes[2].size], model.nodes[2].ravel()
+        )
+        np.testing.assert_allclose(mps.forward_batch(model, phi), 2.0 * base, rtol=1e-13)
+        model.params[:] = 0.0
+        assert all(not n.any() for n in model.nodes)
+        assert not mps.forward_batch(model, phi).any()
+
+    def test_nodes_cannot_be_replaced(self):
+        model = oracles.random_model(np.random.default_rng(47), mps.MpsShape(3, 2, 2, 1))
+        with pytest.raises(TypeError):
+            model.nodes[0] = np.zeros(model.shape.node_shape(0))
+
+    def test_copy_and_model_from_params_own_their_vector(self):
+        rng = np.random.default_rng(53)
+        sh = mps.MpsShape(3, 2, 2, 2)
+        model = oracles.random_model(rng, sh)
+        vec = model.params.copy()
+        copied = model.copy()
+        built = mps.model_from_params(sh, vec)
+        model.params[:] = 1.0
+        vec[:] = 2.0
+        assert not np.shares_memory(copied.params, model.params)
+        assert not np.shares_memory(built.params, vec)
+        np.testing.assert_array_equal(copied.params, built.params)
+        assert not np.isin(copied.params, [1.0, 2.0]).any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_refused_naming_its_node(self, bad):
+        sh = mps.MpsShape(4, 2, 2, 1)
+        nodes = [np.ones(sh.node_shape(i)) for i in range(4)]
+        nodes[3][0, 1, 0] = bad
+        with pytest.raises(ValueError, match="node 3 contains non-finite"):
+            mps.MpsModel(sh, nodes)
+        vec = mps.MpsModel(sh, [np.ones(sh.node_shape(i)) for i in range(4)]).params
+        vec[-1] = bad
+        with pytest.raises(ValueError, match="node 3 contains non-finite"):
+            mps.model_from_params(sh, vec)
 
     def test_unflatten_size_check(self):
         sh = mps.MpsShape(2, 2, 2, 1)

@@ -50,6 +50,11 @@ def test_removed_engine_api_stays_removed():
     ]
     assert with_cap == []
     assert "magnitude_cap" not in {f.name for f in dataclasses.fields(trainer.TrainConfig)}
+    # the model holds one flat parameter vector; its nodes are views of it
+    assert not hasattr(mps, "flatten_params")
+    assert "copy" not in inspect.signature(mps.unflatten_params).parameters
+    assert "theta" not in inspect.signature(trainer._loss_and_grad).parameters
+    assert "max_iter" not in inspect.signature(bmps.LogisticBaseline).parameters
 
 
 def test_import_loads_no_scipy():

@@ -165,7 +165,7 @@ class TestGradLoss:
         def f(vec):
             return trainer.loss(mps.model_from_params(model.shape, vec), X, Y, prior)
 
-        want = fd_grad_scalar(f, mps.flatten_params(model))
+        want = fd_grad_scalar(f, model.params.copy())
         grads = trainer.grad_loss(model, X, Y, prior)
         got = np.concatenate([g.ravel() for g in grads])
         assert np.allclose(got, want, rtol=1e-5, atol=1e-7)
@@ -270,7 +270,7 @@ class TestOptimizerSteps:
         nodes = [n.copy() for n in model.nodes]
         m = [np.zeros_like(n) for n in nodes]
         v = [np.zeros_like(n) for n in nodes]
-        theta = mps.flatten_params(model)
+        theta = model.params.copy()
         opt = trainer._OPTIMIZER_CLASSES[optimizer](config, theta.size)
         # the same rule on the flat vector, written as expressions with
         # temporaries: the in-place optimizer must match it bit for bit
