@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .trainer import softmax
+from .trainer import logsumexp, softmax
 
 MAX_ITER = 500  # L-BFGS iterations a fit may take
 
@@ -51,8 +51,7 @@ class LogisticBaseline:
             W, b = unpack(vec)
             logits = X @ W + b
             probs = softmax(logits)
-            z = logits - logits.max(axis=1, keepdims=True)
-            lse = np.log(np.exp(z).sum(axis=1)) + logits.max(axis=1)
+            lse = logsumexp(logits)
             nll = float(np.sum(lse - np.sum(logits * Y, axis=1)))
             nll += 0.5 * self.l2 * float(np.sum(W * W))
             resid = probs - Y

@@ -510,7 +510,7 @@ _SHARED_OPTIONS = {
     "var_x": (None, {"type": float}),
     "epochs": (20, {"type": int}),
     "batch_size": (32, {"type": int}),
-    "learning_rate": (1e-3, {"type": float}),
+    "learning_rate": (trainer.DEFAULT_LEARNING_RATE, {"type": float}),
     "optimizer": ("adam", {"choices": trainer.OPTIMIZERS}),
     "reg": (0.0, {"type": float, "help": "prior precision"}),
 }

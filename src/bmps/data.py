@@ -411,8 +411,13 @@ def load_csv(path, label_column, schema, classes=None):
     )
 
 
-def make_blobs(n_samples, centers=((-2.0, 0.0), (2.0, 0.0)), std=1.0, seed=0):
-    """Two isotropic Gaussian clouds in the plane, min-max scaled to [0,1]^2.
+# The two cloud centers of :func:`make_blobs`, class 0 first.
+BLOB_CENTERS = ((-2.0, 0.0), (2.0, 0.0))
+
+
+def make_blobs(n_samples, std=1.0, seed=0):
+    """Two isotropic Gaussian clouds in the plane, centered on
+    :data:`BLOB_CENTERS` and min-max scaled to [0,1]^2.
 
     Half the samples (rounding down) belong to class 0, the rest to class 1.
     """
@@ -420,20 +425,18 @@ def make_blobs(n_samples, centers=((-2.0, 0.0), (2.0, 0.0)), std=1.0, seed=0):
         raise ValueError(f"std must be > 0, got {std}")
     if n_samples < 2:
         raise DataError(f"need at least 2 samples, got {n_samples}")
-    if len(centers) != 2 or any(len(c) != 2 for c in centers):
-        raise DataError("centers must be two points in the plane")
     rng = np.random.default_rng(seed)
     n0 = n_samples // 2
     counts = (n0, n_samples - n0)
     points, labels = [], []
-    for cls, (center, count) in enumerate(zip(centers, counts)):
+    for cls, (center, count) in enumerate(zip(BLOB_CENTERS, counts)):
         points.append(rng.normal(loc=center, scale=std, size=(count, 2)))
         labels.extend([cls] * count)
     X = minmax_scale(np.vstack(points))
     Y = _onehot(np.asarray(labels), 2)
     prov = {
         "source": "synthetic blobs",
-        "centers": [list(map(float, c)) for c in centers],
+        "centers": [list(map(float, c)) for c in BLOB_CENTERS],
         "std": float(std),
         "seed": seed,
         "scaling": "min-max to [0,1]^2",

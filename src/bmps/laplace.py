@@ -186,8 +186,9 @@ class LaplacePosterior:
     """Gaussian posterior N(map_model, (U'U + precision*I)^{-1}).
 
     Immutable after construction; the R x R Woodbury core factorization is
-    computed once, or read from a posterior file and checked there. Safe to
-    share across threads for reads.
+    computed once, or read from a posterior file and checked there, and
+    ``_core`` holds its upper factor (None at rank 0). Safe to share across
+    threads for reads.
     """
 
     def __init__(self, map_model, factors, prior_precision):
@@ -204,7 +205,7 @@ class LaplacePosterior:
                 # core is exactly symmetric (U @ U.T runs as one syrk), so its
                 # transpose is the Fortran-ordered array LAPACK factors in
                 # place; a C-ordered one would be copied first
-                self._core = cho_factor(core.T, overwrite_a=True)
+                self._core = cho_factor(core.T, overwrite_a=True)[0]
             except LinAlgError as exc:
                 raise NumericError(
                     "posterior core factorization failed; factors are likely "
@@ -222,7 +223,7 @@ class LaplacePosterior:
             post._core = None
         else:
             _check_core(c, factors.factors, post.prior_precision)
-            post._core = (c, False)
+            post._core = c
         return post
 
     def _bind(self, map_model, factors, prior_precision):
@@ -265,7 +266,7 @@ class LaplacePosterior:
 
         U = self.factors.factors
         w = U @ V.T  # (R, k)
-        s = cho_solve(self._core, w)
+        s = cho_solve((self._core, False), w)
         return (V - s.T @ U) / lam
 
     @property
@@ -277,7 +278,7 @@ class LaplacePosterior:
         P, R = self.factors.n_params, self.factors.rank
         log_det = (P - R) * np.log(self.prior_precision)
         if self._core is not None:
-            log_det += 2.0 * np.sum(np.log(np.diag(self._core[0])))
+            log_det += 2.0 * np.sum(np.log(np.diag(self._core)))
         return float(log_det)
 
 
@@ -330,9 +331,8 @@ def _variance(post, J):
     if post._core is not None:
         from scipy.linalg import solve_triangular
 
-        c, lower = post._core
         A = post.factors.factors @ J.T  # (R, k)
-        Z = solve_triangular(c, A, trans=0 if lower else 1, lower=lower)
+        Z = solve_triangular(post._core, A, trans=1, lower=False)
         sq -= np.einsum("rk,rk->k", Z, Z)
     return sq / post.prior_precision
 
@@ -417,7 +417,7 @@ def _payloads(post):
     little-endian float64 (views on little-endian hosts). Rank 0 has no core."""
     out = [np.ascontiguousarray(post.factors.factors, dtype="<f8").reshape(-1)]
     if post._core is not None:
-        out.append(np.asfortranarray(post._core[0], dtype="<f8").ravel(order="F"))
+        out.append(np.asfortranarray(post._core, dtype="<f8").ravel(order="F"))
     return out
 
 

@@ -122,7 +122,7 @@ import numpy as np
 from .errors import DataError, NumericError, ParseError, ShapeError
 
 # Largest magnitude any product of a contraction may reach; read by each
-# sweep when it runs.
+# check when it runs.
 MAGNITUDE_CAP = 1e100
 
 # Rows contracted together by the whole-dataset passes (prediction, GGN
@@ -307,12 +307,14 @@ def _within(arr, cap):
     return -cap <= lo and hi <= cap and math.isfinite(lo) and math.isfinite(hi)
 
 
-def _check(arr, site, cap):
-    """Return ``arr`` once its largest magnitude is finite and within ``cap``."""
-    if not _within(arr, cap):
+def _check(arr, site):
+    """Return ``arr`` once its largest magnitude is finite and within
+    :data:`MAGNITUDE_CAP`."""
+    if not _within(arr, MAGNITUDE_CAP):
         m = np.abs(arr).max()
         raise NumericError(
-            f"contraction magnitude {m:.3e} exceeded cap {cap:.3e} at site {site}"
+            f"contraction magnitude {m:.3e} exceeded cap {MAGNITUDE_CAP:.3e} "
+            f"at site {site}"
         )
     return arr
 
@@ -393,16 +395,12 @@ class BatchEnv:
     merged products (see :func:`_merged`), for the gradient's
     back-propagation. ``label`` holds the label site's matrices (batch,
     n_labels, D, D), and ``closure``, ``tails[0]`` transposed, is the label
-    node's environment. ``cap``, :data:`MAGNITUDE_CAP` when the sweep ran
-    unless it was given another, is the magnitude cap every later product
-    is checked against.
-    ``buffers`` holds ``mats``, ``tails`` and the gradient pass's scratch
-    arrays, for :func:`sweep_env`'s ``reuse``.
+    node's environment. ``buffers`` holds ``mats``, ``tails`` and the
+    gradient pass's scratch arrays, for :func:`sweep_env`'s ``reuse``.
     """
 
     model: MpsModel
     phi: np.ndarray
-    cap: float
     group: int
     nodes: np.ndarray
     psi: np.ndarray
@@ -454,7 +452,7 @@ def _merged(nodes, phi, group):
     return suffixes, psi.reshape(G, B, 1, s**group)
 
 
-def _sweep(model, phi, keep, reuse=None, group=None, cap=None):
+def _sweep(model, phi, keep, reuse=None, group=None):
     """Contract a batch of embedded rows ``phi`` (batch, n_sites, phys) round
     the ring (see the module docstring).
 
@@ -462,12 +460,11 @@ def _sweep(model, phi, keep, reuse=None, group=None, cap=None):
     forms every unit's matrix in two batched products, stacks the partial
     products for the environments and scans the stack once; otherwise the
     sweep streams, each product checked as it is formed, so memory stays
-    O(batch * bond^2). ``group`` and ``cap`` default to :data:`_GROUP` and
-    :data:`MAGNITUDE_CAP` as they are when the sweep runs.
+    O(batch * bond^2). ``group`` defaults to :data:`_GROUP` as it is when
+    the sweep runs.
     """
     shape = model.shape
     group = _GROUP if group is None else group
-    cap = MAGNITUDE_CAP if cap is None else cap
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape[1:] != (shape.n_sites, shape.phys_dim):
         raise ShapeError(
@@ -497,14 +494,14 @@ def _sweep(model, phi, keep, reuse=None, group=None, cap=None):
 
     def site(j, tail):
         m = np.matmul(ring_phi[j], flat_nodes[j]).reshape(B, D, D)
-        return _check(np.matmul(m, tail), lay.ring[j], cap)
+        return _check(np.matmul(m, tail), lay.ring[j])
 
     def step(u, tail):  # unit u's checked product onto tail
         if u >= G:
             return site(n + u - G, tail)
         with np.errstate(**quiet):
             out = np.matmul(np.matmul(psi[u], merged[u]).reshape(B, D, D), tail)
-        if _within(out, cap):
+        if _within(out, MAGNITUDE_CAP):
             return out
         for j in reversed(range(u * group, (u + 1) * group)):
             tail = site(j, tail)
@@ -525,7 +522,7 @@ def _sweep(model, phi, keep, reuse=None, group=None, cap=None):
                 np.matmul(mats[u], tails[u + 1], out=tails[u])
         # one scan; on failure, form the products again in order, checked
         # as the stream checks them
-        if not _within(tails[:U], cap):
+        if not _within(tails[:U], MAGNITUDE_CAP):
             for u in reversed(range(U)):
                 tails[u] = step(u, tails[u + 1])
         tail = tails[0]
@@ -534,12 +531,12 @@ def _sweep(model, phi, keep, reuse=None, group=None, cap=None):
             tail = step(u, tail)
     label = np.matmul(phi[:, k, None], theta[lay.label].reshape(s, -1))
     label = label.reshape(B, shape.n_labels, D, D)
-    full = _check(np.matmul(label, tail[:, None]), k, cap)
-    logits = _check(np.trace(full, axis1=2, axis2=3), k, cap)
+    full = _check(np.matmul(label, tail[:, None]), k)
+    logits = _check(np.trace(full, axis1=2, axis2=3), k)
     closure = np.swapaxes(tail, 1, 2)
     return BatchEnv(
-        model, phi, cap, group, nodes, psi, suffixes, mats, tails, label, closure,
-        logits, pool,
+        model, phi, group, nodes, psi, suffixes, mats, tails, label, closure, logits,
+        pool,
     )
 
 
@@ -601,10 +598,10 @@ def _env_blocks(mats, tails, label_mats, pool):
         yield j0, runs[: n + 1], envs[:n]
 
 
-def _block_within(j0, runs, envs, cap):
+def _block_within(j0, runs, envs):
     """One scan per buffer of the products a block of :func:`_env_blocks`
     formed (``runs[1]`` of the first block is the checked label stand-in)."""
-    return _within(runs[1 if j0 else 2 :], cap) and _within(envs, cap)
+    return _within(runs[1 if j0 else 2 :], MAGNITUDE_CAP) and _within(envs, MAGNITUDE_CAP)
 
 
 def _environments(env, label_mats, pool):
@@ -620,13 +617,13 @@ def _environments(env, label_mats, pool):
     """
     ring = _layout(env.model.shape).ring
     if env.group != 1:
-        env = _sweep(env.model, env.phi, keep=True, group=1, cap=env.cap)
+        env = _sweep(env.model, env.phi, keep=True, group=1)
     for j0, runs, envs in _env_blocks(env.mats, env.tails, label_mats, pool):
-        if not _block_within(j0, runs, envs, env.cap):
+        if not _block_within(j0, runs, envs):
             for j in range(j0, j0 + len(envs)):
                 if j:
-                    _check(runs[j - j0 + 1], ring[j - 1], env.cap)
-                _check(envs[j - j0], ring[j], env.cap)
+                    _check(runs[j - j0 + 1], ring[j - 1])
+                _check(envs[j - j0], ring[j])
         yield j0, envs
 
 
@@ -668,7 +665,7 @@ def jacobian_from_env(env, out=None):
     return jac
 
 
-def _backprop(nodes, suffixes, H, out, cap):
+def _backprop(nodes, suffixes, H, out):
     """Write the gradients of the groups' node slices into ``out`` (G,
     group, phys, D, D), transposed, given ``H`` (G, phys**group, D, D),
     the gradients of their merged slices, transposed.
@@ -680,8 +677,8 @@ def _backprop(nodes, suffixes, H, out, cap):
     slices; transposed, ``suffix @ H[.., s, ..] @ prefix``: two batched
     products over the groups, with no batch axis. The prefixes, products
     a running product of the group's sites would hold, are formed first
-    and scanned against ``cap``; returns False, writing nothing, if that
-    scan fails.
+    and scanned against :data:`MAGNITUDE_CAP`; returns False, writing
+    nothing, if that scan fails.
     """
     G, group, s, D, _ = out.shape
     A = nodes.reshape(out.shape)
@@ -689,7 +686,7 @@ def _backprop(nodes, suffixes, H, out, cap):
     for m in range(1, group - 1):
         prefix = np.matmul(prefixes[m][:, :, None], A[:, m, None])
         prefixes.append(prefix.reshape(G, s ** (m + 1), D, D))
-    if not all(_within(p, cap) for p in prefixes[2:]):
+    if not all(_within(p, MAGNITUDE_CAP) for p in prefixes[2:]):
         return False
     for m in range(group):
         p, q = s**m, s ** (group - 1 - m)
@@ -722,7 +719,7 @@ def _grouped_grad(env, folded, ring_grad):
     phi = env.phi[:, _layout(env.model.shape).ring[n:]].transpose(1, 2, 0)
     H = _buffer(env.buffers, "merged_grad", (G, s**group, D * D))
     for u0, runs, envs in _env_blocks(env.mats, env.tails, folded, env.buffers):
-        if not _block_within(u0, runs, envs, env.cap):
+        if not _block_within(u0, runs, envs):
             return False
         u1 = u0 + len(envs)
         envs = envs.reshape(u1 - u0, B, D * D)
@@ -732,7 +729,7 @@ def _grouped_grad(env, folded, ring_grad):
         np.matmul(psi[u0:g1], envs[: max(g1 - u0, 0)], out=H[u0:g1])
         np.matmul(phi[lo:hi], envs[lo + G - u0 :], out=ring_grad[n + lo : n + hi])
     grad = ring_grad[:n].reshape(G, group, s, D, D)
-    return _backprop(env.nodes[:n], env.suffixes, H, grad, env.cap) and _within(
+    return _backprop(env.nodes[:n], env.suffixes, H, grad) and _within(
         ring_grad, np.inf
     )
 
@@ -740,9 +737,9 @@ def _grouped_grad(env, folded, ring_grad):
 def weighted_grad_from_env(env, coeff, out=None):
     """sum_b sum_l coeff[b, l] * d logits[b, l] / d nodes.
 
-    ``coeff`` has shape (batch, n_labels). Returns one array per node,
-    shaped like the node; or, given a ``param_count`` vector ``out``, writes
-    the gradient into it in ``model.params`` order and returns it.
+    ``coeff`` has shape (batch, n_labels). Returns the gradient as a
+    ``param_count`` vector in ``model.params`` order: ``out`` when given,
+    else a new one.
     Per-sample Jacobians are never formed: the coefficients are folded into
     the label site's matrices first, so one class-free environment pass
     serves every site. It runs over the sweep's units, one product a group
@@ -757,7 +754,7 @@ def weighted_grad_from_env(env, coeff, out=None):
     B, L, k, D = env.phi.shape[0], shape.n_labels, shape.label_site, shape.bond_dim
     if coeff.shape != (B, L):
         raise ShapeError(f"coeff shape {coeff.shape} != {(B, L)}")
-    folded = _check(np.einsum("bl,blar->bar", coeff, env.label)[:, None], k, env.cap)
+    folded = _check(np.einsum("bl,blar->bar", coeff, env.label)[:, None], k)
     R, s = lay.nodes.shape[:2]
     pad = _buffer(env.buffers, "grad", (R * s * D * D + lay.label.size,))
     ring_grad = pad[: R * s * D * D].reshape(R, s, D * D)
@@ -773,8 +770,7 @@ def weighted_grad_from_env(env, coeff, out=None):
     weights = (env.phi[:, k, :, None] * coeff[:, None]).reshape(B, s * L)
     label = np.matmul(weights.T, env.closure.reshape(B, D * D)).reshape(s, L, D, D)
     pad[R * s * D * D :].reshape(D, s, L, D)[...] = label.transpose(2, 0, 1, 3)
-    flat = np.take(pad, lay.grad, out=out)
-    return flat if out is not None else unflatten_params(shape, flat)
+    return np.take(pad, lay.grad, out=out)
 
 
 def weight_norm_sq(model):

@@ -21,8 +21,8 @@ boundary, together with a per-epoch history that serializes to CSV or JSON.
 Divergence is detected two ways and reported as
 :class:`bmps.errors.TrainingDiverged` carrying the epoch and batch index:
 a non-finite batch loss (or an overflowing contraction), or a mean
-per-sample cross entropy exceeding ``divergence_factor`` times its value at
-initialization.
+per-sample cross entropy exceeding :data:`DIVERGENCE_FACTOR` times its value
+at initialization.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,6 +40,17 @@ from .errors import DataError, NumericError, ShapeError, TrainingDiverged
 OPTIMIZERS = ("adam", "sgd", "sgd_momentum")
 
 DEFAULT_LEARNING_RATE = 1e-3
+
+# The optimizers' own constants: sgd_momentum's velocity decay, and Adam's
+# moment decays and denominator offset.
+MOMENTUM = 0.9
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+# A batch whose mean cross entropy exceeds this multiple of its value at
+# initialization ends training as diverged.
+DIVERGENCE_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -65,13 +76,8 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = DEFAULT_LEARNING_RATE
     optimizer: str = "adam"
-    momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     shuffle: bool = True
     seed: int = 0
-    divergence_factor: float = 1e3
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -83,16 +89,6 @@ class TrainConfig:
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(
                 f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}"
-            )
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("adam betas must be in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
-        if not self.divergence_factor > 1:
-            raise ValueError(
-                f"divergence_factor must be > 1, got {self.divergence_factor}"
             )
 
 
@@ -110,10 +106,7 @@ class EpochRecord:
     eval_seconds: float
 
 
-_HISTORY_FIELDS = (
-    "epoch", "train_loss", "train_acc", "test_acc", "param_std", "seconds",
-    "eval_seconds",
-)
+_HISTORY_FIELDS = tuple(f.name for f in fields(EpochRecord))
 
 
 @dataclass
@@ -290,14 +283,13 @@ class _Sgd:
 class _SgdMomentum:
     def __init__(self, config, size):
         self.lr = config.learning_rate
-        self.mu = config.momentum
         self.velocity = np.zeros(size)
         self.scratch = np.empty(size)
 
     def step(self, theta, grad):
         # v = mu * v + grad; theta -= lr * v
         v = self.velocity
-        v *= self.mu
+        v *= MOMENTUM
         v += grad
         theta -= np.multiply(self.lr, v, out=self.scratch)
 
@@ -305,9 +297,6 @@ class _SgdMomentum:
 class _Adam:
     def __init__(self, config, size):
         self.lr = config.learning_rate
-        self.b1 = config.adam_beta1
-        self.b2 = config.adam_beta2
-        self.eps = config.adam_eps
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -318,16 +307,16 @@ class _Adam:
         # m = b1 * m + (1 - b1) * grad; v = b2 * v + (1 - b2) * grad**2;
         # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         self.t += 1
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         m, v, tmp, denom = self.m, self.v, self.scratch, self.denom
-        m *= self.b1
-        m += np.multiply(1.0 - self.b1, grad, out=tmp)
-        v *= self.b2
-        v += np.multiply(1.0 - self.b2, np.square(grad, out=tmp), out=tmp)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, grad, out=tmp)
+        v *= ADAM_BETA2
+        v += np.multiply(1.0 - ADAM_BETA2, np.square(grad, out=tmp), out=tmp)
         np.divide(v, bc2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += ADAM_EPS
         np.divide(m, bc1, out=tmp)
         np.multiply(self.lr, tmp, out=tmp)
         theta -= np.divide(tmp, denom, out=tmp)
@@ -397,7 +386,7 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
             mean_ce = batch_ce / len(rows)
             if not np.isfinite(mean_ce) or (
                 initial_mean_ce > 0
-                and mean_ce > config.divergence_factor * initial_mean_ce
+                and mean_ce > DIVERGENCE_FACTOR * initial_mean_ce
             ):
                 raise TrainingDiverged(
                     f"mean cross entropy {mean_ce:.6g} at epoch {epoch}, "

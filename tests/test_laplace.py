@@ -747,10 +747,9 @@ class TestStoredCore:
         path = tmp_path / "posterior.blap"
         laplace.save_posterior(post, path)
         loaded = laplace.load_posterior(path)
-        c, lower = post._core
-        assert lower is False and loaded._core[1] is False
-        assert loaded._core[0].flags.f_contiguous
-        assert loaded._core[0].tobytes(order="F") == c.tobytes(order="F")
+        c = post._core
+        assert loaded._core.flags.f_contiguous
+        assert loaded._core.tobytes(order="F") == c.tobytes(order="F")
         assert loaded.log_det_precision == post.log_det_precision
         a, b = laplace.predictive_batch(post, X), laplace.predictive_batch(loaded, X)
         assert np.array_equal(a.sigma2, b.sigma2)
@@ -804,7 +803,7 @@ class TestStoredCore:
 
     def test_scaled_upper_entry_fails_the_probe(self):
         post, _ = fitted_posterior(RNG(65))
-        c = post._core[0]
+        c = post._core
         upper = np.triu(np.abs(c), k=1)
         i, j = np.unravel_index(np.argmax(upper), c.shape)
         assert upper[i, j] > 0

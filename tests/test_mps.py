@@ -437,8 +437,7 @@ class TestGroupedForward:
         monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
         assert np.all(np.abs(swept("forward_batch", model, X)) < 10)
         assert np.all(np.abs(swept("sweep_env", model, X).logits) < 10)
-        grads = swept("weighted_grad_from_env", model, X)
-        assert all(np.all(np.isfinite(g)) for g in grads)
+        assert np.all(np.isfinite(swept("weighted_grad_from_env", model, X)))
         with pytest.raises(NumericError, match=f"at site {g}$"):
             swept("jacobian_from_env", model, X)
         # steps too small to move the excursion out of the group
@@ -543,8 +542,7 @@ class TestGroupedTrainingStep:
         model = TestMagnitudeChecks.excursion_chain({5: 1e40, 8: 1e20, 0: 1e-20})
         X = np.ones((3, 9))
         monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
-        grads = swept("weighted_grad_from_env", model, X)
-        assert all(np.all(np.isfinite(g)) for g in grads)
+        assert np.all(np.isfinite(swept("weighted_grad_from_env", model, X)))
         with pytest.raises(NumericError, match="at site 8$"):
             swept("jacobian_from_env", model, X)
 
@@ -712,8 +710,7 @@ class TestGradients:
             X = rng.uniform(0, 1, size=(6, n))
             coeff = rng.normal(size=(6, sh.n_labels))
             env = mps.sweep_env(model, mps.embed(X))
-            grads = mps.weighted_grad_from_env(env, coeff)
-            flat = np.concatenate([g.ravel() for g in grads])
+            flat = mps.weighted_grad_from_env(env, coeff)
             jac = mps.jacobian_from_env(env)
             want = np.einsum("bl,blp->p", coeff, jac)
             np.testing.assert_allclose(flat, want, rtol=1e-11, atol=1e-12)
@@ -741,8 +738,8 @@ class TestGradients:
             want = np.tensordot(per_node(sh, naive)[5], model.nodes[5], axes=3)
             assert rel_err(env.logits[b], want) <= 1e-12
             want_grad = want_grad + np.einsum("l,lp->p", coeff[b], naive)
-        grads = mps.weighted_grad_from_env(env, coeff)
-        assert rel_err(np.concatenate([g.ravel() for g in grads]), want_grad) <= 1e-12
+        grad = mps.weighted_grad_from_env(env, coeff)
+        assert rel_err(grad, want_grad) <= 1e-12
 
     @pytest.mark.parametrize("boundary", ["open", "cyclic"])
     @pytest.mark.parametrize("label_site", [0, 3, 6])
@@ -761,8 +758,8 @@ class TestGradients:
 
             def run():
                 env = mps.sweep_env(model, mps.embed(X))
-                grads = mps.weighted_grad_from_env(env, coeff)
-                return [env.logits, *grads, mps.jacobian_from_env(env)]
+                grad = mps.weighted_grad_from_env(env, coeff)
+                return [env.logits, grad, mps.jacobian_from_env(env)]
 
             monkeypatch.setattr(mps, "_BLOCK_BYTES", default)
             assert default >= 6 * n_labels * per_site

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import bmps
 from bmps import initializer, laplace, mps, trainer
 
@@ -55,6 +57,21 @@ def test_removed_engine_api_stays_removed():
     assert "copy" not in inspect.signature(mps.unflatten_params).parameters
     assert "theta" not in inspect.signature(trainer._loss_and_grad).parameters
     assert "max_iter" not in inspect.signature(bmps.LogisticBaseline).parameters
+    # settings that only ever took their default are module constants: the
+    # optimizers' and the divergence rule's, the blob centers and the cap
+    # every check reads
+    assert [f.name for f in dataclasses.fields(trainer.TrainConfig)] == [
+        "epochs", "batch_size", "learning_rate", "optimizer", "shuffle", "seed",
+    ]
+    assert "centers" not in inspect.signature(bmps.make_blobs).parameters
+    assert "cap" not in inspect.signature(mps._sweep).parameters
+    assert "cap" not in {f.name for f in dataclasses.fields(mps.BatchEnv)}
+    # the weighted gradient is one flat vector in model.params order
+    shape = mps.MpsShape(4, 2, 2, 3, boundary="open")
+    model = mps.MpsModel(shape, [np.ones(shape.node_shape(i)) for i in range(4)])
+    env = mps.sweep_env(model, mps.embed(np.full((2, 4), 0.5)))
+    grad = mps.weighted_grad_from_env(env, np.ones((2, 3)))
+    assert isinstance(grad, np.ndarray) and grad.shape == (shape.param_count,)
 
 
 def test_import_loads_no_scipy():

@@ -211,13 +211,12 @@ class TestOptimizerSteps:
         rng = RNG(31)
         model = small_model(rng, 1)
         X, Y = toy_binary_data(rng, 8)
-        lr, mu = 0.01, 0.9
+        lr, mu = 0.01, trainer.MOMENTUM
         config = trainer.TrainConfig(
             epochs=2,
             batch_size=8,
             learning_rate=lr,
             optimizer="sgd_momentum",
-            momentum=mu,
             shuffle=False,
         )
         trained, _ = trainer.train_map(model, split(X, Y), config)
@@ -240,10 +239,8 @@ class TestOptimizerSteps:
         rng = RNG(32)
         model = small_model(rng, 1)
         X, Y = toy_binary_data(rng, 8)
-        lr, eps = 0.05, 1e-8
-        config = trainer.TrainConfig(
-            epochs=1, batch_size=8, learning_rate=lr, adam_eps=eps, shuffle=False
-        )
+        lr, eps = 0.05, trainer.ADAM_EPS
+        config = trainer.TrainConfig(epochs=1, batch_size=8, learning_rate=lr, shuffle=False)
         grads = trainer.grad_loss(model, X, Y)
         trained, history = trainer.train_map(model, split(X, Y), config)
         if history.best_epoch == 1:
@@ -261,10 +258,11 @@ class TestOptimizerSteps:
         X = rng.uniform(0, 1, size=(16, 4))
         Y = onehot(rng.integers(0, 3, size=16), 3)
         prior = trainer.PriorSpec(0.1)
-        lr, mu, b1, b2, eps = 0.01, 0.9, 0.9, 0.999, 1e-8
+        lr = 0.01
+        mu, b1, b2 = trainer.MOMENTUM, trainer.ADAM_BETA1, trainer.ADAM_BETA2
+        eps = trainer.ADAM_EPS
         config = trainer.TrainConfig(
-            epochs=4, batch_size=16, learning_rate=lr, optimizer=optimizer,
-            momentum=mu, adam_beta1=b1, adam_beta2=b2, adam_eps=eps, shuffle=False,
+            epochs=4, batch_size=16, learning_rate=lr, optimizer=optimizer, shuffle=False
         )
 
         nodes = [n.copy() for n in model.nodes]
@@ -328,10 +326,6 @@ class TestOptimizerSteps:
             trainer.TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             trainer.TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            trainer.TrainConfig(momentum=1.0)
-        with pytest.raises(ValueError):
-            trainer.TrainConfig(divergence_factor=1.0)
         with pytest.raises(ValueError):
             trainer.PriorSpec(-0.1)
 
@@ -466,18 +460,24 @@ class TestDivergence:
         assert err.batch is not None and err.batch >= 0
         assert f"epoch {err.epoch}" in str(err)
 
-    def test_divergence_factor_controls_threshold(self):
-        # A generous factor lets the same unstable run survive longer or
-        # complete; the default tears it down. Only the strict run must fail.
+    def test_divergence_factor_controls_threshold(self, monkeypatch):
+        # The default factor lets an unstable run go on for a few batches;
+        # a strict one tears the same run down at its first batch.
         rng = RNG(51)
         X, Y = toy_binary_data(rng, 24)
         model = small_model(rng, 1)
-        strict = trainer.TrainConfig(
-            epochs=3, batch_size=8, learning_rate=5.0, optimizer="sgd",
-            divergence_factor=1.0001,
+        config = trainer.TrainConfig(
+            epochs=3, batch_size=8, learning_rate=5.0, optimizer="sgd"
         )
-        with pytest.raises(TrainingDiverged):
-            trainer.train_map(model, split(X, Y), strict)
+
+        def stop():
+            with pytest.raises(TrainingDiverged) as info:
+                trainer.train_map(model, split(X, Y), config)
+            return info.value.epoch, info.value.batch
+
+        default = stop()
+        monkeypatch.setattr(trainer, "DIVERGENCE_FACTOR", 1.0001)
+        assert stop() == (1, 0) < default
 
     def test_overflowing_initial_state_reports_epoch_zero(self):
         # Nodes so large the very first contraction trips the magnitude cap:
