@@ -30,15 +30,24 @@ quadratic form
     sigma^2 = g'M^{-1}g = (|g|^2 - |C^{-T} U g|^2) / precision,
 
 with C'C = precision*I_R + UU' the cached core factorization, so a batch of
-Jacobian rows costs one product with U and one triangular solve, and
-M^{-1}g is never formed.
+Jacobian rows costs one pass of products with U and one triangular solve,
+and M^{-1}g is never formed.
 
 Both Jacobian passes, the factor build and prediction, run in chunks that
 :func:`bmps.mps.map_chunks` sizes by a byte budget on the chunk's Jacobian
 (``n_labels * param_count * 8`` bytes a row) and maps over a thread per
 usable core when the budget sets the size. The factor build writes each
 chunk's rows straight into one preallocated U, so the peak is U plus the
-chunks in flight.
+chunks in flight. Prediction never holds a chunk's whole Jacobian: it
+takes it in runs of contiguous sites (:func:`bmps.mps.jacobian_blocks`),
+each written into one reused buffer and added into ``A = U J'`` (R x k
+for k = rows * n_labels) by one product, and the triangular solve then
+overwrites A with Z. So a prediction chunk holds A, the run buffer (at
+most ``mps._JACOBIAN_BLOCK_BYTES``), the product of the current run before
+it is added to A, and the sweeps' stacks. The chunk keeps the row count
+its whole Jacobian would fix: that width, ``k``, is what keeps the
+products with U wide, and the number of chunks sets how many passes are
+made over U.
 
 Importing this module loads numpy and no scipy module. The sigmoid,
 softmax and logsumexp are the numpy forms of :mod:`bmps.trainer`, and
@@ -74,7 +83,7 @@ import numpy as np
 
 from . import mps
 from .errors import DataError, NumericError, ParseError, ShapeError
-from .trainer import expit, logsumexp, softmax
+from .trainer import binary_columns, expit, logsumexp, softmax
 
 DEFAULT_RANK_CAP = 2000
 
@@ -319,40 +328,50 @@ def _logit_gaps(logits):
     return out
 
 
-def _variance(post, J):
-    """Row-wise ``j' M^{-1} j`` for the rows of J (k, n_params); shape (k,).
+def _variance(post, env):
+    """Row-wise ``j' M^{-1} j`` for the logit Jacobian rows of a swept
+    batch; shape (batch, n_labels).
 
     By Woodbury this is ``(|j|^2 - |Z|^2) / precision`` per row, where
     ``Z = C^{-T} U j`` and ``C'C = precision*I_R + UU'`` is the cached core
-    factorization: the one large product is ``U J'`` (R x k), and
-    ``M^{-1} J`` is never formed.
+    factorization. The Jacobian streams through in column runs
+    (:func:`bmps.mps.jacobian_blocks`): each adds its part of ``A = U J'``
+    (R x k, held as its transpose, so the triangular solve overwrites it)
+    and of ``|j|^2``. ``M^{-1} J`` and the whole Jacobian are never formed.
     """
-    sq = np.einsum("kp,kp->k", J, J)
-    if post._core is not None:
+    U = post.factors.factors
+    b, L = env.logits.shape
+    sq, At, part = np.zeros(b * L), None, None
+    for c0, c1, J in mps.jacobian_blocks(env):
+        J = J.reshape(b * L, c1 - c0)
+        sq += np.einsum("kp,kp->k", J, J)
+        if post._core is None:
+            continue
+        if At is None:
+            At = J @ U[:, c0:c1].T  # (k, R)
+        else:
+            part = np.matmul(J, U[:, c0:c1].T, out=part)
+            At += part
+    J = part = None  # the block buffer is not needed while solving
+    if At is not None:
         from scipy.linalg import solve_triangular
 
-        A = post.factors.factors @ J.T  # (R, k)
-        Z = solve_triangular(post._core, A, trans=1, lower=False)
+        Z = solve_triangular(post._core, At.T, trans=1, lower=False, overwrite_b=True)
         sq -= np.einsum("rk,rk->k", Z, Z)
-    return sq / post.prior_precision
+    return (sq / post.prior_precision).reshape(b, L)
 
 
 def _moderate(post, X):
     """Moderated predictions of one batch; see :func:`predictive_batch`."""
-    n_labels = post.map_model.shape.n_labels
     env = mps.sweep_env(post.map_model, mps.embed(X))
     # the sweep's logits are MAP prediction's, bit for bit
-    jac, logits = mps.jacobian_from_env(env), env.logits  # (b, L, P), (b, L)
-    env = None  # the sweep's stacks are not needed while solving
-    b = jac.shape[0]
-    sigma2 = _variance(post, jac.reshape(b * n_labels, -1)).reshape(b, n_labels)
-    sigma2 = np.maximum(sigma2, 0.0)
+    logits = env.logits
+    sigma2 = np.maximum(_variance(post, env), 0.0)
     gaps = _logit_gaps(logits)
     k = kappa(sigma2)
     moderated = expit(k * gaps)
-    if n_labels == 1:
-        p1 = moderated[:, 0]
-        p = np.column_stack([1.0 - p1, p1])
+    if logits.shape[1] == 1:
+        p = binary_columns(moderated[:, 0])
     else:
         p = moderated / moderated.sum(axis=1, keepdims=True)
     return PredictiveBatch(

@@ -64,7 +64,11 @@ agree bit for bit:
   the batch again in groups of one site: the stacked sweep forms and
   checks every site's matrix and partial product. It then runs the
   recurrence per site, streaming one site a block for a chunk. The
-  gradient pass falls back to the same per-site recurrence.
+  gradient pass falls back to the same per-site recurrence. One writer
+  turns each site's environments into its Jacobian columns: into one
+  whole array for :func:`jacobian_from_env`, or, for
+  :func:`jacobian_blocks`, into one buffer that holds a run of
+  contiguous sites' columns at a time.
 
 Whole-dataset passes run through :func:`map_chunks`. A chunk holds at most
 :data:`CHUNK_ROWS` rows, and no more than :data:`CHUNK_BYTES` of the
@@ -627,27 +631,23 @@ def _environments(env, label_mats, pool):
         yield j0, envs
 
 
-def jacobian_from_env(env, out=None):
-    """Flattened logit Jacobians: (batch, n_labels, param_count).
+def _write_jacobian(env, dest):
+    """Write the logit Jacobian site by site, the ring sites in ring order
+    and then the label site, yielding each site once its block is written.
 
-    Each site's block is written straight into its columns of one array:
-    ``out`` when given (a C-contiguous array of that shape), else a new one.
+    ``dest(i)`` gives ``(jac, c0)``: the (batch, n_labels, width) array
+    that holds site ``i``'s columns and the column ``jac`` starts at.
+    The environments are checked as :func:`_environments` checks them, so
+    every destination sees the same errors.
     """
     shape = env.model.shape
     B, L, k = env.phi.shape[0], shape.n_labels, shape.label_site
     starts, ring = _layout(shape)[:2]
-    want = (B, L, starts[-1])
-    if out is None:
-        jac = np.empty(want)
-    elif out.shape != want or not out.flags.c_contiguous:
-        raise ShapeError(f"out must be a C-contiguous {want} array, got {out.shape}")
-    else:
-        jac = out
 
     def block(i):  # site i's columns, laid out (batch, n_labels, *node_shape(i))
-        return jac[:, :, starts[i] : starts[i + 1]].reshape(
-            (B, L) + shape.node_shape(i)
-        )
+        jac, c0 = dest(i)
+        cols = slice(starts[i] - c0, starts[i + 1] - c0)
+        return jac[:, :, cols].reshape((B, L) + shape.node_shape(i))
 
     for j0, envs in _environments(env, env.label, {}):
         for i, e in zip(ring[j0:], envs):
@@ -655,6 +655,7 @@ def jacobian_from_env(env, out=None):
             e = e.swapaxes(2, 3)[:, :, :left, None, :right]
             # block[b, l, a, s, r] = e[b, l, a, r] * phi[b, i, s]
             np.multiply(e, env.phi[:, i, None, None, :, None], out=block(i))
+            yield i
     # logit l depends only on class slice l of the label node
     label = block(k)
     label[...] = 0.0
@@ -662,7 +663,69 @@ def jacobian_from_env(env, out=None):
     diag = np.einsum("bar,bs->basr", env.closure[:, :left, :right], env.phi[:, k])
     for l in range(L):
         label[:, l, :, :, l] = diag
-    return jac
+    yield k
+
+
+def jacobian_from_env(env, out=None):
+    """Flattened logit Jacobians: (batch, n_labels, param_count).
+
+    Each site's block is written straight into its columns of one array:
+    ``out`` when given (a C-contiguous array of that shape), else a new one.
+    """
+    want = (env.phi.shape[0], env.model.shape.n_labels, env.model.shape.param_count)
+    if out is None:
+        out = np.empty(want)
+    elif out.shape != want or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be a C-contiguous {want} array, got {out.shape}")
+    for _ in _write_jacobian(env, lambda i: (out, 0)):
+        pass
+    return out
+
+
+# Bytes of Jacobian columns :func:`jacobian_blocks` holds at once: 39 sites
+# (4,992 columns) of a 63-row, 10-class chunk at the digit scale (196 sites,
+# bond 8), against its 126 MiB whole Jacobian. Moderated prediction of 400
+# such rows around a rank-2,000 posterior (2 workers, 2 vCPUs, OpenBLAS;
+# median rows/s of 4 to 6 interleaved runs, and one run's peak RSS) gave:
+# 4 MiB 69 rows/s; 8 MiB 69 rows/s, 611 MiB; 16 MiB 72-77 rows/s, 627 MiB;
+# 24 MiB 78 rows/s, 642 MiB; 32 MiB 76-78 rows/s, 658 MiB; 48 MiB 79 rows/s,
+# 691 MiB; the whole Jacobian at once 77-78 rows/s, 812 MiB.
+_JACOBIAN_BLOCK_BYTES = 24 << 20
+
+
+def jacobian_blocks(env):
+    """Yield ``(c0, c1, J)`` for runs of contiguous sites that together
+    cover every column: ``J`` (batch, n_labels, c1 - c0) is the logit
+    Jacobian's columns ``c0:c1``, bit for bit those of
+    :func:`jacobian_from_env`.
+
+    ``J`` is a view of one buffer of at most :data:`_JACOBIAN_BLOCK_BYTES`
+    (or one site), which the next run overwrites, so the whole Jacobian is
+    never held. Runs take the sites in the write order of
+    :func:`jacobian_from_env` (the ring, then the label site), whose checks
+    they share, and end where the column order jumps: at the ring's wrap
+    from site ``n - 1`` to 0, and before a label site 0.
+    """
+    shape = env.model.shape
+    B, L = env.phi.shape[0], shape.n_labels
+    width = _JACOBIAN_BLOCK_BYTES // max(B * L * 8, 1)
+    starts = _layout(shape).starts
+    runs = []  # [sites, c0, c1]
+    for i in [*_ring(shape), shape.label_site]:
+        if runs and runs[-1][2] == starts[i] and starts[i + 1] - runs[-1][1] <= width:
+            runs[-1][0].append(i)
+            runs[-1][2] = starts[i + 1]
+        else:
+            runs.append([[i], starts[i], starts[i + 1]])
+    buf = np.empty(B * L * max(c1 - c0 for _, c0, c1 in runs))
+    where, ends = {}, {}
+    for sites, c0, c1 in runs:
+        J = buf[: B * L * (c1 - c0)].reshape(B, L, c1 - c0)
+        where.update((i, (J, c0)) for i in sites)
+        ends[sites[-1]] = (c0, c1, J)
+    for i in _write_jacobian(env, where.__getitem__):
+        if i in ends:
+            yield ends[i]
 
 
 def _backprop(nodes, suffixes, H, out):

@@ -192,9 +192,17 @@ def probabilities(logits):
     """Class probabilities from (batch, n_labels) logits: sigmoid of a single
     logit as two columns [P(0), P(1)], else softmax."""
     if logits.shape[1] == 1:
-        p1 = expit(logits[:, 0])
-        return np.column_stack([1.0 - p1, p1])
+        return binary_columns(expit(logits[:, 0]))
     return softmax(logits)
+
+
+def binary_columns(p1):
+    """The two columns [1 - p1, p1] of a single-channel model's class
+    probabilities, written into one new (n, 2) array."""
+    out = np.empty((len(p1), 2))
+    np.subtract(1.0, p1, out=out[:, 0])
+    out[:, 1] = p1
+    return out
 
 
 def _cross_entropy(logits, targets):

@@ -196,6 +196,21 @@ def _pair_product(a, b):
     return np.einsum("cae,cer->car", a, b)
 
 
+def transfer_chain(mats, label_site):
+    """A cyclic one-logit chain whose transfer matrices on an all-ones row
+    (phi = [1, 0]) are exactly ``mats[i]``."""
+    sh = mps.MpsShape(len(mats), 2, len(mats[0]), 1, label_site=label_site)
+    nodes = []
+    for i, m in enumerate(mats):
+        node = np.zeros(sh.node_shape(i))
+        if i == label_site:
+            node[:, 0] = np.asarray(m)[:, None, :]
+        else:
+            node[:, 0] = m
+        nodes.append(node)
+    return mps.MpsModel(sh, nodes)
+
+
 def random_shape(rng, max_n=4, max_s=4, max_bond=4, max_labels=3, boundary=None):
     n = int(rng.integers(1, max_n + 1))
     if boundary is None:

@@ -4,7 +4,6 @@ import json
 import math
 import struct
 import threading
-import tracemalloc
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -16,7 +15,8 @@ from scipy.special import expit, logsumexp, softmax
 from bmps import laplace, mps, trainer
 from bmps.errors import DataError, NumericError, ParseError, ShapeError
 
-from oracles import awkward_logits, fd_hessian_from_grad, random_model
+from oracles import awkward_logits, fd_hessian_from_grad, random_model, transfer_chain
+from peaks import traced_peak
 
 RNG = np.random.default_rng
 
@@ -224,13 +224,7 @@ class TestPosteriorSolve:
         model = small_model(rng, 2)
         R = 300
         fac = factors_for(model, rng.normal(size=(R, model.shape.param_count)))
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            laplace.LaplacePosterior(model, fac, 0.5)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: laplace.LaplacePosterior(model, fac, 0.5))
         # the R x R core plus the finiteness mask cho_factor takes of it
         assert peak < 1.5 * R * R * 8
 
@@ -510,6 +504,128 @@ class TestVarianceAgainstDenseReference:
             assert np.all(err <= 1e-12 * scale)
 
 
+class TestStreamedVariance:
+    """The variance takes the Jacobian in runs of contiguous sites
+    (``mps.jacobian_blocks``); narrowed to one or two sites, the runs break
+    at the ring's wrap, at the label site and inside the ring. The chains
+    are those of :class:`TestVarianceAgainstDenseReference`, labelled at
+    site 0, 2 (the default) or 3.
+    """
+
+    @staticmethod
+    def narrow(monkeypatch, model, rows, sites):
+        """Runs of at most ``sites`` bond-by-bond sites in ``rows``-row chunks."""
+        sh = model.shape
+        cols = sh.phys_dim * sh.bond_dim**2
+        monkeypatch.setattr(mps, "_JACOBIAN_BLOCK_BYTES", rows * sh.n_labels * 8 * sites * cols)
+
+    @staticmethod
+    def chain(rng, n_labels, boundary="cyclic", label_site=2):
+        shape = mps.MpsShape(4, 2, 3, n_labels, label_site=label_site, boundary=boundary)
+        return random_model(rng, shape, scale=0.6)
+
+    @pytest.mark.parametrize("sites", [1, 2])
+    @pytest.mark.parametrize("label_site", [0, 2, 3])
+    @pytest.mark.parametrize("boundary", ["open", "cyclic"])
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_matches_svd_reference(self, monkeypatch, n_labels, boundary, label_site, sites):
+        rng = RNG(70 + label_site)
+        model = self.chain(rng, n_labels, boundary, label_site)
+        X = rng.uniform(0, 1, size=(5, 4))
+        J = mps.jacobian_from_env(mps.sweep_env(model, mps.embed(X))).reshape(
+            -1, model.shape.param_count
+        )
+        self.narrow(monkeypatch, model, 5, sites)
+        scale = (J**2).sum(axis=1)
+        for U in (rng.normal(size=(J.shape[0] + 3, J.shape[0])) @ J,
+                  rng.normal(size=(9, J.shape[1]))):
+            for lam in (1e-6, 1e-2, 1.0):
+                post = laplace.LaplacePosterior(model, factors_for(model, U), lam)
+                sigma2 = laplace.predictive_batch(post, X).sigma2.ravel()
+                want = TestVarianceAgainstDenseReference.reference(U, J, lam)
+                assert np.all(np.abs(sigma2 - want) <= 1e-12 * scale / lam)
+
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_matches_the_whole_jacobian_product(self, monkeypatch, n_labels):
+        # logits and gaps come from the sweep, bit for bit; sigma2 from the
+        # one product U @ J' over the whole Jacobian, to round-off
+        rng = RNG(80 + n_labels)
+        model = self.chain(rng, n_labels)
+        X = rng.uniform(0, 1, size=(6, 4))
+        post = laplace.LaplacePosterior(model, laplace.ggn_factors(model, X), 0.5)
+        env = mps.sweep_env(model, mps.embed(X))
+        J = mps.jacobian_from_env(env).reshape(-1, model.shape.param_count)
+        Z = scipy.linalg.solve_triangular(post._core, post.factors.factors @ J.T, trans=1)
+        want = ((J**2).sum(axis=1) - (Z**2).sum(axis=0)) / 0.5
+        self.narrow(monkeypatch, model, 6, 1)
+        got = laplace.predictive_batch(post, X)
+        assert np.array_equal(got.logits, env.logits)
+        assert np.array_equal(got.mu_prime, laplace._logit_gaps(env.logits))
+        assert np.allclose(got.sigma2.ravel(), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_bit_identical_for_every_worker_count(self, monkeypatch, n_labels):
+        rng = RNG(82 + n_labels)
+        model = self.chain(rng, n_labels, "open")
+        X = rng.uniform(0, 1, size=(10, 4))
+        post = laplace.LaplacePosterior(model, laplace.ggn_factors(model, X), 0.5)
+        self.narrow(monkeypatch, model, 3, 2)
+        results = []
+        for workers in (1, 2, 3):
+            TestChunkedPasses.plan(monkeypatch, model, 3, workers)
+            results.append(laplace.predictive_batch(post, X))
+        for got in results[1:]:
+            for f in fields(laplace.PredictiveBatch):
+                assert np.array_equal(getattr(got, f.name), getattr(results[0], f.name))
+
+    def test_overflow_names_the_site_of_the_whole_jacobian(self, monkeypatch):
+        # Ring 5 6 7 8 0 1 2 3 of a 9-site chain labelled at site 4: on rows
+        # of 1s its running products from the label site reach 1e80 at site
+        # 7 (sites 6 and 7 scale by 1e40 each), while the sweep's products
+        # and every environment stay within 1e40. With one position an
+        # environment block and one site a run, the runs of sites 5, 6 and 7
+        # reach A before site 8's environment block fails its scan.
+        mats = [np.eye(2)] * 9
+        for i, c in {6: 1e40, 7: 1e40, 1: 1e-40, 2: 1e-40}.items():
+            mats[i] = np.diag([c, 1.0])
+        model = transfer_chain(mats, label_site=4)
+        X = np.ones((3, 9))
+        U = RNG(84).normal(size=(4, model.shape.param_count))
+        post = laplace.LaplacePosterior(model, factors_for(model, U), 1.0)
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
+        monkeypatch.setattr(mps, "_BLOCK_BYTES", 1)
+        self.narrow(monkeypatch, model, 3, 1)
+        with pytest.raises(NumericError) as whole:
+            mps.jacobian_from_env(mps.sweep_env(model, mps.embed(X)))
+        seen = []
+        blocks = mps.jacobian_blocks
+        monkeypatch.setattr(
+            mps, "jacobian_blocks", lambda env: (seen.append(b[:2]) or b for b in blocks(env))
+        )
+        with pytest.raises(NumericError) as streamed:
+            laplace.predictive_batch(post, X)
+        assert str(whole.value).endswith("at site 7")
+        assert str(streamed.value) == str(whole.value)
+        assert seen == [(40, 48), (48, 56), (56, 64)]  # 8 columns a site
+
+    def test_a_chunk_never_holds_its_whole_jacobian(self, monkeypatch):
+        # 40 sites, bond 6, 10 classes: a 100-row chunk's Jacobian is 28 MB,
+        # one chunk under the default budgets. The block budget takes the
+        # share of it that it takes of a chunk filling mps.CHUNK_BYTES.
+        rng = RNG(85)
+        shape = mps.MpsShape(40, 2, 6, 10)
+        model = random_model(rng, shape, scale=0.3)
+        X = rng.uniform(0, 1, size=(100, 40))
+        P = shape.param_count
+        post = laplace.LaplacePosterior(model, factors_for(model, rng.normal(size=(20, P))), 1.0)
+        assert mps.chunk_plan(100, mps.jacobian_row_bytes(shape))[0] > 100
+        jac_bytes = 100 * 10 * P * 8
+        share = jac_bytes * mps._JACOBIAN_BLOCK_BYTES // mps.CHUNK_BYTES
+        monkeypatch.setattr(mps, "_JACOBIAN_BLOCK_BYTES", share)
+        peak, _ = traced_peak(lambda: laplace.predictive_batch(post, X))
+        assert peak < jac_bytes / 2
+
+
 class TestChunkedPasses:
     """The Jacobian passes under the chunk budget and the worker pool."""
 
@@ -778,13 +894,7 @@ class TestStoredCore:
 
         # laplace imports scipy.linalg's names when it first needs them
         monkeypatch.setattr(scipy.linalg, "cho_factor", refactor)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            loaded = laplace.load_posterior(path)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        peak, loaded = traced_peak(lambda: laplace.load_posterior(path))
         # U and the stored core, but no R x R product UU' beside them
         assert peak < post.factors.factors.nbytes + 1.5 * R * R * 8
         assert loaded.log_det_precision == post.log_det_precision

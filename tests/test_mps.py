@@ -213,21 +213,6 @@ class TestContraction:
             mps.forward_batch(model, mps.embed(np.full((1, 4), 0.5)))
 
 
-def transfer_chain(mats, label_site):
-    """A cyclic one-logit chain whose transfer matrices on an all-ones row
-    (phi = [1, 0]) are exactly ``mats[i]``."""
-    sh = mps.MpsShape(len(mats), 2, len(mats[0]), 1, label_site=label_site)
-    nodes = []
-    for i, m in enumerate(mats):
-        node = np.zeros(sh.node_shape(i))
-        if i == label_site:
-            node[:, 0] = np.asarray(m)[:, None, :]
-        else:
-            node[:, 0] = m
-        nodes.append(node)
-    return mps.MpsModel(sh, nodes)
-
-
 def swept(run, model, X):
     """Run one engine pass by name on feature rows, for the magnitude-check
     tests, which set the cap by monkeypatching ``mps.MAGNITUDE_CAP``."""
@@ -259,7 +244,7 @@ class TestMagnitudeChecks:
         # which a scan of maxima alone would miss
         eye = np.eye(2)
         mats = [eye, eye, np.diag([1e200, 1.0]), np.diag([-1e200, 1.0]), eye, eye]
-        model = transfer_chain(mats, label_site=0)
+        model = oracles.transfer_chain(mats, label_site=0)
         monkeypatch.setattr(mps, "MAGNITUDE_CAP", np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="at site 2$"):
@@ -269,7 +254,7 @@ class TestMagnitudeChecks:
     def test_single_nan_names_its_site(self, run):
         # bond 1: each product is one number. Node 2 is given a NaN after
         # construction, as an optimizer step writes one into the iterate.
-        model = transfer_chain([[[1.0]]] * 6, label_site=0)
+        model = oracles.transfer_chain([[[1.0]]] * 6, label_site=0)
         model.nodes[2][...] = [[[np.nan], [0.0]]]
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="at site 2$"):
@@ -282,7 +267,7 @@ class TestMagnitudeChecks:
         eye = np.eye(2)
         mats = [eye, np.diag([1e200, 1.0]), np.diag([-1e200, 1.0]),
                 np.diag([1e-200, 1.0]), np.diag([1e-200, 1.0]), eye]
-        model = transfer_chain(mats, label_site=0)
+        model = oracles.transfer_chain(mats, label_site=0)
         X = np.ones((2, 6))
         monkeypatch.setattr(mps, "MAGNITUDE_CAP", np.inf)
         assert np.all(np.isfinite(swept("sweep_env", model, X).logits))
@@ -298,7 +283,7 @@ class TestMagnitudeChecks:
         mats = [np.eye(2)] * 9
         for i, c in scales.items():
             mats[i] = np.diag([c, 1.0])
-        return transfer_chain(mats, label_site=4)
+        return oracles.transfer_chain(mats, label_site=4)
 
     def test_sweep_scans_every_partial_product(self, monkeypatch):
         # the sweep meets site 1 (1e60) before site 7 (1e-60)
@@ -412,7 +397,7 @@ class TestGroupedForward:
         # and 0 * inf is NaN in the group's product only. The group is
         # formed again site by site, which gives the exact identity product.
         n, eye = 2 * mps._GROUP + 1, np.eye(2)
-        model = transfer_chain([eye] * n, label_site=0)
+        model = oracles.transfer_chain([eye] * n, label_site=0)
         for i in (mps._GROUP - 1, mps._GROUP):
             model.nodes[i][:, 1] = 1e200 * eye
         X = np.ones((2, n))
@@ -432,7 +417,7 @@ class TestGroupedForward:
         g = mps._GROUP
         mats = [np.eye(2)] * (2 * g + 1)
         mats[g], mats[g - 1] = np.diag([1e60, 1.0]), np.diag([1e-60, 1.0])
-        model = transfer_chain(mats, label_site=0)
+        model = oracles.transfer_chain(mats, label_site=0)
         X = np.ones((3, 2 * g + 1))
         monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
         assert np.all(np.abs(swept("forward_batch", model, X)) < 10)
@@ -582,7 +567,7 @@ class TestGroupedTrainingStep:
         # again site by site; the group's matrix is NaN, so the gradient
         # pass runs per site. Neither warns.
         n, eye = 2 * mps._GROUP + 1, np.eye(2)
-        model = transfer_chain([eye] * n, label_site=0)
+        model = oracles.transfer_chain([eye] * n, label_site=0)
         for i in (mps._GROUP - 1, mps._GROUP):
             model.nodes[i][:, 1] = 1e200 * eye
         phi = mps.embed(np.ones((2, n)))
@@ -664,6 +649,36 @@ class TestGradients:
         for bad in (out[:3], gappy, np.empty((4, 3, sh.param_count + 1))):
             with pytest.raises(ShapeError, match="out"):
                 mps.jacobian_from_env(env, out=bad)
+
+    @pytest.mark.parametrize("sites", [1, 2])
+    @pytest.mark.parametrize("label_site", [0, 3, 6])
+    @pytest.mark.parametrize("boundary", ["open", "cyclic"])
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_jacobian_blocks_are_runs_of_its_columns(
+        self, monkeypatch, n_labels, boundary, label_site, sites
+    ):
+        # a budget of `sites` bond-3 sites' columns (18 each); the ring is
+        # label_site + 1 .. 6, 0 .. label_site - 1, then the label site
+        rng = np.random.default_rng(27)
+        sh = mps.MpsShape(7, 2, 3, n_labels, label_site=label_site, boundary=boundary)
+        model = oracles.random_model(rng, sh)
+        env = mps.sweep_env(model, mps.embed(rng.uniform(0, 1, size=(4, 7))))
+        width = 18 * sites
+        monkeypatch.setattr(mps, "_JACOBIAN_BLOCK_BYTES", 4 * n_labels * 8 * width)
+        jac = mps.jacobian_from_env(env)
+        starts = mps._layout(sh).starts
+        blocks = list(mps.jacobian_blocks(env))
+        order = []
+        for c0, c1, J in blocks:
+            run = [i for i in range(7) if c0 <= starts[i] < c1]
+            assert starts[run[0]] == c0 and starts[run[-1] + 1] == c1
+            assert c1 - c0 <= width or len(run) == 1
+            order += run
+            # one buffer serves every run
+            assert np.shares_memory(J, blocks[0][2]) and J.flags.c_contiguous
+        assert order == [*mps._ring(sh), label_site]
+        for c0, c1, J in mps.jacobian_blocks(env):
+            assert np.array_equal(J, jac[:, :, c0:c1])
 
     @pytest.mark.parametrize("boundary", ["open", "cyclic"])
     @pytest.mark.parametrize("n_labels", [1, 3])

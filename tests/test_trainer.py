@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from bmps import mps, trainer
+from bmps import laplace, mps, trainer
 from bmps.errors import DataError, ShapeError, TrainingDiverged
 
 from oracles import awkward_logits, fd_grad_scalar, random_model
@@ -647,6 +647,28 @@ class TestNumpyForms:
         assert np.array_equal(
             trainer.logsumexp(rows), scipy.special.logsumexp(rows, axis=1), equal_nan=True
         )
+
+    def test_binary_columns_are_the_column_stack_bit_for_bit(self, monkeypatch):
+        # the two callers, trainer.probabilities and the moderated binary
+        # prediction, give the bits np.column_stack([1 - p1, p1]) gave
+        z = awkward_logits(RNG(82), 1)
+        p1 = trainer.expit(z[:, 0])
+        want = np.column_stack([1.0 - p1, p1])
+        got = trainer.binary_columns(p1)
+        assert got.flags.c_contiguous and got.shape == (len(p1), 2)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(trainer.probabilities(z), want, equal_nan=True)
+        calls = []
+        monkeypatch.setattr(
+            laplace, "binary_columns", lambda p: calls.append(p) or trainer.binary_columns(p)
+        )
+        model = random_model(RNG(83), mps.MpsShape(4, 2, 3, 1), scale=0.6)
+        X = RNG(84).uniform(0, 1, size=(6, 4))
+        post = laplace.LaplacePosterior(model, laplace.ggn_factors(model, X), 0.5)
+        got = laplace.predictive_batch(post, X)
+        moderated = trainer.expit(got.kappa[:, 0] * got.mu_prime[:, 0])
+        assert len(calls) == 1 and np.array_equal(calls[0], moderated)
+        assert np.array_equal(got.probabilities, np.column_stack([1.0 - moderated, moderated]))
 
     def test_expit_is_scipys_arithmetic_within_4_ulps(self):
         # scipy evaluates 1 / (1 + e^-x) with the C library's exp, which
