@@ -36,18 +36,19 @@ and M^{-1}g is never formed.
 Both Jacobian passes, the factor build and prediction, run in chunks that
 :func:`bmps.mps.map_chunks` sizes by a byte budget on the chunk's Jacobian
 (``n_labels * param_count * 8`` bytes a row) and maps over a thread per
-usable core when the budget sets the size. The factor build writes each
-chunk's rows straight into one preallocated U, so the peak is U plus the
-chunks in flight. Prediction never holds a chunk's whole Jacobian: it
-takes it in runs of contiguous sites (:func:`bmps.mps.jacobian_blocks`),
-each written into one reused buffer and added into ``A = U J'`` (R x k
-for k = rows * n_labels) by one product, and the triangular solve then
-overwrites A with Z. So a prediction chunk holds A, the run buffer (at
-most ``mps._JACOBIAN_BLOCK_BYTES``), the product of the current run before
-it is added to A, and the sweeps' stacks. The chunk keeps the row count
-its whole Jacobian would fix: that width, ``k``, is what keeps the
-products with U wide, and the number of chunks sets how many passes are
-made over U.
+usable core when the budget sets the size. Neither holds a chunk's whole
+Jacobian: both take it in runs of contiguous sites
+(:func:`bmps.mps.jacobian_blocks`), each written into one reused buffer of
+at most ``mps._JACOBIAN_BLOCK_BYTES``. The factor build centres and scales
+each run in that buffer and writes it into its columns of one
+preallocated U, so its peak is U plus, for each chunk in flight, the run
+buffer and the sweeps' stacks. Prediction adds each run into ``A = U J'``
+(R x k for k = rows * n_labels) by one product, and the triangular solve
+then overwrites A with Z. So a prediction chunk holds A, the run buffer,
+the product of the current run before it is added to A, and the sweeps'
+stacks. The chunk keeps the row count its whole Jacobian would fix: that
+width, ``k``, is what keeps the products with U wide, and the number of
+chunks sets how many passes are made over U.
 
 Importing this module loads numpy and no scipy module. The sigmoid,
 softmax and logsumexp are the numpy forms of :mod:`bmps.trainer`, and
@@ -177,18 +178,19 @@ def ggn_factors(model, X, rank_cap=DEFAULT_RANK_CAP, seed=0):
 
 def _ggn_rows(model, X, out):
     """Write the factor rows of a batch into ``out`` (b, n_labels, P), sample
-    by sample (see the module docstring): the Jacobian, centred and scaled in
-    place."""
+    by sample (see the module docstring): the Jacobian, one run of columns
+    at a time (:func:`bmps.mps.jacobian_blocks`), centred and scaled."""
     env = mps.sweep_env(model, mps.embed(X))
-    jac = mps.jacobian_from_env(env, out=out)
     if model.shape.n_labels == 1:
         y = expit(env.logits[:, 0])
-        jac *= np.sqrt(y * (1.0 - y))[:, None, None]
-        return
-    y = softmax(env.logits)
-    mean_g = np.einsum("bl,blp->bp", y, jac)
-    jac -= mean_g[:, None]
-    jac *= np.sqrt(y)[:, :, None]
+        scale = np.sqrt(y * (1.0 - y))[:, None, None]
+    else:
+        y = softmax(env.logits)
+        scale = np.sqrt(y)[:, :, None]
+    for c0, c1, J in mps.jacobian_blocks(env):
+        if model.shape.n_labels > 1:
+            J -= np.einsum("bl,blp->bp", y, J)[:, None]
+        np.multiply(J, scale, out=out[:, :, c0:c1])
 
 
 class LaplacePosterior:

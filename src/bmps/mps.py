@@ -64,20 +64,20 @@ agree bit for bit:
   the batch again in groups of one site: the stacked sweep forms and
   checks every site's matrix and partial product. It then runs the
   recurrence per site, streaming one site a block for a chunk. The
-  gradient pass falls back to the same per-site recurrence. One writer
-  turns each site's environments into its Jacobian columns: into one
-  whole array for :func:`jacobian_from_env`, or, for
-  :func:`jacobian_blocks`, into one buffer that holds a run of
-  contiguous sites' columns at a time.
+  gradient pass falls back to the same per-site recurrence.
+  :func:`jacobian_blocks`, the one Jacobian writer, turns each site's
+  environments into its Jacobian columns in one buffer that holds a run
+  of contiguous sites' columns at a time; both Laplace passes take those
+  runs, and :func:`jacobian_from_env` gathers them into one array.
 
 Whole-dataset passes run through :func:`map_chunks`. A chunk holds at most
 :data:`CHUNK_ROWS` rows, and no more than :data:`CHUNK_BYTES` of the
-pass's largest per-row array: :func:`jacobian_row_bytes` for the Jacobian
-passes (GGN factors, moderated prediction), :func:`forward_row_bytes` for
-the MAP forward. Where the byte budget, not the row cap, sets the chunk
-size, the chunks are mapped over a thread per usable core. That is the
-Jacobian passes at the digit scale; the forward pass stays serial there,
-and the training step always does.
+pass's per-row measure: :func:`jacobian_row_bytes` for the Jacobian
+passes (GGN factors, moderated prediction), which hold only runs of it,
+:func:`forward_row_bytes` for the MAP forward. Where the byte budget, not
+the row cap, sets the chunk size, the chunks are mapped over a thread per
+usable core. That is the Jacobian passes at the digit scale; the forward
+pass stays serial there, and the training step always does.
 
 Every array the engine forms (partial and running products, closure,
 logits, folded label matrices, environments) is checked against
@@ -103,7 +103,7 @@ form overflowed keeps a non-finite matrix, so its running products fail.)
 A product inside a group is formed by neither sweep nor by the gradient
 pass, so an excursion above the cap that starts and ends inside one group
 passes :func:`forward_batch`, :func:`sweep_env` and
-:func:`weighted_grad_from_env`, and so training; :func:`jacobian_from_env`,
+:func:`weighted_grad_from_env`, and so training; :func:`jacobian_blocks`,
 whose one-site sweep forms them, still names its site. Rows
 are contracted one by one, so a row's results do not depend on its batch.
 All operations are pure: they never mutate their inputs (bar an env
@@ -130,9 +130,11 @@ from .errors import DataError, NumericError, ParseError, ShapeError
 MAGNITUDE_CAP = 1e100
 
 # Rows contracted together by the whole-dataset passes (prediction, GGN
-# factors), and the bytes their largest per-row array (the Jacobian above
-# all) may take in one chunk. At the digit scale (196 sites, bond 8,
-# 10 classes: 2.1 MB of Jacobian a row) the budget gives 63-row chunks.
+# factors), and the bytes of the pass's per-row measure a chunk may take.
+# No pass holds a chunk's whole Jacobian, so for the Laplace passes the
+# budget sets the chunk width (rows * n_labels) that keeps prediction's
+# products with U wide, and the worker count. At the digit scale (196
+# sites, bond 8, 10 classes: 2.1 MB of Jacobian a row) it gives 63 rows.
 CHUNK_ROWS = 512
 CHUNK_BYTES = 128 << 20
 
@@ -252,8 +254,10 @@ def _usable_cores():
 
 
 def jacobian_row_bytes(shape):
-    """Bytes of one row's logit Jacobian, the largest array of the Jacobian
-    passes (GGN factors, moderated prediction)."""
+    """Bytes of one row's logit Jacobian. Neither Jacobian pass (GGN
+    factors, moderated prediction) holds a chunk's whole Jacobian; against
+    :data:`CHUNK_BYTES` this sets their chunk width, which keeps
+    prediction's products with U wide, and their worker count."""
     return shape.n_labels * shape.param_count * 8
 
 
@@ -631,57 +635,6 @@ def _environments(env, label_mats, pool):
         yield j0, envs
 
 
-def _write_jacobian(env, dest):
-    """Write the logit Jacobian site by site, the ring sites in ring order
-    and then the label site, yielding each site once its block is written.
-
-    ``dest(i)`` gives ``(jac, c0)``: the (batch, n_labels, width) array
-    that holds site ``i``'s columns and the column ``jac`` starts at.
-    The environments are checked as :func:`_environments` checks them, so
-    every destination sees the same errors.
-    """
-    shape = env.model.shape
-    B, L, k = env.phi.shape[0], shape.n_labels, shape.label_site
-    starts, ring = _layout(shape)[:2]
-
-    def block(i):  # site i's columns, laid out (batch, n_labels, *node_shape(i))
-        jac, c0 = dest(i)
-        cols = slice(starts[i] - c0, starts[i + 1] - c0)
-        return jac[:, :, cols].reshape((B, L) + shape.node_shape(i))
-
-    for j0, envs in _environments(env, env.label, {}):
-        for i, e in zip(ring[j0:], envs):
-            left, right = shape.bond_dims(i)
-            e = e.swapaxes(2, 3)[:, :, :left, None, :right]
-            # block[b, l, a, s, r] = e[b, l, a, r] * phi[b, i, s]
-            np.multiply(e, env.phi[:, i, None, None, :, None], out=block(i))
-            yield i
-    # logit l depends only on class slice l of the label node
-    label = block(k)
-    label[...] = 0.0
-    left, right = shape.bond_dims(k)
-    diag = np.einsum("bar,bs->basr", env.closure[:, :left, :right], env.phi[:, k])
-    for l in range(L):
-        label[:, l, :, :, l] = diag
-    yield k
-
-
-def jacobian_from_env(env, out=None):
-    """Flattened logit Jacobians: (batch, n_labels, param_count).
-
-    Each site's block is written straight into its columns of one array:
-    ``out`` when given (a C-contiguous array of that shape), else a new one.
-    """
-    want = (env.phi.shape[0], env.model.shape.n_labels, env.model.shape.param_count)
-    if out is None:
-        out = np.empty(want)
-    elif out.shape != want or not out.flags.c_contiguous:
-        raise ShapeError(f"out must be a C-contiguous {want} array, got {out.shape}")
-    for _ in _write_jacobian(env, lambda i: (out, 0)):
-        pass
-    return out
-
-
 # Bytes of Jacobian columns :func:`jacobian_blocks` holds at once: 39 sites
 # (4,992 columns) of a 63-row, 10-class chunk at the digit scale (196 sites,
 # bond 8), against its 126 MiB whole Jacobian. Moderated prediction of 400
@@ -689,29 +642,30 @@ def jacobian_from_env(env, out=None):
 # median rows/s of 4 to 6 interleaved runs, and one run's peak RSS) gave:
 # 4 MiB 69 rows/s; 8 MiB 69 rows/s, 611 MiB; 16 MiB 72-77 rows/s, 627 MiB;
 # 24 MiB 78 rows/s, 642 MiB; 32 MiB 76-78 rows/s, 658 MiB; 48 MiB 79 rows/s,
-# 691 MiB; the whole Jacobian at once 77-78 rows/s, 812 MiB.
+# 691 MiB; the whole Jacobian at once 77-78 rows/s, 812 MiB. The GGN factor
+# build takes its runs through the same buffer.
 _JACOBIAN_BLOCK_BYTES = 24 << 20
 
 
 def jacobian_blocks(env):
     """Yield ``(c0, c1, J)`` for runs of contiguous sites that together
     cover every column: ``J`` (batch, n_labels, c1 - c0) is the logit
-    Jacobian's columns ``c0:c1``, bit for bit those of
-    :func:`jacobian_from_env`.
+    Jacobian's columns ``c0:c1``.
 
     ``J`` is a view of one buffer of at most :data:`_JACOBIAN_BLOCK_BYTES`
     (or one site), which the next run overwrites, so the whole Jacobian is
-    never held. Runs take the sites in the write order of
-    :func:`jacobian_from_env` (the ring, then the label site), whose checks
-    they share, and end where the column order jumps: at the ring's wrap
-    from site ``n - 1`` to 0, and before a label site 0.
+    never held; a caller may change ``J`` before it takes the next run.
+    Sites are written in ring order, then the label site, each as soon as
+    the checked :func:`_environments` pass gives its environments. Runs
+    take them in that order and end where the column order jumps: at the
+    ring's wrap from site ``n - 1`` to 0, and before a label site 0.
     """
     shape = env.model.shape
-    B, L = env.phi.shape[0], shape.n_labels
+    B, L, k = env.phi.shape[0], shape.n_labels, shape.label_site
     width = _JACOBIAN_BLOCK_BYTES // max(B * L * 8, 1)
-    starts = _layout(shape).starts
+    starts, ring = _layout(shape)[:2]
     runs = []  # [sites, c0, c1]
-    for i in [*_ring(shape), shape.label_site]:
+    for i in [*ring, k]:
         if runs and runs[-1][2] == starts[i] and starts[i + 1] - runs[-1][1] <= width:
             runs[-1][0].append(i)
             runs[-1][2] = starts[i + 1]
@@ -723,9 +677,38 @@ def jacobian_blocks(env):
         J = buf[: B * L * (c1 - c0)].reshape(B, L, c1 - c0)
         where.update((i, (J, c0)) for i in sites)
         ends[sites[-1]] = (c0, c1, J)
-    for i in _write_jacobian(env, where.__getitem__):
-        if i in ends:
-            yield ends[i]
+
+    def block(i):  # site i's columns, laid out (batch, n_labels, *node_shape(i))
+        J, c0 = where[i]
+        cols = slice(starts[i] - c0, starts[i + 1] - c0)
+        return J[:, :, cols].reshape((B, L) + shape.node_shape(i))
+
+    for j0, envs in _environments(env, env.label, {}):
+        for i, e in zip(ring[j0:], envs):
+            left, right = shape.bond_dims(i)
+            e = e.swapaxes(2, 3)[:, :, :left, None, :right]
+            # block[b, l, a, s, r] = e[b, l, a, r] * phi[b, i, s]
+            np.multiply(e, env.phi[:, i, None, None, :, None], out=block(i))
+            if i in ends:
+                yield ends[i]
+    # logit l depends only on class slice l of the label node
+    label = block(k)
+    label[...] = 0.0
+    left, right = shape.bond_dims(k)
+    diag = np.einsum("bar,bs->basr", env.closure[:, :left, :right], env.phi[:, k])
+    for l in range(L):
+        label[:, l, :, :, l] = diag
+    yield ends[k]
+
+
+def jacobian_from_env(env):
+    """Flattened logit Jacobians: (batch, n_labels, param_count), the runs
+    of :func:`jacobian_blocks` gathered into one new array."""
+    shape = env.model.shape
+    out = np.empty((env.phi.shape[0], shape.n_labels, shape.param_count))
+    for c0, c1, J in jacobian_blocks(env):
+        out[:, :, c0:c1] = J
+    return out
 
 
 def _backprop(nodes, suffixes, H, out):

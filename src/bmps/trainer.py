@@ -155,16 +155,12 @@ def _targets(model, labels):
     return labels
 
 
-# e^t overflows for t above this, the log of the largest float64
-_EXP_LIMIT = np.log(np.finfo(np.float64).max)
-
-
 def expit(x):
     """Logistic sigmoid ``1 / (1 + e^-x)``, the arithmetic of
-    ``scipy.special.expit`` without its overflow: below ``-_EXP_LIMIT``,
-    where ``e^-x`` would overflow, the result is 0, as scipy's is."""
-    gone = x < -_EXP_LIMIT
-    return np.where(gone, 0.0, 1.0 / (1.0 + np.exp(-np.where(gone, 0.0, x))))
+    ``scipy.special.expit``: where ``e^-x`` overflows to inf the result is
+    exactly 0, as scipy's is, and no warning is raised."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def softmax(a):
@@ -209,13 +205,13 @@ def _cross_entropy(logits, targets):
     """Summed cross entropy of logits against validated one-hot targets."""
     if logits.shape[0] != targets.shape[0]:
         raise ShapeError(f"{logits.shape[0]} samples but {targets.shape[0]} label rows")
+    # a row's term is log(1 + sum of e^(other - hit)), which no cancellation
+    # rounds to 0; -z is exactly the class-0 logit relative to class 1
     if logits.shape[1] == 1:
         z = logits[:, 0]
-        # log(1 + e^z) written via logaddexp keeps large |z| exact.
-        return float(np.sum(np.logaddexp(0.0, z) - targets[:, 1] * z))
+        return float(np.sum(np.logaddexp(0.0, np.where(targets[:, 1] == 1.0, -z, z))))
     hit = np.sum(logits * targets, axis=1)
-    lse = np.logaddexp.reduce(logits, axis=1)
-    return float(np.sum(lse - hit))
+    return float(np.sum(np.logaddexp.reduce(logits - hit[:, None], axis=1)))
 
 
 def _hit_rate(probs, targets):
@@ -365,13 +361,14 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
     m = X.shape[0]
 
     try:
-        initial_loss = loss(work, X, Y, prior)
+        ce = _cross_entropy(predict_logits(work, X), Y)
     except NumericError as exc:
         raise TrainingDiverged(
             f"initial evaluation overflowed: {exc}", epoch=0, batch=0
         ) from exc
-    initial_mean_ce = (initial_loss - _penalty(work, prior)) / m
-    best_loss = initial_loss
+    # from the cross entropy alone, which a large penalty would round away
+    initial_mean_ce = ce / m
+    best_loss = ce + _penalty(work, prior)
     best_theta = theta.copy()
     best_epoch = 0
     history = TrainHistory()

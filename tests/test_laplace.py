@@ -153,6 +153,15 @@ class TestGgnFactors:
         chunked = laplace.ggn_factors(model, X)
         # factor rows are computed row by row
         assert np.array_equal(whole.factors, chunked.factors)
+        monkeypatch.undo()
+        # and a run of columns at a time: runs of one or two sites give the
+        # default runs' rows, bit for bit
+        for n_labels in (1, 3):
+            model = small_model(rng, n_labels)
+            whole = laplace.ggn_factors(model, X)
+            for sites in (1, 2):
+                TestStreamedVariance.narrow(monkeypatch, model, 9, sites)
+                assert np.array_equal(laplace.ggn_factors(model, X).factors, whole.factors)
 
     def test_non_finite_factors_rejected(self):
         rng = RNG(10)
@@ -604,9 +613,13 @@ class TestStreamedVariance:
         )
         with pytest.raises(NumericError) as streamed:
             laplace.predictive_batch(post, X)
+        # the factor build takes the same runs
+        with pytest.raises(NumericError) as factors:
+            laplace.ggn_factors(model, X)
         assert str(whole.value).endswith("at site 7")
         assert str(streamed.value) == str(whole.value)
-        assert seen == [(40, 48), (48, 56), (56, 64)]  # 8 columns a site
+        assert str(factors.value) == str(whole.value)
+        assert seen == [(40, 48), (48, 56), (56, 64)] * 2  # 8 columns a site
 
     def test_a_chunk_never_holds_its_whole_jacobian(self, monkeypatch):
         # 40 sites, bond 6, 10 classes: a 100-row chunk's Jacobian is 28 MB,

@@ -637,19 +637,6 @@ class TestGradients:
             single = jacobian(model, phi[b])
             np.testing.assert_allclose(jac[b], single, rtol=1e-12, atol=1e-14)
 
-    def test_jacobian_into_out(self):
-        rng = np.random.default_rng(25)
-        sh = mps.MpsShape(5, 2, 3, 3, boundary="cyclic", label_site=1)
-        model = oracles.random_model(rng, sh)
-        env = mps.sweep_env(model, mps.embed(rng.uniform(0, 1, size=(4, 5))))
-        out = np.full((4, 3, sh.param_count), np.nan)
-        assert mps.jacobian_from_env(env, out=out) is out
-        assert np.array_equal(out, mps.jacobian_from_env(env))
-        gappy = np.empty((4, 3, 2 * sh.param_count))[:, :, ::2]
-        for bad in (out[:3], gappy, np.empty((4, 3, sh.param_count + 1))):
-            with pytest.raises(ShapeError, match="out"):
-                mps.jacobian_from_env(env, out=bad)
-
     @pytest.mark.parametrize("sites", [1, 2])
     @pytest.mark.parametrize("label_site", [0, 3, 6])
     @pytest.mark.parametrize("boundary", ["open", "cyclic"])

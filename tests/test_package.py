@@ -1,6 +1,7 @@
 """Tests for the package's public surface."""
 
 import dataclasses
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -66,12 +67,31 @@ def test_removed_engine_api_stays_removed():
     assert "centers" not in inspect.signature(bmps.make_blobs).parameters
     assert "cap" not in inspect.signature(mps._sweep).parameters
     assert "cap" not in {f.name for f in dataclasses.fields(mps.BatchEnv)}
+    # one Jacobian writer, jacobian_blocks: no per-site destination callback,
+    # and jacobian_from_env gathers its runs into a new array
+    assert not hasattr(mps, "_write_jacobian")
+    assert list(inspect.signature(mps.jacobian_from_env).parameters) == ["env"]
     # the weighted gradient is one flat vector in model.params order
     shape = mps.MpsShape(4, 2, 2, 3, boundary="open")
     model = mps.MpsModel(shape, [np.ones(shape.node_shape(i)) for i in range(4)])
     env = mps.sweep_env(model, mps.embed(np.full((2, 4), 0.5)))
     grad = mps.weighted_grad_from_env(env, np.ones((2, 3)))
     assert isinstance(grad, np.ndarray) and grad.shape == (shape.param_count,)
+
+
+def test_traced_bench_targets_resolve():
+    # the traced bench run wraps these names and fails with a KeyError on
+    # one that is gone; the untraced runs never look them up
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{getattr(owner, '__qualname__', owner.__name__)}.{attr}"
+        for owner, attr, *_ in spans.TARGETS
+        if attr not in vars(owner)
+    ]
+    assert spans.TARGETS and missing == []
 
 
 def test_import_loads_no_scipy():

@@ -96,6 +96,16 @@ class TestLossValues:
         assert math.isfinite(loss_hit) and loss_hit == pytest.approx(0.0, abs=1e-12)
         assert loss_miss == pytest.approx(z, rel=1e-12)
 
+    def test_tiny_cross_entropies_keep_their_digits(self):
+        # a margin of 50 costs log1p(e^-50) = 1.9e-22 a row, not 0, in both heads
+        want = math.log1p(math.exp(-50.0))
+        binary = np.array([[50.0], [-50.0]])
+        got = trainer._cross_entropy(binary, onehot([1, 0], 2))
+        assert got == pytest.approx(2 * want, rel=1e-14, abs=0)
+        wide = np.array([[50.0, 0.0], [3.0, 53.0]])
+        got = trainer._cross_entropy(wide, onehot([0, 1], 2))
+        assert got == pytest.approx(2 * want, rel=1e-14, abs=0)
+
     def test_loss_dispatches_on_output_width(self):
         # A two-channel model whose class-0 logit is pinned at 0 has softmax
         # probabilities equal to the sigmoid of its class-1 logit, so the
@@ -479,6 +489,27 @@ class TestDivergence:
         monkeypatch.setattr(trainer, "DIVERGENCE_FACTOR", 1.0001)
         assert stop() == (1, 0) < default
 
+    def test_tiny_starting_cross_entropy_under_a_large_penalty_still_guards(self):
+        # Every logit is 50 on class-1 rows: a starting mean cross entropy of
+        # log1p(e^-50) = 1.9e-22, under a penalty of 1.9e4 that
+        # (loss - penalty) / m would cancel to 0, and that log(1 + e^50) - 50
+        # rounds to 0. Either 0 would turn the divergence rule off.
+        sh = mps.MpsShape(3, 2, 1, 1, boundary="open")
+        nodes = [np.ones(sh.node_shape(i)) for i in range(3)]
+        nodes[0][...] = 50.0
+        model = mps.MpsModel(sh, nodes)
+        X = np.full((8, 3), 0.5)
+        Y = onehot(np.ones(8, dtype=int), 2)
+        assert np.all(trainer.predict_logits(model, X) == 50.0)
+        config = trainer.TrainConfig(
+            epochs=3, batch_size=8, learning_rate=0.3, optimizer="sgd", shuffle=False
+        )
+        with pytest.raises(TrainingDiverged) as info:
+            trainer.train_map(model, split(X, Y), config, trainer.PriorSpec(10.0))
+        assert (info.value.epoch, info.value.batch) == (2, 0)
+        assert "mean cross entropy 400 " in str(info.value)
+        assert "(started at 1.92875e-22)" in str(info.value)
+
     def test_overflowing_initial_state_reports_epoch_zero(self):
         # Nodes so large the very first contraction trips the magnitude cap:
         # that is still divergence (epoch 0), not a bare numeric error, so
@@ -675,7 +706,7 @@ class TestNumpyForms:
         # numpy's exp can miss by 1 ulp; rounding the sum and the quotient
         # can turn that into up to 4 ulps of the result. Logits reach
         # MAGNITUDE_CAP, so nothing may overflow.
-        limit = trainer._EXP_LIMIT
+        limit = np.log(np.finfo(np.float64).max)  # e^t overflows above it
         x = np.concatenate([
             np.linspace(-800.0, 800.0, 1_600_001),
             RNG(81).normal(scale=40.0, size=100_000),
