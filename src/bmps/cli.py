@@ -13,9 +13,11 @@ command-line flags win over the file, which wins over built-in defaults.
 Each command and option is declared once, in the tables near the end of
 this module: the parser, the defaults and the config-file check read them.
 
-Multi-seed sweeps use seeds {base, base+1, ..., base+n_seeds-1} so that
-orderings are reproducible. Exit codes: 0 success, 2 usage or data errors,
-3 numeric failures (overflow, divergence).
+The multi-seed sweeps (``init-compare``, ``std-perturb``, ``bond-sweep``)
+are rows of one table run by one handler, which checks every value before
+the first cell trains. They use seeds {base, base+1, ..., base+n_seeds-1}
+so that orderings are reproducible. Exit codes: 0 success, 2 usage or data
+errors, 3 numeric failures (overflow, divergence).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 import resource
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -113,48 +116,39 @@ def _build_shape(dataset, cfg):
     )
 
 
-def _fit(dataset, shape, cfg, seed):
-    """Initialize a model with ``seed`` and train it; returns ``(fit, history)``."""
+def _init_spec(dataset, cfg):
+    """The initializer spec of ``cfg`` at its base seed, checked as it is built."""
     var_x = cfg["var_x"] if cfg["var_x"] is not None else dataset.init_var_x()
-    spec = initializer.InitSpec(
-        method=cfg["init"], var_x=var_x, seed=seed, scale_factor=cfg["scale_factor"]
+    return initializer.InitSpec(
+        method=cfg["init"], var_x=var_x, seed=cfg["seed"], scale_factor=cfg["scale_factor"]
     )
+
+
+def _fit(dataset, shape, spec, cfg):
+    """Initialize a model from ``spec`` and train it with ``spec.seed``;
+    returns ``(fit, history)``."""
     model = initializer.init_model(shape, spec)
     config = trainer.TrainConfig(
         epochs=cfg["epochs"],
         batch_size=cfg["batch_size"],
         learning_rate=cfg["learning_rate"],
         optimizer=cfg["optimizer"],
-        seed=seed,
+        seed=spec.seed,
     )
     return trainer.train_map(model, dataset, config, trainer.PriorSpec(cfg["reg"]))
 
 
-def _seed_sweep(cfg, dataset, variants, cell_cfg, ok_rows, diverged_row):
-    """Train one model per (variant, seed) cell, seeds base, base+1, ...
+def _test_accuracy(dataset, fit, history):
+    """Test accuracy of the model ``train_map`` kept (nan without test rows).
 
-    ``cell_cfg(variant)`` is the cell's configuration. A trained cell adds
-    the rows ``ok_rows(fit, history, cell_start)``; a diverged cell adds the
-    one row ``diverged_row(exc, cell_start)``, so divergence is recorded,
-    never raised. ``cell_start`` is the cell's ``time.perf_counter()`` start.
-    Each row is prefixed with the variant and seed and ends with its status.
+    A kept epoch recorded it at its end, on the same parameters, so only the
+    initial model (best epoch 0) is evaluated again.
     """
-    if cfg["n_seeds"] < 1:
-        raise DataError(f"--n-seeds must be >= 1, got {cfg['n_seeds']}")
-    rows = []
-    for variant in variants:
-        variant_cfg = cell_cfg(variant)
-        shape = _build_shape(dataset, variant_cfg)
-        for seed in range(cfg["seed"], cfg["seed"] + cfg["n_seeds"]):
-            cell_start = time.perf_counter()
-            try:
-                fit, history = _fit(dataset, shape, variant_cfg, seed)
-            except TrainingDiverged as exc:
-                rows.append([variant, seed, *diverged_row(exc, cell_start), "diverged"])
-                continue
-            cell_rows = ok_rows(fit, history, cell_start)
-            rows.extend([variant, seed, *r, "ok"] for r in cell_rows)
-    return rows
+    if history.best_epoch:
+        return history.records[history.best_epoch - 1].test_acc
+    if dataset.test_x.shape[0]:
+        return trainer.accuracy(fit, dataset.test_x, dataset.test_y)
+    return float("nan")
 
 
 def _out_dir(cfg):
@@ -220,19 +214,13 @@ def cmd_train(cfg):
     started = time.perf_counter()
     dataset = _load_dataset(cfg)
     shape = _build_shape(dataset, cfg)
-    fit, history = _fit(dataset, shape, cfg, cfg["seed"])
+    fit, history = _fit(dataset, shape, _init_spec(dataset, cfg), cfg)
     out = _out_dir(cfg)
     mps.save_model(fit, out / "model.bmps")
     history.to_csv(out / "history.csv")
     history.to_json(out / "history.json")
     _write_meta(out, "train", cfg, started, training=_training_summary(dataset, history))
-    if history.best_epoch:
-        # recorded at the end of that epoch, on the parameters kept
-        test_acc = history.records[history.best_epoch - 1].test_acc
-    elif dataset.test_x.shape[0]:
-        test_acc = trainer.accuracy(fit, dataset.test_x, dataset.test_y)
-    else:
-        test_acc = float("nan")
+    test_acc = _test_accuracy(dataset, fit, history)
     print(
         f"trained {shape.n_sites} sites, bond {shape.bond_dim}: "
         f"best epoch {history.best_epoch}, test accuracy {test_acc:.4f}"
@@ -328,58 +316,6 @@ def cmd_predict(cfg):
     return 0
 
 
-_EPOCH_FIELDS = ["seed", "epoch", "train_acc", "test_acc", "status"]
-
-
-def _epoch_rows(fit, history, cell_start):
-    return [[rec.epoch, rec.train_acc, rec.test_acc] for rec in history.records]
-
-
-def _diverged_epoch_row(exc, cell_start):
-    return [exc.epoch or 0, "", ""]
-
-
-def cmd_init_compare(cfg):
-    started = time.perf_counter()
-    methods = _comma_list(cfg["methods"], "--methods", str.strip)
-    for m in methods:
-        if m not in initializer.METHODS:
-            raise DataError(f"unknown initializer {m!r} (choose from {initializer.METHODS})")
-    dataset = _load_dataset(cfg)
-    rows = _seed_sweep(
-        cfg,
-        dataset,
-        methods,
-        lambda method: dict(cfg, init=method),
-        _epoch_rows,
-        _diverged_epoch_row,
-    )
-    out = _out_dir(cfg)
-    _write_csv(out, "init-compare", ["method", *_EPOCH_FIELDS], rows)
-    _write_meta(out, "init-compare", cfg, started)
-    print(f"wrote {len(rows)} rows for {len(methods)} methods")
-    return 0
-
-
-def cmd_std_perturb(cfg):
-    started = time.perf_counter()
-    scales = _comma_list(cfg["scales"], "--scales")
-    dataset = _load_dataset(cfg)
-    rows = _seed_sweep(
-        cfg,
-        dataset,
-        scales,
-        lambda scale: dict(cfg, scale_factor=scale),
-        _epoch_rows,
-        _diverged_epoch_row,
-    )
-    out = _out_dir(cfg)
-    _write_csv(out, "std-perturb", ["scale_factor", *_EPOCH_FIELDS], rows)
-    _write_meta(out, "std-perturb", cfg, started)
-    print(f"wrote {len(rows)} rows for scales {scales}")
-    return 0
-
-
 def cmd_boundary_grid(cfg):
     started = time.perf_counter()
     grid = cfg["grid"]
@@ -391,7 +327,7 @@ def cmd_boundary_grid(cfg):
             f"boundary grid needs a 2-feature dataset, got {dataset.n_features}"
         )
     shape = _build_shape(dataset, cfg)
-    fit, _ = _fit(dataset, shape, cfg, cfg["seed"])
+    fit, _ = _fit(dataset, shape, _init_spec(dataset, cfg), cfg)
     if cfg["reg"] > 0:
         factors = laplace.ggn_factors(
             fit, dataset.train_x, rank_cap=cfg["rank_cap"], seed=cfg["seed"]
@@ -427,10 +363,10 @@ def cmd_param_hist(cfg):
     started = time.perf_counter()
     regs = _comma_list(cfg["regs"], "--regs")
     dataset = _load_dataset(cfg)
-    shape = _build_shape(dataset, cfg)
+    shape, spec = _build_shape(dataset, cfg), _init_spec(dataset, cfg)
     param_rows, summary_rows = [], []
     for reg in regs:
-        fit, _ = _fit(dataset, shape, dict(cfg, reg=reg), cfg["seed"])
+        fit, _ = _fit(dataset, shape, spec, dict(cfg, reg=reg))
         ref = LogisticBaseline(l2=reg).fit(dataset.train_x, dataset.train_y)
         for name, values in (("mps", fit.params), ("logistic", ref.weights_.ravel())):
             param_rows.extend([name, reg, float(v)] for v in values)
@@ -450,32 +386,59 @@ def cmd_param_hist(cfg):
     return 0
 
 
-def cmd_bond_sweep(cfg):
+# A seed sweep's row style: the CSV columns between the seed and the status,
+# the rows of a trained cell from (dataset, fit, history, start), and a
+# diverged cell's one row from (exception, start); start is the cell's
+# time.perf_counter() reading.
+_PER_EPOCH = (
+    ["epoch", "train_acc", "test_acc"],
+    lambda dataset, fit, history, start: [
+        [rec.epoch, rec.train_acc, rec.test_acc] for rec in history.records
+    ],
+    lambda exc, start: [exc.epoch or 0, "", ""],
+)
+_PER_CELL = (
+    ["test_acc", "wall_time"],
+    lambda dataset, fit, history, start: [
+        [_test_accuracy(dataset, fit, history), time.perf_counter() - start]
+    ],
+    lambda exc, start: ["", time.perf_counter() - start],
+)
+
+
+def cmd_sweep(cfg):
+    """Train one model per (value, seed) cell of a seed sweep (see
+    :data:`_SWEEPS`), seeds base, base+1, ..., and write a row per epoch or
+    per cell. Every value's shape and initializer spec is built before the
+    first cell trains, so a bad value exits before any training. Divergence
+    is recorded as a ``diverged`` row, never raised.
+    """
     started = time.perf_counter()
-    bonds = _comma_list(cfg["bonds"], "--bonds", int)
-    if any(b < 1 for b in bonds):
-        raise DataError("bond dimensions must be >= 1")
+    command = cfg["command"]
+    option, kind, key, column, (fields, trained_rows, diverged_row) = _SWEEPS[command]
+    flag = "--" + option
+    values = _comma_list(cfg[option], flag, kind)
+    if cfg["n_seeds"] < 1:
+        raise DataError(f"--n-seeds must be >= 1, got {cfg['n_seeds']}")
     dataset = _load_dataset(cfg)
-
-    def trained(fit, history, cell_start):
-        acc = trainer.accuracy(fit, dataset.test_x, dataset.test_y)
-        return [[acc, time.perf_counter() - cell_start]]
-
-    rows = _seed_sweep(
-        cfg,
-        dataset,
-        bonds,
-        lambda bond: dict(cfg, bond=bond),
-        trained,
-        lambda exc, cell_start: ["", time.perf_counter() - cell_start],
-    )
+    cells = [(value, dict(cfg, **{key: value})) for value in values]
+    cells = [(v, c, _build_shape(dataset, c), _init_spec(dataset, c)) for v, c in cells]
+    rows = []
+    for value, value_cfg, shape, spec in cells:
+        for seed in range(cfg["seed"], cfg["seed"] + cfg["n_seeds"]):
+            start = time.perf_counter()
+            try:
+                fit, history = _fit(dataset, shape, replace(spec, seed=seed), value_cfg)
+            except TrainingDiverged as exc:
+                rows.append([value, seed, *diverged_row(exc, start), "diverged"])
+                continue
+            cell_rows = trained_rows(dataset, fit, history, start)
+            rows.extend([value, seed, *r, "ok"] for r in cell_rows)
     out = _out_dir(cfg)
-    _write_csv(out, "bond-sweep", ["bond", "seed", "test_acc", "wall_time", "status"], rows)
-    _write_meta(out, "bond-sweep", cfg, started)
-    print(f"wrote {len(rows)} cells for bonds {bonds}")
+    _write_csv(out, command, [column, "seed", *fields, "status"], rows)
+    _write_meta(out, command, cfg, started)
+    print(f"wrote {len(rows)} rows for {flag} {values}")
     return 0
-
-
 
 
 # Every option maps its name to (default, argparse keywords); its flag is
@@ -529,6 +492,14 @@ _OWN_OPTIONS = {
     "n_seeds": (3, {"type": int}),
 }
 
+# seed sweep -> (its list option, the option's element type, the config key
+# each value sets, the CSV's value column, row style); cmd_sweep runs each
+_SWEEPS = {
+    "init-compare": ("methods", str.strip, "init", "method", _PER_EPOCH),
+    "std-perturb": ("scales", float, "scale_factor", "scale_factor", _PER_EPOCH),
+    "bond-sweep": ("bonds", int, "bond", "bond", _PER_CELL),
+}
+
 # command -> (handler, help line, names of its own options)
 _COMMANDS = {
     "train": (cmd_train, "fit a model and write it with its training history", ()),
@@ -536,14 +507,14 @@ _COMMANDS = {
                 ("model", "posterior", "utility", "on")),
     "laplace-fit": (cmd_laplace_fit, "fit a low-rank posterior around a saved model",
                     ("model", "rank_cap")),
-    "init-compare": (cmd_init_compare, "accuracy-vs-epoch for several initializers",
+    "init-compare": (cmd_sweep, "accuracy-vs-epoch for several initializers",
                      ("methods", "n_seeds")),
-    "std-perturb": (cmd_std_perturb, "accuracy-vs-epoch for perturbed init scales",
+    "std-perturb": (cmd_sweep, "accuracy-vs-epoch for perturbed init scales",
                     ("scales", "n_seeds")),
     "boundary-grid": (cmd_boundary_grid, "class-1 probability on a grid over [0,1]^2",
                       ("grid", "rank_cap")),
     "param-hist": (cmd_param_hist, "trained weight values per regularization", ("regs",)),
-    "bond-sweep": (cmd_bond_sweep, "final test accuracy per bond dimension",
+    "bond-sweep": (cmd_sweep, "final test accuracy per bond dimension",
                    ("bonds", "n_seeds")),
 }
 

@@ -198,30 +198,27 @@ class LaplacePosterior:
 
     Immutable after construction; the R x R Woodbury core factorization is
     computed once, or read from a posterior file and checked there, and
-    ``_core`` holds its upper factor (None at rank 0). Safe to share across
+    ``_core`` holds its upper factor, empty at rank 0. Safe to share across
     threads for reads.
     """
 
     def __init__(self, map_model, factors, prior_precision):
         self._bind(map_model, factors, prior_precision)
-        U = factors.factors
-        if factors.rank == 0:
-            self._core = None
-        else:
-            from scipy.linalg import LinAlgError, cho_factor
+        from scipy.linalg import LinAlgError, cho_factor
 
-            core = U @ U.T
-            core[np.diag_indices_from(core)] += self.prior_precision
-            try:
-                # core is exactly symmetric (U @ U.T runs as one syrk), so its
-                # transpose is the Fortran-ordered array LAPACK factors in
-                # place; a C-ordered one would be copied first
-                self._core = cho_factor(core.T, overwrite_a=True)[0]
-            except LinAlgError as exc:
-                raise NumericError(
-                    "posterior core factorization failed; factors are likely "
-                    "contaminated by non-finite values"
-                ) from exc
+        U = factors.factors
+        core = U @ U.T
+        core[np.diag_indices_from(core)] += self.prior_precision
+        try:
+            # core is exactly symmetric (U @ U.T runs as one syrk), so its
+            # transpose is the Fortran-ordered array LAPACK factors in
+            # place; a C-ordered one would be copied first
+            self._core = cho_factor(core.T, overwrite_a=True)[0]
+        except LinAlgError as exc:
+            raise NumericError(
+                "posterior core factorization failed; factors are likely "
+                "contaminated by non-finite values"
+            ) from exc
 
     @classmethod
     def _with_core(cls, map_model, factors, prior_precision, c):
@@ -230,11 +227,8 @@ class LaplacePosterior:
         by :func:`_check_core` instead of formed and factored again."""
         post = cls.__new__(cls)
         post._bind(map_model, factors, prior_precision)
-        if factors.rank == 0:
-            post._core = None
-        else:
-            _check_core(c, factors.factors, post.prior_precision)
-            post._core = c
+        _check_core(c, factors.factors, post.prior_precision)
+        post._core = c
         return post
 
     def _bind(self, map_model, factors, prior_precision):
@@ -270,15 +264,12 @@ class LaplacePosterior:
             raise ShapeError(
                 f"expected rows of length {self.factors.n_params}, got shape {V.shape}"
             )
-        lam = self.prior_precision
-        if self._core is None:
-            return V / lam
         from scipy.linalg import cho_solve
 
         U = self.factors.factors
         w = U @ V.T  # (R, k)
         s = cho_solve((self._core, False), w)
-        return (V - s.T @ U) / lam
+        return (V - s.T @ U) / self.prior_precision
 
     @property
     def log_det_precision(self):
@@ -288,9 +279,7 @@ class LaplacePosterior:
         """
         P, R = self.factors.n_params, self.factors.rank
         log_det = (P - R) * np.log(self.prior_precision)
-        if self._core is not None:
-            log_det += 2.0 * np.sum(np.log(np.diag(self._core)))
-        return float(log_det)
+        return float(log_det + 2.0 * np.sum(np.log(np.diag(self._core))))
 
 
 def kappa(sigma2):
@@ -347,19 +336,16 @@ def _variance(post, env):
     for c0, c1, J in mps.jacobian_blocks(env):
         J = J.reshape(b * L, c1 - c0)
         sq += np.einsum("kp,kp->k", J, J)
-        if post._core is None:
-            continue
         if At is None:
             At = J @ U[:, c0:c1].T  # (k, R)
         else:
             part = np.matmul(J, U[:, c0:c1].T, out=part)
             At += part
     J = part = None  # the block buffer is not needed while solving
-    if At is not None:
-        from scipy.linalg import solve_triangular
+    from scipy.linalg import solve_triangular
 
-        Z = solve_triangular(post._core, At.T, trans=1, lower=False, overwrite_b=True)
-        sq -= np.einsum("rk,rk->k", Z, Z)
+    Z = solve_triangular(post._core, At.T, trans=1, lower=False, overwrite_b=True)
+    sq -= np.einsum("rk,rk->k", Z, Z)
     return (sq / post.prior_precision).reshape(b, L)
 
 
@@ -435,11 +421,12 @@ def _posterior_head(post):
 
 def _payloads(post):
     """The factor rows, then the core factor in its Fortran order, as flat
-    little-endian float64 (views on little-endian hosts). Rank 0 has no core."""
-    out = [np.ascontiguousarray(post.factors.factors, dtype="<f8").reshape(-1)]
-    if post._core is not None:
-        out.append(np.asfortranarray(post._core, dtype="<f8").ravel(order="F"))
-    return out
+    little-endian float64 (views on little-endian hosts); both are empty at
+    rank 0."""
+    return [
+        np.ascontiguousarray(post.factors.factors, dtype="<f8").reshape(-1),
+        np.asfortranarray(post._core, dtype="<f8").ravel(order="F"),
+    ]
 
 
 def posterior_to_bytes(post):
@@ -459,6 +446,8 @@ def _check_core(c, U, precision):
     temporary)."""
     from scipy.linalg.blas import dtrmv
 
+    if c.size == 0:  # dtrmv refuses a length-0 vector
+        return
     if not mps._within(c, np.inf):
         raise ParseError("core factor contains non-finite entries")
     if not np.all(np.diag(c) > 0):

@@ -63,8 +63,9 @@ agree bit for bit:
 * The class-wide Jacobian needs every site's environment, so it sweeps
   the batch again in groups of one site: the stacked sweep forms and
   checks every site's matrix and partial product. It then runs the
-  recurrence per site, streaming one site a block for a chunk. The
-  gradient pass falls back to the same per-site recurrence.
+  recurrence per site, in blocks of a few sites for a chunk (three at the
+  digit scale). The gradient pass falls back to the same per-site
+  recurrence.
   :func:`jacobian_blocks`, the one Jacobian writer, turns each site's
   environments into its Jacobian columns in one buffer that holds a run
   of contiguous sites' columns at a time; both Laplace passes take those
@@ -569,8 +570,8 @@ def sweep_env(model, phi, reuse=None):
 # Bytes of running products the environment recurrence holds at once (its
 # environments take as much again). A 32-row digit-scale gradient pass
 # (16 KiB a unit) runs its 65 units in two blocks that stay in cache; a
-# 63-row, 10-class Jacobian chunk (320 KB a site) streams one site at a
-# time.
+# 63-row, 10-class Jacobian chunk (322,560 B a site) runs its 195 ring
+# sites in 65 blocks of three.
 _BLOCK_BYTES = 1 << 20
 
 

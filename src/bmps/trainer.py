@@ -22,7 +22,8 @@ Divergence is detected two ways and reported as
 :class:`bmps.errors.TrainingDiverged` carrying the epoch and batch index:
 a non-finite batch loss (or an overflowing contraction), or a mean
 per-sample cross entropy exceeding :data:`DIVERGENCE_FACTOR` times its value
-at initialization.
+at initialization, or ``log(width)`` (chance level over the label width)
+when that is larger.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# A batch whose mean cross entropy exceeds this multiple of its value at
-# initialization ends training as diverged.
+# A batch whose mean cross entropy exceeds both this multiple of its value
+# at initialization and chance level (log of the label width) ends training
+# as diverged.
 DIVERGENCE_FACTOR = 1e3
 
 
@@ -366,8 +368,10 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
         raise TrainingDiverged(
             f"initial evaluation overflowed: {exc}", epoch=0, batch=0
         ) from exc
-    # from the cross entropy alone, which a large penalty would round away
+    # from the cross entropy alone, which a large penalty would round away;
+    # a start near 0 (or at exactly 0) still allows chance level
     initial_mean_ce = ce / m
+    limit = max(DIVERGENCE_FACTOR * initial_mean_ce, np.log(Y.shape[1]))
     best_loss = ce + _penalty(work, prior)
     best_theta = theta.copy()
     best_epoch = 0
@@ -389,10 +393,7 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
                     batch=batch_idx,
                 ) from exc
             mean_ce = batch_ce / len(rows)
-            if not np.isfinite(mean_ce) or (
-                initial_mean_ce > 0
-                and mean_ce > DIVERGENCE_FACTOR * initial_mean_ce
-            ):
+            if not mean_ce <= limit:  # also NaN and inf
                 raise TrainingDiverged(
                     f"mean cross entropy {mean_ce:.6g} at epoch {epoch}, "
                     f"batch {batch_idx} (started at {initial_mean_ce:.6g})",

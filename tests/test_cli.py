@@ -585,6 +585,30 @@ class TestExperimentCommands:
         assert f"--n-seeds must be >= 1, got {n_seeds}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, option, values, message",
+        [
+            ("std-perturb", "--scales", "1,0", "scale_factor must be positive, got 0.0"),
+            ("init-compare", "--methods", "xavier,glorp", "unknown init method 'glorp'"),
+            ("bond-sweep", "--bonds", "2,0", "bond_dim must be a positive integer, got 0"),
+        ],
+    )
+    def test_every_value_is_checked_before_the_first_cell(
+        self, tmp_path, capsys, monkeypatch, command, option, values, message
+    ):
+        # the first value is good, so a check made cell by cell would train it
+        monkeypatch.setattr(trainer, "train_map", refuse)
+        out = tmp_path / "x"
+        assert run(command, option, values, "--n-seeds", 2, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(cli._SWEEPS))
+    def test_every_sweep_runs_through_the_one_handler(self, command):
+        handler, _, own = cli._COMMANDS[command]
+        assert handler is cli.cmd_sweep
+        assert cli._SWEEPS[command][0] in own and "n_seeds" in own
+
     def test_bond_sweep_rejects_bad_bonds(self, tmp_path):
         assert run("bond-sweep", "--bonds", "0", "--out", tmp_path / "x") == 2
         assert run("bond-sweep", "--bonds", "", "--out", tmp_path / "x") == 2

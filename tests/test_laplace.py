@@ -358,6 +358,19 @@ class TestPredictive:
         z = mps.forward_batch(model, mps.embed(x[None]))[0, 0]
         assert res.probabilities == pytest.approx([1 - expit(z), expit(z)], abs=1e-9)
 
+    def test_rank_zero_variance_is_the_scaled_jacobian_norm(self):
+        # Rank 0 runs the Woodbury path with an empty core, which takes
+        # exactly nothing off |j|^2. With the label site last, one run holds
+        # every Jacobian column, so both sides sum in the same order.
+        rng = RNG(33)
+        shape = mps.MpsShape(4, 2, 2, 3, label_site=3)
+        model = mps.MpsModel(shape, [rng.normal(size=shape.node_shape(i)) for i in range(4)])
+        X = rng.uniform(0, 1, size=(5, 4))
+        post = empty_posterior(model, 0.7)
+        J = mps.jacobian_from_env(mps.sweep_env(model, mps.embed(X))).reshape(15, -1)
+        want = (np.einsum("kp,kp->k", J, J) / 0.7).reshape(5, 3)
+        assert np.array_equal(laplace.predictive_batch(post, X).sigma2, want)
+
     def test_binary_closed_form_variance_point(self):
         # Choose the precision so the posterior variance of the logit is
         # exactly 8/pi, where the moderation factor is 1/sqrt(2).
@@ -954,5 +967,6 @@ class TestStoredCore:
         laplace.save_posterior(post, path)
         assert path.stat().st_size == len(laplace._posterior_head(post))
         loaded = laplace.load_posterior(path)
-        assert loaded._core is None and loaded.factors.rank == 0
+        # the core is the empty factor cho_factor gives, and has no bytes
+        assert loaded._core.shape == (0, 0) and loaded.factors.rank == 0
         assert loaded.log_det_precision == post.log_det_precision

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import bmps
-from bmps import initializer, laplace, mps, trainer
+from bmps import cli, initializer, laplace, mps, trainer
 
 SRC = str(Path(bmps.__file__).resolve().parent.parent)
 
@@ -71,6 +71,9 @@ def test_removed_engine_api_stays_removed():
     # and jacobian_from_env gathers its runs into a new array
     assert not hasattr(mps, "_write_jacobian")
     assert list(inspect.signature(mps.jacobian_from_env).parameters) == ["env"]
+    # the seed sweeps are rows of one table run by one handler
+    gone = ["cmd_init_compare", "cmd_std_perturb", "cmd_bond_sweep", "_seed_sweep"]
+    assert [name for name in gone if hasattr(cli, name)] == []
     # the weighted gradient is one flat vector in model.params order
     shape = mps.MpsShape(4, 2, 2, 3, boundary="open")
     model = mps.MpsModel(shape, [np.ones(shape.node_shape(i)) for i in range(4)])

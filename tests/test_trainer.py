@@ -510,6 +510,26 @@ class TestDivergence:
         assert "mean cross entropy 400 " in str(info.value)
         assert "(started at 1.92875e-22)" in str(info.value)
 
+    def test_zero_starting_cross_entropy_still_guards_at_chance_level(self):
+        # Every logit is 800: log1p(e^-800) underflows, so the starting mean
+        # cross entropy is exactly 0 and no multiple of it is a limit. The
+        # rule still stops a batch above chance level, log 2.
+        sh = mps.MpsShape(3, 2, 1, 1, boundary="open")
+        nodes = [np.ones(sh.node_shape(i)) for i in range(3)]
+        nodes[0][...] = 800.0
+        model = mps.MpsModel(sh, nodes)
+        X = np.full((8, 3), 0.5)
+        Y = onehot(np.ones(8, dtype=int), 2)
+        assert trainer.loss(model, X, Y) == 0.0
+        config = trainer.TrainConfig(
+            epochs=3, batch_size=8, learning_rate=0.3, optimizer="sgd", shuffle=False
+        )
+        with pytest.raises(TrainingDiverged) as info:
+            trainer.train_map(model, split(X, Y), config, trainer.PriorSpec(10.0))
+        assert (info.value.epoch, info.value.batch) == (2, 0)
+        assert "mean cross entropy 6400 " in str(info.value)
+        assert "(started at 0)" in str(info.value)
+
     def test_overflowing_initial_state_reports_epoch_zero(self):
         # Nodes so large the very first contraction trips the magnitude cap:
         # that is still divergence (epoch 0), not a bare numeric error, so
