@@ -25,9 +25,13 @@ product runs back round the ring from the label site: the left product
 ``M_0..M_{k-1}``, then the right product's matrices ``M_{n-1}``, ..,
 ``M_{k+1}`` multiplied onto it. It ends in ``right @ left``, whose
 transpose ``C`` is the label node's environment, so
-``logits[l] = <M_k[l], C>``. Every other site's environment joins a cached
-partial product of that sweep with a running product through stand-in label
-matrices: the class stack for the Jacobian, or ``sum_l coeff[l] * M_k[l]``
+``logits[l] = <M_k[l], C> = sum_s phi_k[s] <A_k[s, l], C>``: both sweeps
+read the logits off the label node, one product of each row's flattened
+closure with the node viewed as (phys * n_labels, D * D) and then the
+phys-weighted sum, without forming the class stack ``M_k[l]``. Every
+other site's environment joins a cached partial product of that sweep with
+a running product through stand-in label matrices: the class stack, which
+:func:`sweep_env` forms, for the Jacobian, or ``sum_l coeff[l] * M_k[l]``
 for a loss gradient, which folds the logit coefficients in first so that
 pass is reverse mode on a scalar, without a class axis. An outer product
 with the site vector restores the physical index.
@@ -46,7 +50,8 @@ time. Both sweeps form these products in the same order, so their logits
 agree bit for bit:
 
 * :func:`forward_batch` streams, so a chunk of whole-dataset prediction
-  holds O(batch * bond^2).
+  holds its rows' embeddings and group weights, O(batch * n_sites), and
+  O(batch * bond^2) of products.
 * :func:`sweep_env` forms every group's and leftover site's matrix in two
   batched products and writes the partial products into one preallocated
   stack, one entry a group.
@@ -80,8 +85,9 @@ the row cap, sets the chunk size, the chunks are mapped over a thread per
 usable core. That is the Jacobian passes at the digit scale; the forward
 pass stays serial there, and the training step always does.
 
-Every array the engine forms (partial and running products, closure,
-logits, folded label matrices, environments) is checked against
+Every array the engine forms (partial and running products, the read-off
+product of closure and label node, logits, folded label matrices,
+environments) is checked against
 :data:`MAGNITUDE_CAP`: an entry above it in magnitude, or a
 NaN or infinite one, raises :class:`~bmps.errors.NumericError` naming the
 site. A streamed product is checked as soon as it is formed, one product a
@@ -263,17 +269,19 @@ def jacobian_row_bytes(shape):
 
 
 def forward_row_bytes(shape):
-    """Bytes of one row's label-site product, the largest array of
-    :func:`forward_batch`."""
-    return shape.n_labels * shape.bond_dim**2 * 8
+    """Bytes :func:`forward_batch` holds per row: the embedded row and the
+    sweep's one reordered copy of it, ``2 * n_sites * phys`` entries, and
+    the group weights ``psi``, ``phys ** group`` entries a group; O(n_sites)."""
+    s = shape.phys_dim
+    return 8 * (2 * shape.n_sites * s + shape.n_sites // _GROUP * s**_GROUP)
 
 
 def chunk_plan(n_rows, row_bytes):
     """``(rows, workers)``: the chunk size and thread count :func:`map_chunks`
-    uses for ``n_rows`` rows whose largest per-row array takes ``row_bytes``.
+    uses for ``n_rows`` rows whose pass holds ``row_bytes`` a row.
 
     Chunks hold at most :data:`CHUNK_ROWS` rows and :data:`CHUNK_BYTES` of
-    that array. Only when the byte budget sets the size do they go to a
+    that measure. Only when the byte budget sets the size do they go to a
     pool: pooling row-capped chunks raised peak memory (one malloc arena a
     thread) for no clear speed-up.
     """
@@ -402,10 +410,13 @@ class BatchEnv:
     ``u = len(mats)``. ``nodes`` (len(ring), phys, D, D) are the ring's
     padded nodes, and ``psi`` and ``suffixes`` the groups' row weights and
     merged products (see :func:`_merged`), for the gradient's
-    back-propagation. ``label`` holds the label site's matrices (batch,
-    n_labels, D, D), and ``closure``, ``tails[0]`` transposed, is the label
-    node's environment. ``buffers`` holds ``mats``, ``tails`` and the
-    gradient pass's scratch arrays, for :func:`sweep_env`'s ``reuse``.
+    back-propagation. ``label`` is the label site's class stack (batch,
+    n_labels, D, D), which the Jacobian and the gradient's folded label
+    matrices read; like ``mats`` and ``tails`` it is None from
+    :func:`forward_batch`, which reads the logits off the label node.
+    ``closure``, ``tails[0]`` transposed, is the label node's environment.
+    ``buffers`` holds ``mats``, ``tails`` and the gradient pass's scratch
+    arrays, for :func:`sweep_env`'s ``reuse``.
     """
 
     model: MpsModel
@@ -435,7 +446,7 @@ def _merged(nodes, phi, group):
     """Merged node tensors and row weights of groups of ``group``
     consecutive ring sites.
 
-    ``nodes`` (G * group, phys, D, D) and ``phi`` (G * group, batch, phys)
+    ``nodes`` (G * group, phys, D, D) and ``phi`` (G * group, phys, batch)
     give ``suffixes`` and ``psi`` (G, batch, 1, phys**group). For
     ``j = t * group``, ``suffixes[m]`` (G, phys**(group - m), D, D) holds
     the slice products ``A_{j+m}^{s_m} .. A_{j+group-1}^{s_{group-1}}`` of
@@ -444,14 +455,22 @@ def _merged(nodes, phi, group):
     phi_{j+1}[s_1] ..``, and ``psi[t] @ suffixes[0][t]`` (flattened to
     (phys**group, D * D)) is the product of the group's site matrices.
     """
-    G, (_, B, s), D = len(nodes) // group, phi.shape, nodes.shape[-1]
+    G, (_, s, B), D = len(nodes) // group, phi.shape, nodes.shape[-1]
     nodes = nodes.reshape(G, group, s, D, D)
     suffixes = [nodes[:, -1]]
     for m in reversed(range(group - 1)):
-        merged = np.matmul(nodes[:, m, :, None], suffixes[0][:, None])
-        suffixes.insert(0, merged.reshape(G, s ** (group - m), D, D))
-    # one outer product a row, batch axis last in the factors (C order)
-    phi = np.ascontiguousarray(phi.reshape(G, group, B, s).transpose(1, 0, 3, 2))
+        q = s ** (group - 1 - m)
+        if m:  # laid out (G, D, phys * q, D), as :func:`_backprop` reads it
+            buf = np.empty((G, D, s, q, D))
+            out = buf.transpose(0, 2, 3, 1, 4)
+            np.matmul(nodes[:, m, :, None], suffixes[0][:, None], out=out)
+            merged = buf.reshape(G, D, s * q, D).swapaxes(1, 2)
+        else:
+            merged = np.matmul(nodes[:, m, :, None], suffixes[0][:, None])
+            merged = merged.reshape(G, s * q, D, D)
+        suffixes.insert(0, merged)
+    # one outer product a row, batch axis last in the factors
+    phi = phi.reshape(G, group, s, B).transpose(1, 0, 2, 3)
     axes = "ijklmnopqr"[:group]
     psi = np.einsum(",".join(f"g{a}b" for a in axes) + f"->gb{axes}", *phi)
     if group == 1:
@@ -468,9 +487,9 @@ def _sweep(model, phi, keep, reuse=None, group=None):
     Both ways form the same unit products in the same order. ``keep``
     forms every unit's matrix in two batched products, stacks the partial
     products for the environments and scans the stack once; otherwise the
-    sweep streams, each product checked as it is formed, so memory stays
-    O(batch * bond^2). ``group`` defaults to :data:`_GROUP` as it is when
-    the sweep runs.
+    sweep streams, each product checked as it is formed, so it holds
+    O(batch * bond^2) of products. ``group`` defaults to :data:`_GROUP` as
+    it is when the sweep runs.
     """
     shape = model.shape
     group = _GROUP if group is None else group
@@ -482,27 +501,30 @@ def _sweep(model, phi, keep, reuse=None, group=None):
         )
     lay = _layout(shape)
     B, R, D, k = phi.shape[0], len(lay.ring), shape.bond_dim, shape.label_site
-    s = shape.phys_dim
+    s, L = shape.phys_dim, shape.n_labels
     theta = np.append(model.params, 0.0)
     nodes = theta[lay.nodes]  # (R, phys, D, D)
     # each row's matrices are its own vector-matrix products, so they do
     # not depend on the batch the row is in
     flat_nodes = nodes.reshape(R, 1, s, D * D)
-    # (R, B, 1, phys)
-    ring_phi = np.take(phi, lay.ring, axis=1).swapaxes(0, 1)[:, :, None]
     n = R - R % group  # ring positions [0, n) form groups, the rest stream
     G = n // group
     U = G + R - n
+    # the grouped sites' rows, (n, phys, B), batch axis last (C order): the
+    # one copy of phi the sweep makes, dropped once psi is formed; the
+    # other sites' rows are read in place
+    grouped = np.ascontiguousarray(phi[:, lay.ring[:n]].transpose(1, 2, 0))
     # an overflow or 0 * inf in a group's merged tensor or product fails
     # its check, silently; a failed group's sites are formed, checked and
     # warn as in a per-site stream
     quiet = {"over": "ignore", "invalid": "ignore"}
     with np.errstate(**quiet):
-        suffixes, psi = _merged(nodes[:n], ring_phi[:n, :, 0], group)
+        suffixes, psi = _merged(nodes[:n], grouped, group)
+    del grouped
     merged = suffixes[0].reshape(G, 1, s**group, D * D)
 
     def site(j, tail):
-        m = np.matmul(ring_phi[j], flat_nodes[j]).reshape(B, D, D)
+        m = np.matmul(phi[:, lay.ring[j], None], flat_nodes[j]).reshape(B, D, D)
         return _check(np.matmul(m, tail), lay.ring[j])
 
     def step(u, tail):  # unit u's checked product onto tail
@@ -517,7 +539,7 @@ def _sweep(model, phi, keep, reuse=None, group=None):
         return tail
 
     pool = {} if reuse is None else reuse.buffers
-    mats = tails = None
+    mats = tails = label = None
     tail = np.broadcast_to(np.eye(D), (B, D, D))
     if keep:
         mats = _buffer(pool, "mats", (U, B, D, D))
@@ -526,7 +548,8 @@ def _sweep(model, phi, keep, reuse=None, group=None):
         with np.errstate(**quiet):
             np.matmul(psi, merged, out=mats[:G].reshape(G, B, 1, D * D))
             leftover = mats[G:].reshape(R - n, B, 1, D * D)
-            np.matmul(ring_phi[n:], flat_nodes[n:], out=leftover)
+            rows = phi[:, lay.ring[n:], None].swapaxes(0, 1)  # (R - n, B, 1, phys)
+            np.matmul(rows, flat_nodes[n:], out=leftover)
             for u in reversed(range(U)):
                 np.matmul(mats[u], tails[u + 1], out=tails[u])
         # one scan; on failure, form the products again in order, checked
@@ -535,13 +558,18 @@ def _sweep(model, phi, keep, reuse=None, group=None):
             for u in reversed(range(U)):
                 tails[u] = step(u, tails[u + 1])
         tail = tails[0]
+        # the class stack, for the environment passes
+        label = np.matmul(phi[:, k, None], theta[lay.label].reshape(s, -1))
+        label = label.reshape(B, L, D, D)
     else:
         for u in reversed(range(U)):
             tail = step(u, tail)
-    label = np.matmul(phi[:, k, None], theta[lay.label].reshape(s, -1))
-    label = label.reshape(B, shape.n_labels, D, D)
-    full = _check(np.matmul(label, tail[:, None]), k)
-    logits = _check(np.trace(full, axis1=2, axis2=3), k)
+    # logits[b, l] = sum_s phi[b, k, s] <A_k[s, l], C_b>: the label node,
+    # (phys * n_labels, D * D) in the closure's transposed layout, against
+    # each row's flattened tail, one product a row, then the phys-weighted sum
+    node = theta[lay.label.swapaxes(2, 3)].reshape(s * L, D * D)
+    read = _check(np.matmul(tail.reshape(B, 1, D * D), node.T), k)
+    logits = _check(np.matmul(phi[:, k, None], read.reshape(B, s, L))[:, 0], k)
     closure = np.swapaxes(tail, 1, 2)
     return BatchEnv(
         model, phi, group, nodes, psi, suffixes, mats, tails, label, closure, logits,
@@ -737,16 +765,20 @@ def _backprop(nodes, suffixes, H, out):
         return False
     for m in range(group):
         p, q = s**m, s ** (group - 1 - m)
-        T = H.reshape(G, p * s, q, D, D)
+        T = H.reshape(G, p, s, q * D, D)
+        if m == 0:  # no prefix slices: straight into out
+            dest = out[:, 0, None]
+        else:  # written (G, phys, D, p, D), as the sum over them reads it
+            sums = np.empty((G, s, D, p, D))
+            dest = sums.transpose(0, 3, 1, 2, 4)
         if m < group - 1:  # sum over the suffix slices
-            S = suffixes[m + 1].transpose(0, 2, 1, 3).reshape(G, 1, D, q * D)
-            T = np.matmul(S, T.reshape(G, p * s, q * D, D))
-        if m == 0:
-            out[:, 0] = T.reshape(G, s, D, D)
-            continue
-        # sum over the prefix slices
-        T = T.reshape(G, p, s, D, D).transpose(0, 2, 3, 1, 4).reshape(G, s, D, p * D)
-        np.matmul(T, prefixes[m].reshape(G, 1, p * D, D), out=out[:, m])
+            S = suffixes[m + 1].transpose(0, 2, 1, 3).reshape(G, 1, 1, D, q * D)
+            np.matmul(S, T, out=dest)
+        else:
+            dest[...] = T
+        if m:  # sum over the prefix slices
+            T = sums.reshape(G, s, D, p * D)
+            np.matmul(T, prefixes[m].reshape(G, 1, p * D, D), out=out[:, m])
     return True
 
 

@@ -13,6 +13,7 @@ from bmps import initializer, mps, trainer
 from bmps.errors import DataError, NumericError, ParseError, ShapeError, TrainingDiverged
 
 import oracles
+from peaks import traced_peak
 
 
 def rel_err(a, b):
@@ -430,6 +431,93 @@ class TestGroupedForward:
         data = SimpleNamespace(train_x=X, train_y=np.eye(2)[[0, 1, 0]])
         _, history = trainer.train_map(model, data, config)
         assert len(history.records) == 1
+
+
+class TestLabelReadOff:
+    """Both sweeps read the logits off the label node: each row's flattened
+    closure against the node viewed as (phys * n_labels, bond^2), then the
+    phys-weighted sum, with no (batch, n_labels, bond, bond) class stack."""
+
+    @pytest.mark.parametrize("boundary", ["open", "cyclic"])
+    @pytest.mark.parametrize("label_site", ["first", "last"])
+    def test_matches_the_exhaustive_oracle(self, boundary, label_site):
+        rng = np.random.default_rng(11)
+        for n in (2, 4, 5):
+            k = 0 if label_site == "first" else n - 1
+            sh = mps.MpsShape(n, 3, 2, 3, label_site=k, boundary=boundary)
+            model = oracles.random_model(rng, sh)
+            phi = rng.uniform(0, 1, size=(4, n, 3))
+            want = np.array([oracles.oracle_contract(model, row) for row in phi])
+            got = mps.forward_batch(model, phi)
+            assert norm_err(got, want) <= 1e-12
+            assert np.array_equal(got, mps.sweep_env(model, phi).logits)
+
+    @pytest.mark.parametrize("run", ["forward_batch", "sweep_env"])
+    def test_overflowing_read_off_names_the_label_site(self, monkeypatch, run):
+        # Every slice of every node is the identity but the label node's
+        # slice 0, 1e60 I. Rows of zeros (phi = [0, 1]) weight that slice by
+        # 0: the ring's products and the closure stay at I, the logits at 2,
+        # and only the read-off product of slice 0 exceeds the cap.
+        eye = np.eye(2)
+        model = oracles.transfer_chain([eye] * 5, label_site=3)
+        for node in model.nodes:
+            node[:, 1] = node[:, 0]
+        model.nodes[3][:, 0] *= 1e60
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
+        with pytest.raises(NumericError, match="at site 3$"):
+            swept(run, model, np.zeros((2, 5)))
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e70)
+        assert np.array_equal(swept("forward_batch", model, np.zeros((2, 5))), [[2.0]] * 2)
+        # under an infinite cap, a closure of 1e200 against a label slice of
+        # 1e200 overflows to inf, while every ring product stays at 1e200
+        model.nodes[3][:, 0] *= 1e140
+        model.nodes[0][...] *= 1e200
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", np.inf)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="at site 3$"):
+            swept(run, model, np.ones((2, 5)))
+
+    def test_logits_above_the_cap_name_the_label_site(self, monkeypatch):
+        # each read-off entry is 0.6 * cap, but a row weighting both
+        # physical slices by 1 sums them to 1.2 * cap
+        eye = np.eye(2)
+        model = oracles.transfer_chain([eye] * 4, label_site=1)
+        model.nodes[1][:, 1] = model.nodes[1][:, 0]
+        model.nodes[1][...] *= 0.3e50
+        phi = np.ones((1, 4, 2))
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
+        for run in (mps.forward_batch, mps.sweep_env):
+            with pytest.raises(NumericError, match="at site 1$"):
+                run(model, phi)
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", 2e50)
+        np.testing.assert_allclose(mps.forward_batch(model, phi), [[1.2e50]], rtol=1e-15)
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        rng = np.random.default_rng(13)
+        sh = mps.MpsShape(2 * mps._GROUP + 3, 2, 4, 5, label_site=2)
+        model = oracles.random_model(rng, sh)
+        phi = mps.embed(rng.uniform(0, 1, size=(512, sh.n_sites)))
+        batch = mps.forward_batch(model, phi)
+        assert np.array_equal(batch, mps.sweep_env(model, phi).logits)
+        for b in range(512):
+            assert np.array_equal(mps.forward_batch(model, phi[b : b + 1])[0], batch[b])
+
+    def test_forward_forms_no_class_stack(self):
+        # A 512-row digit-scale chunk (196 sites, bond 8, 10 classes) peaks
+        # below its per-row measure, 5.3 MB. One (512, 10, 8, 8) class stack
+        # on top of what it holds would not fit under that bound; a class
+        # stack and its product with the closure took 5.2 MB.
+        sh = mps.MpsShape(196, 2, 8, 10)
+        model = initializer.init_model(sh, initializer.InitSpec(var_x=0.461, seed=3))
+        rng = np.random.default_rng(3)
+        X = np.where(rng.uniform(size=(512, 196)) < 0.7, 0.0, rng.uniform(size=(512, 196)))
+        phi = mps.embed(X)
+        bound = 512 * mps.forward_row_bytes(sh)
+        stack = 512 * sh.n_labels * sh.bond_dim**2 * 8
+        peak, logits = traced_peak(lambda: mps.forward_batch(model, phi))
+        assert logits.shape == (512, 10)
+        assert peak <= bound < peak + stack
+        assert mps._sweep(model, phi[:4], keep=False).label is None
+        assert mps.sweep_env(model, phi[:4]).label.shape == (4, 10, 8, 8)
 
 
 class TestGroupedTrainingStep:
