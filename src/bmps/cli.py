@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__, data, decision, initializer, laplace, mps, trainer
 from .baseline import LogisticBaseline
-from .errors import DataError, NumericError, ParseError, TrainingDiverged
+from .errors import DataError, NumericError, ParseError, ShapeError, TrainingDiverged
 
 
 def _comma_list(text, flag, kind=float):
@@ -264,6 +264,14 @@ def cmd_predict(cfg):
     if not cfg["model"]:
         raise DataError("--model is required")
     model = mps.load_model(cfg["model"])
+    # read and sized before any row is predicted
+    util = decision.UtilityMatrix.from_csv(cfg["utility"]) if cfg["utility"] else None
+    n_classes = max(model.shape.n_labels, 2)
+    if util is not None and util.n_labels != n_classes:
+        raise ShapeError(
+            f"utility matrix is {util.n_labels}x{util.n_labels} but the model "
+            f"has {n_classes} classes"
+        )
     dataset = _load_dataset(cfg)
     use_test = cfg["on"] == "test" or (cfg["on"] == "auto" and dataset.test_x.shape[0])
     X = dataset.test_x if use_test else dataset.train_x
@@ -295,7 +303,6 @@ def cmd_predict(cfg):
     row_bytes = mps.jacobian_row_bytes if cfg["posterior"] else mps.forward_row_bytes
     chunk_rows, workers = mps.chunk_plan(X.shape[0], row_bytes(model.shape))
 
-    util = decision.UtilityMatrix.from_csv(cfg["utility"]) if cfg["utility"] else None
     truth = np.argmax(Y, axis=1)
     fields = ["index", "truth", "map_label", "moderated_label"]
     moderated = decision.classify_map(probs)

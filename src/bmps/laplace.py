@@ -39,16 +39,16 @@ Both Jacobian passes, the factor build and prediction, run in chunks that
 usable core when the budget sets the size. Neither holds a chunk's whole
 Jacobian: both take it in runs of contiguous sites
 (:func:`bmps.mps.jacobian_blocks`), each written into one reused buffer of
-at most ``mps._JACOBIAN_BLOCK_BYTES``. The factor build centres and scales
-each run in that buffer and writes it into its columns of one
-preallocated U, so its peak is U plus, for each chunk in flight, the run
-buffer and the sweeps' stacks. Prediction adds each run into ``A = U J'``
-(R x k for k = rows * n_labels) by one product, and the triangular solve
-then overwrites A with Z. So a prediction chunk holds A, the run buffer,
-the product of the current run before it is added to A, and the sweeps'
-stacks. The chunk keeps the row count its whole Jacobian would fix: that
-width, ``k``, is what keeps the products with U wide, and the number of
-chunks sets how many passes are made over U.
+at most ``mps._JACOBIAN_BLOCK_BYTES``, from one stacked sweep of the chunk
+in one-site groups; its logits come from the streamed forward. The factor
+build centres and scales each run in that buffer and writes it into its
+columns of one preallocated U, so its peak is U plus, for each chunk in
+flight, the run buffer and the Jacobian's sweep. Prediction adds each run
+into ``A = U J'`` (R x k, k = rows * n_labels) by one product, and the
+triangular solve overwrites A with Z. So a prediction chunk holds A, the
+run buffer, the current run's product before it is added to A, and the
+one-site sweep's stacks and class stack. Its row count is the one its whole
+Jacobian would fix: that width, ``k``, keeps the passes over U few and wide.
 
 Importing this module loads numpy and no scipy module. The sigmoid,
 softmax and logsumexp are the numpy forms of :mod:`bmps.trainer`, and
@@ -180,14 +180,15 @@ def _ggn_rows(model, X, out):
     """Write the factor rows of a batch into ``out`` (b, n_labels, P), sample
     by sample (see the module docstring): the Jacobian, one run of columns
     at a time (:func:`bmps.mps.jacobian_blocks`), centred and scaled."""
-    env = mps.sweep_env(model, mps.embed(X))
+    phi = mps.embed(X)
+    logits = mps.forward_batch(model, phi)
     if model.shape.n_labels == 1:
-        y = expit(env.logits[:, 0])
+        y = expit(logits[:, 0])
         scale = np.sqrt(y * (1.0 - y))[:, None, None]
     else:
-        y = softmax(env.logits)
+        y = softmax(logits)
         scale = np.sqrt(y)[:, :, None]
-    for c0, c1, J in mps.jacobian_blocks(env):
+    for c0, c1, J in mps.jacobian_blocks(model, phi):
         if model.shape.n_labels > 1:
             J -= np.einsum("bl,blp->bp", y, J)[:, None]
         np.multiply(J, scale, out=out[:, :, c0:c1])
@@ -319,9 +320,9 @@ def _logit_gaps(logits):
     return out
 
 
-def _variance(post, env):
-    """Row-wise ``j' M^{-1} j`` for the logit Jacobian rows of a swept
-    batch; shape (batch, n_labels).
+def _variance(post, phi):
+    """Row-wise ``j' M^{-1} j`` for the logit Jacobian rows of a batch of
+    embedded rows ``phi``; shape (batch, n_labels).
 
     By Woodbury this is ``(|j|^2 - |Z|^2) / precision`` per row, where
     ``Z = C^{-T} U j`` and ``C'C = precision*I_R + UU'`` is the cached core
@@ -330,10 +331,10 @@ def _variance(post, env):
     (R x k, held as its transpose, so the triangular solve overwrites it)
     and of ``|j|^2``. ``M^{-1} J`` and the whole Jacobian are never formed.
     """
-    U = post.factors.factors
-    b, L = env.logits.shape
+    U, model = post.factors.factors, post.map_model
+    b, L = phi.shape[0], model.shape.n_labels
     sq, At, part = np.zeros(b * L), None, None
-    for c0, c1, J in mps.jacobian_blocks(env):
+    for c0, c1, J in mps.jacobian_blocks(model, phi):
         J = J.reshape(b * L, c1 - c0)
         sq += np.einsum("kp,kp->k", J, J)
         if At is None:
@@ -351,10 +352,9 @@ def _variance(post, env):
 
 def _moderate(post, X):
     """Moderated predictions of one batch; see :func:`predictive_batch`."""
-    env = mps.sweep_env(post.map_model, mps.embed(X))
-    # the sweep's logits are MAP prediction's, bit for bit
-    logits = env.logits
-    sigma2 = np.maximum(_variance(post, env), 0.0)
+    phi = mps.embed(X)
+    logits = mps.forward_batch(post.map_model, phi)
+    sigma2 = np.maximum(_variance(post, phi), 0.0)
     gaps = _logit_gaps(logits)
     k = kappa(sigma2)
     moderated = expit(k * gaps)

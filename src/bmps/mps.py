@@ -30,8 +30,8 @@ read the logits off the label node, one product of each row's flattened
 closure with the node viewed as (phys * n_labels, D * D) and then the
 phys-weighted sum, without forming the class stack ``M_k[l]``. Every
 other site's environment joins a cached partial product of that sweep with
-a running product through stand-in label matrices: the class stack, which
-:func:`sweep_env` forms, for the Jacobian, or ``sum_l coeff[l] * M_k[l]``
+a running product through stand-in label matrices formed from the label
+node: the class stack, for the Jacobian, or ``sum_l coeff[l] * M_k[l]``
 for a loss gradient, which folds the logit coefficients in first so that
 pass is reverse mode on a scalar, without a class axis. An outer product
 with the site vector restores the physical index.
@@ -66,11 +66,11 @@ agree bit for bit:
   ``dA_{j+1}^{s_1} = sum (A_j^{s_0})' H (A_{j+2}^{s_2})'`` and
   ``dA_{j+2}^{s_2} = sum (A_j^{s_0} A_{j+1}^{s_1})' H``.
 * The class-wide Jacobian needs every site's environment, so it sweeps
-  the batch again in groups of one site: the stacked sweep forms and
+  its rows once, stacked, in groups of one site: that sweep forms and
   checks every site's matrix and partial product. It then runs the
   recurrence per site, in blocks of a few sites for a chunk (three at the
-  digit scale). The gradient pass falls back to the same per-site
-  recurrence.
+  digit scale). The gradient pass falls back to the same one-site sweep
+  and per-site recurrence.
   :func:`jacobian_blocks`, the one Jacobian writer, turns each site's
   environments into its Jacobian columns in one buffer that holds a run
   of contiguous sites' columns at a time; both Laplace passes take those
@@ -243,6 +243,12 @@ def embed(X):
 
     ``X`` must be 2-D (ShapeError) with every value in [0, 1] (DataError).
     """
+    X = _features(X)
+    return np.stack([X, 1.0 - X], axis=2)
+
+
+def _features(X):
+    """``X`` as float64, checked as :func:`embed` checks it, not embedded."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"feature matrix must be 2-D, got ndim={X.ndim}")
@@ -250,7 +256,7 @@ def embed(X):
     if X.size and not (0.0 <= X.min() and X.max() <= 1.0):
         bad = X.min() if not 0.0 <= X.min() else X.max()
         raise DataError(f"feature value {bad!r} outside [0, 1]")
-    return np.stack([X, 1.0 - X], axis=2)
+    return X
 
 
 def _usable_cores():
@@ -410,11 +416,9 @@ class BatchEnv:
     ``u = len(mats)``. ``nodes`` (len(ring), phys, D, D) are the ring's
     padded nodes, and ``psi`` and ``suffixes`` the groups' row weights and
     merged products (see :func:`_merged`), for the gradient's
-    back-propagation. ``label`` is the label site's class stack (batch,
-    n_labels, D, D), which the Jacobian and the gradient's folded label
-    matrices read; like ``mats`` and ``tails`` it is None from
-    :func:`forward_batch`, which reads the logits off the label node.
-    ``closure``, ``tails[0]`` transposed, is the label node's environment.
+    back-propagation. ``mats`` and ``tails`` are None from
+    :func:`forward_batch`, which streams. ``closure``, ``tails[0]``
+    transposed, is the label node's environment.
     ``buffers`` holds ``mats``, ``tails`` and the gradient pass's scratch
     arrays, for :func:`sweep_env`'s ``reuse``.
     """
@@ -427,7 +431,6 @@ class BatchEnv:
     suffixes: list
     mats: np.ndarray
     tails: np.ndarray
-    label: np.ndarray
     closure: np.ndarray
     logits: np.ndarray
     buffers: dict = field(default_factory=dict, repr=False)
@@ -539,7 +542,7 @@ def _sweep(model, phi, keep, reuse=None, group=None):
         return tail
 
     pool = {} if reuse is None else reuse.buffers
-    mats = tails = label = None
+    mats = tails = None
     tail = np.broadcast_to(np.eye(D), (B, D, D))
     if keep:
         mats = _buffer(pool, "mats", (U, B, D, D))
@@ -558,9 +561,6 @@ def _sweep(model, phi, keep, reuse=None, group=None):
             for u in reversed(range(U)):
                 tails[u] = step(u, tails[u + 1])
         tail = tails[0]
-        # the class stack, for the environment passes
-        label = np.matmul(phi[:, k, None], theta[lay.label].reshape(s, -1))
-        label = label.reshape(B, L, D, D)
     else:
         for u in reversed(range(U)):
             tail = step(u, tail)
@@ -572,8 +572,7 @@ def _sweep(model, phi, keep, reuse=None, group=None):
     logits = _check(np.matmul(phi[:, k, None], read.reshape(B, s, L))[:, 0], k)
     closure = np.swapaxes(tail, 1, 2)
     return BatchEnv(
-        model, phi, group, nodes, psi, suffixes, mats, tails, label, closure, logits,
-        pool,
+        model, phi, group, nodes, psi, suffixes, mats, tails, closure, logits, pool
     )
 
 
@@ -646,15 +645,12 @@ def _environments(env, label_mats, pool):
 
     ``envs[j - j0, b, c]`` is the derivative of ``trace(M_0 ..
     label_mats[b, c] .. M_{n-1})`` with respect to the matrix of site
-    ``ring[j]``, transposed (see :func:`_env_blocks`). They are formed over
-    every ring site's matrix and partial product: a sweep of the batch in
-    one-site groups, ``env`` itself if it is one. Each block's running
-    products and environments are scanned once, and rescanned in the
-    order of formation on failure.
+    ``ring[j]``, transposed (see :func:`_env_blocks`). ``env`` is a stacked
+    sweep in one-site groups, whose units are the ring sites' matrices and
+    partial products. Each block's running products and environments are
+    scanned once, and rescanned in the order of formation on failure.
     """
     ring = _layout(env.model.shape).ring
-    if env.group != 1:
-        env = _sweep(env.model, env.phi, keep=True, group=1)
     for j0, runs, envs in _env_blocks(env.mats, env.tails, label_mats, pool):
         if not _block_within(j0, runs, envs):
             for j in range(j0, j0 + len(envs)):
@@ -676,23 +672,25 @@ def _environments(env, label_mats, pool):
 _JACOBIAN_BLOCK_BYTES = 24 << 20
 
 
-def jacobian_blocks(env):
+def jacobian_blocks(model, phi):
     """Yield ``(c0, c1, J)`` for runs of contiguous sites that together
     cover every column: ``J`` (batch, n_labels, c1 - c0) is the logit
-    Jacobian's columns ``c0:c1``.
+    Jacobian's columns ``c0:c1`` at the embedded rows ``phi``.
 
     ``J`` is a view of one buffer of at most :data:`_JACOBIAN_BLOCK_BYTES`
     (or one site), which the next run overwrites, so the whole Jacobian is
     never held; a caller may change ``J`` before it takes the next run.
-    Sites are written in ring order, then the label site, each as soon as
-    the checked :func:`_environments` pass gives its environments. Runs
-    take them in that order and end where the column order jumps: at the
-    ring's wrap from site ``n - 1`` to 0, and before a label site 0.
+    The rows are swept once, stacked, in one-site groups, and sites are
+    written in ring order, then the label site, each as soon as the checked
+    :func:`_environments` pass gives its environments. Runs take them in
+    that order and end where the column order jumps: at the ring's wrap
+    from site ``n - 1`` to 0, and before a label site 0.
     """
-    shape = env.model.shape
+    env = _sweep(model, phi, keep=True, group=1)
+    shape = model.shape
     B, L, k = env.phi.shape[0], shape.n_labels, shape.label_site
     width = _JACOBIAN_BLOCK_BYTES // max(B * L * 8, 1)
-    starts, ring = _layout(shape)[:2]
+    starts, ring, _, label_pos = _layout(shape)[:4]
     runs = []  # [sites, c0, c1]
     for i in [*ring, k]:
         if runs and runs[-1][2] == starts[i] and starts[i + 1] - runs[-1][1] <= width:
@@ -712,7 +710,10 @@ def jacobian_blocks(env):
         cols = slice(starts[i] - c0, starts[i + 1] - c0)
         return J[:, :, cols].reshape((B, L) + shape.node_shape(i))
 
-    for j0, envs in _environments(env, env.label, {}):
+    # the class stack M_k[l] = sum_s phi_k[s] A_k[s, l] from the label node
+    node = np.append(model.params, 0.0)[label_pos]  # (phys, n_labels, D, D)
+    stack = np.matmul(env.phi[:, k, None], node.reshape(len(node), -1))
+    for j0, envs in _environments(env, stack.reshape((B,) + node.shape[1:]), {}):
         for i, e in zip(ring[j0:], envs):
             left, right = shape.bond_dims(i)
             e = e.swapaxes(2, 3)[:, :, :left, None, :right]
@@ -731,11 +732,11 @@ def jacobian_blocks(env):
 
 
 def jacobian_from_env(env):
-    """Flattened logit Jacobians: (batch, n_labels, param_count), the runs
-    of :func:`jacobian_blocks` gathered into one new array."""
+    """The logit Jacobians of the env's rows, (batch, n_labels, param_count):
+    the runs of :func:`jacobian_blocks` gathered into one new array."""
     shape = env.model.shape
     out = np.empty((env.phi.shape[0], shape.n_labels, shape.param_count))
-    for c0, c1, J in jacobian_blocks(env):
+    for c0, c1, J in jacobian_blocks(env.model, env.phi):
         out[:, :, c0:c1] = J
     return out
 
@@ -820,12 +821,12 @@ def weighted_grad_from_env(env, coeff, out=None):
     ``param_count`` vector in ``model.params`` order: ``out`` when given,
     else a new one.
     Per-sample Jacobians are never formed: the coefficients are folded into
-    the label site's matrices first, so one class-free environment pass
-    serves every site. It runs over the sweep's units, one product a group
-    per batch takes each group's gradient to its merged tensor, and
-    :func:`_backprop` takes it to the nodes. If a scan of that pass fails,
-    it runs again per site, which raises the error a per-site pass raises
-    or gives its result. This is the workhorse behind loss gradients.
+    the label node first, so one class-free environment pass serves every
+    site. It runs over the sweep's units, one product a group per batch
+    takes each group's gradient to its merged tensor, and :func:`_backprop`
+    takes it to the nodes. If a scan of that pass fails, it runs again per
+    site over a one-site sweep, which raises the error a per-site pass
+    raises or gives its result. This is the workhorse behind loss gradients.
     """
     shape = env.model.shape
     lay = _layout(shape)
@@ -833,20 +834,23 @@ def weighted_grad_from_env(env, coeff, out=None):
     B, L, k, D = env.phi.shape[0], shape.n_labels, shape.label_site, shape.bond_dim
     if coeff.shape != (B, L):
         raise ShapeError(f"coeff shape {coeff.shape} != {(B, L)}")
-    folded = _check(np.einsum("bl,blar->bar", coeff, env.label)[:, None], k)
     R, s = lay.nodes.shape[:2]
+    # folded[b] = sum_l coeff[b, l] M_k[l] = sum_(s, l) weights[b, (s, l)] A_k[s, l]
+    weights = (env.phi[:, k, :, None] * coeff[:, None]).reshape(B, s * L)
+    node = np.append(env.model.params, 0.0)[lay.label].reshape(s * L, D * D)
+    folded = _check(np.matmul(weights[:, None], node).reshape(B, 1, D, D), k)
     pad = _buffer(env.buffers, "grad", (R * s * D * D + lay.label.size,))
     ring_grad = pad[: R * s * D * D].reshape(R, s, D * D)
     with np.errstate(over="ignore", invalid="ignore"):
         grouped = _grouped_grad(env, folded, ring_grad)
-    if not grouped:  # the per-site pass
+    if not grouped:  # the per-site pass, over a one-site sweep
+        one = _sweep(env.model, env.phi, keep=True, group=1)
         phi = env.phi[:, lay.ring].transpose(1, 2, 0)  # (R, phys, batch)
-        for j0, envs in _environments(env, folded, env.buffers):
+        for j0, envs in _environments(one, folded, env.buffers):
             j1 = j0 + len(envs)
             # grad[j, s, (r, a)] = sum_b phi[b, ring[j], s] * envs[j, b, 0, r, a]
             np.matmul(phi[j0:j1], envs.reshape(j1 - j0, B, D * D), out=ring_grad[j0:j1])
-    # label[a, s, l, r] = sum_b phi[b, k, s] * coeff[b, l] * closure[b, a, r]
-    weights = (env.phi[:, k, :, None] * coeff[:, None]).reshape(B, s * L)
+    # label[a, s, l, r] = sum_b weights[b, (s, l)] * closure[b, a, r]
     label = np.matmul(weights.T, env.closure.reshape(B, D * D)).reshape(s, L, D, D)
     pad[R * s * D * D :].reshape(D, s, L, D)[...] = label.transpose(2, 0, 1, 3)
     return np.take(pad, lay.grad, out=out)
@@ -911,6 +915,14 @@ def model_from_bytes(data):
     pos += 1
     if flag not in _FLAG_BOUNDARIES:
         raise ParseError(f"unknown boundary flag {flag} at offset {pos - 1}")
+    # every node holds at least phys_dim entries; checked before the shape,
+    # whose parameter count takes a step a site
+    n_sites, phys_dim = fields[:2]
+    if n_sites * phys_dim * 8 > len(data) - pos:
+        raise ParseError(
+            f"payload has {len(data) - pos} bytes at offset {pos}, too few for "
+            f"{n_sites} sites of at least {phys_dim} entries"
+        )
     try:
         shape = MpsShape(*fields, boundary=_FLAG_BOUNDARIES[flag])
     except ValueError as exc:

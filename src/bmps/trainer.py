@@ -348,9 +348,14 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
         )
     if X.shape[0] == 0:
         raise DataError("training set is empty")
-    test_x = np.asarray(getattr(data, "test_x", np.zeros((0, X.shape[1]))))
-    # checked here, not first at the end of an epoch
+    # the test set is checked here, not first at the end of an epoch
+    test_x = mps._features(getattr(data, "test_x", np.zeros((0, X.shape[1]))))
     test_y = _targets(model, getattr(data, "test_y", np.zeros((0, Y.shape[1]))))
+    if test_x.shape != (test_y.shape[0], X.shape[1]):
+        raise ShapeError(
+            f"test_x has shape {test_x.shape}, expected {test_y.shape[0]} rows "
+            f"(test_y) of {X.shape[1]} features (train_x)"
+        )
     has_test = test_x.shape[0] > 0
 
     # the iterate is work's parameter vector, stepped in place; its

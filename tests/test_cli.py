@@ -408,6 +408,23 @@ class TestPredictAndLaplace:
             if row[idx] == "1":
                 assert row[2] == "1"
 
+    def test_wrong_size_utility_matrix_exits_before_prediction(
+        self, tmp_path, trained, monkeypatch, capsys
+    ):
+        lap = tmp_path / "lap"
+        args = ["--model", trained / "model.bmps", *self.data_args()]
+        assert run("laplace-fit", *args, "--reg", "1e-4", "--out", lap) == 0
+        util = tmp_path / "util.csv"
+        util.write_text("1,0,0\n0,1,0\n0,0,1\n")
+        calls = []
+        monkeypatch.setattr(laplace, "predictive_batch", lambda *a: calls.append(a))
+        code = run(
+            "predict", *args, "--posterior", lap / "posterior.blap",
+            "--utility", util, "--out", tmp_path / "pred",
+        )
+        assert code == 2 and calls == []
+        assert "utility matrix is 3x3 but the model has 2 classes" in capsys.readouterr().err
+
     def test_laplace_fit_requires_positive_reg(self, tmp_path, trained):
         code = run(
             "laplace-fit", "--model", trained / "model.bmps",

@@ -622,7 +622,9 @@ class TestStreamedVariance:
         seen = []
         blocks = mps.jacobian_blocks
         monkeypatch.setattr(
-            mps, "jacobian_blocks", lambda env: (seen.append(b[:2]) or b for b in blocks(env))
+            mps,
+            "jacobian_blocks",
+            lambda model, phi: (seen.append(b[:2]) or b for b in blocks(model, phi)),
         )
         with pytest.raises(NumericError) as streamed:
             laplace.predictive_batch(post, X)
@@ -650,6 +652,30 @@ class TestStreamedVariance:
         monkeypatch.setattr(mps, "_JACOBIAN_BLOCK_BYTES", share)
         peak, _ = traced_peak(lambda: laplace.predictive_batch(post, X))
         assert peak < jac_bytes / 2
+
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_a_chunk_sweeps_once_for_logits_and_once_for_its_jacobian(
+        self, monkeypatch, n_labels
+    ):
+        # a 7-site chain: its ring of 6 makes two groups of mps._GROUP; one
+        # chunk of 5 rows runs the streamed grouped forward, then one
+        # stacked sweep in one-site groups, and no grouped stacked sweep
+        rng = RNG(86)
+        model = random_model(rng, mps.MpsShape(7, 2, 3, n_labels, label_site=2), scale=0.6)
+        X = rng.uniform(0, 1, size=(5, 7))
+        post = laplace.LaplacePosterior(model, laplace.ggn_factors(model, X), 0.5)
+        calls = []
+        sweep = mps._sweep
+
+        def traced(model, phi, keep, reuse=None, group=None):
+            calls.append((len(phi), keep, group))
+            return sweep(model, phi, keep, reuse, group)
+
+        monkeypatch.setattr(mps, "_sweep", traced)
+        for run in (laplace.ggn_factors, lambda m, x: laplace.predictive_batch(post, x)):
+            calls.clear()
+            run(model, X)
+            assert calls == [(5, False, None), (5, True, 1)]
 
 
 class TestChunkedPasses:

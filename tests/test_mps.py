@@ -516,8 +516,7 @@ class TestLabelReadOff:
         peak, logits = traced_peak(lambda: mps.forward_batch(model, phi))
         assert logits.shape == (512, 10)
         assert peak <= bound < peak + stack
-        assert mps._sweep(model, phi[:4], keep=False).label is None
-        assert mps.sweep_env(model, phi[:4]).label.shape == (4, 10, 8, 8)
+        assert "label" not in {f.name for f in dataclasses.fields(mps.BatchEnv)}
 
 
 class TestGroupedTrainingStep:
@@ -742,7 +741,7 @@ class TestGradients:
         monkeypatch.setattr(mps, "_JACOBIAN_BLOCK_BYTES", 4 * n_labels * 8 * width)
         jac = mps.jacobian_from_env(env)
         starts = mps._layout(sh).starts
-        blocks = list(mps.jacobian_blocks(env))
+        blocks = list(mps.jacobian_blocks(model, env.phi))
         order = []
         for c0, c1, J in blocks:
             run = [i for i in range(7) if c0 <= starts[i] < c1]
@@ -752,7 +751,7 @@ class TestGradients:
             # one buffer serves every run
             assert np.shares_memory(J, blocks[0][2]) and J.flags.c_contiguous
         assert order == [*mps._ring(sh), label_site]
-        for c0, c1, J in mps.jacobian_blocks(env):
+        for c0, c1, J in mps.jacobian_blocks(model, env.phi):
             assert np.array_equal(J, jac[:, :, c0:c1])
 
     @pytest.mark.parametrize("boundary", ["open", "cyclic"])
@@ -763,8 +762,11 @@ class TestGradients:
         rng = np.random.default_rng(26)
         sh = mps.MpsShape(6, 2, 3, n_labels, label_site=2, boundary=boundary)
         model = oracles.random_model(rng, sh)
-        env = mps.sweep_env(model, mps.embed(rng.uniform(0, 1, size=(4, 6))))
-        passes = mps._environments(env, env.label, {})
+        phi = mps.embed(rng.uniform(0, 1, size=(4, 6)))
+        env = mps._sweep(model, phi, keep=True, group=1)
+        node = np.append(model.params, 0.0)[mps._layout(sh).label].reshape(2, -1)
+        stack = np.matmul(env.phi[:, 2, None], node).reshape(4, n_labels, 3, 3)
+        passes = mps._environments(env, stack, {})
         envs = [e.copy() for _, block in passes for e in block]  # blocks reuse buffers
         blocks = {}
         for i, e in zip(mps._ring(sh), envs):
@@ -1027,3 +1029,16 @@ class TestSerialization:
         _struct.pack_into("<q", blob, 5 + 32, model.shape.n_sites + 3)
         with pytest.raises(ParseError):
             mps.model_from_bytes(bytes(blob))
+
+    def test_huge_site_count_is_refused_at_once(self):
+        # a flipped high bit in n_sites: the parameter count would take a
+        # step for each of 2**40 sites before the payload size is compared
+        import struct as _struct
+        import time
+
+        blob = bytearray(mps.model_to_bytes(self._model()))
+        _struct.pack_into("<q", blob, 5, 1 << 40)
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match="too few for 1099511627776 sites"):
+            mps.model_from_bytes(bytes(blob))
+        assert time.perf_counter() - t0 < 1.0

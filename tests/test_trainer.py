@@ -352,6 +352,25 @@ class TestTrainMap:
         assert trainer.accuracy(trained, tx, ty) >= 0.9
         assert len(history.records) == 25
 
+    @pytest.mark.parametrize(
+        "case, error",
+        [("width", ShapeError), ("rows", ShapeError), ("range", DataError)],
+    )
+    def test_bad_test_set_raises_before_any_step(self, monkeypatch, case, error):
+        rng = RNG(48)
+        X, Y = toy_binary_data(rng, 16)
+        tx, ty = toy_binary_data(rng, 6)
+        tx = {"width": tx[:, :3], "rows": tx[:5], "range": tx * 1.5 + 0.1}[case]
+        steps = []
+        loss_and_grad = trainer._loss_and_grad
+        monkeypatch.setattr(
+            trainer, "_loss_and_grad", lambda *a: steps.append(1) or loss_and_grad(*a)
+        )
+        config = trainer.TrainConfig(epochs=3, batch_size=8)
+        with pytest.raises(error):
+            trainer.train_map(small_model(rng, 1), split(X, Y, tx, ty), config)
+        assert steps == []
+
     def test_input_model_not_mutated(self):
         rng = RNG(41)
         X, Y = toy_binary_data(rng, 20)
