@@ -236,12 +236,16 @@ def cmd_laplace_fit(cfg):
         raise DataError("--reg must be > 0 for a posterior")
     model = mps.load_model(cfg["model"])
     dataset = _load_dataset(cfg)
+    t0 = time.perf_counter()
     factors = laplace.ggn_factors(
         model, dataset.train_x, rank_cap=cfg["rank_cap"], seed=cfg["seed"]
     )
+    t1 = time.perf_counter()
     post = laplace.LaplacePosterior(model, factors, cfg["reg"])
+    t2 = time.perf_counter()
     out = _out_dir(cfg)
     laplace.save_posterior(post, out / "posterior.blap")
+    seconds = {"factors": t1 - t0, "core": t2 - t1, "save": time.perf_counter() - t2}
     chunk_rows, workers = mps.chunk_plan(
         factors.n_samples, mps.jacobian_row_bytes(model.shape)
     )
@@ -254,7 +258,7 @@ def cmd_laplace_fit(cfg):
         "chunk_rows": chunk_rows,
         "workers": workers,
     }
-    _write_meta(out, "laplace-fit", cfg, started, posterior=summary)
+    _write_meta(out, "laplace-fit", cfg, started, posterior=summary, seconds=seconds)
     print(f"posterior rank {factors.rank} over {factors.n_params} parameters")
     return 0
 

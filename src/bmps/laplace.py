@@ -37,18 +37,21 @@ Both Jacobian passes, the factor build and prediction, run in chunks that
 :func:`bmps.mps.map_chunks` sizes by a byte budget on the chunk's Jacobian
 (``n_labels * param_count * 8`` bytes a row) and maps over a thread per
 usable core when the budget sets the size. Neither holds a chunk's whole
-Jacobian: both take it in runs of contiguous sites
-(:func:`bmps.mps.jacobian_blocks`), each written into one reused buffer of
-at most ``mps._JACOBIAN_BLOCK_BYTES``, from one stacked sweep of the chunk
-in one-site groups; its logits come from the streamed forward. The factor
-build centres and scales each run in that buffer and writes it into its
-columns of one preallocated U, so its peak is U plus, for each chunk in
-flight, the run buffer and the Jacobian's sweep. Prediction adds each run
-into ``A = U J'`` (R x k, k = rows * n_labels) by one product, and the
-triangular solve overwrites A with Z. So a prediction chunk holds A, the
-run buffer, the current run's product before it is added to A, and the
-one-site sweep's stacks and class stack. Its row count is the one its whole
-Jacobian would fix: that width, ``k``, keeps the passes over U few and wide.
+Jacobian: both take it from :func:`bmps.mps.jacobian_blocks`, one stacked
+sweep of the chunk in one-site groups; its logits come from the streamed
+forward. The factor build hands it the coefficients
+``sqrt(y_k) (delta_kj - y_j)`` (or ``sqrt(y(1-y))``), which it applies to
+each block of checked environments, and the chunk's rows of one
+preallocated U, which it writes the factor rows into, so the build's peak
+is U plus, for each chunk in flight, the Jacobian's sweep and environment
+blocks. Prediction takes the Jacobian in runs of contiguous sites, each
+written into one reused buffer of at most ``mps._JACOBIAN_BLOCK_BYTES``,
+and adds each run into ``A = U J'`` (R x k, k = rows * n_labels) by one
+product; the triangular solve overwrites A with Z. So a prediction chunk
+holds A, the run buffer, the current run's product before it is added to
+A, and the one-site sweep's stacks and class stack. Its row count is the
+one its whole Jacobian would fix: that width, ``k``, keeps the passes over
+U few and wide.
 
 Importing this module loads numpy and no scipy module. The sigmoid,
 softmax and logsumexp are the numpy forms of :mod:`bmps.trainer`, and
@@ -178,20 +181,23 @@ def ggn_factors(model, X, rank_cap=DEFAULT_RANK_CAP, seed=0):
 
 def _ggn_rows(model, X, out):
     """Write the factor rows of a batch into ``out`` (b, n_labels, P), sample
-    by sample (see the module docstring): the Jacobian, one run of columns
-    at a time (:func:`bmps.mps.jacobian_blocks`), centred and scaled."""
+    by sample (see the module docstring), straight from the Jacobian stream
+    (:func:`bmps.mps.jacobian_blocks`): row ``c`` is ``sum_l coeff[c, l]
+    g_l`` with ``coeff[c, l] = sqrt(y_c) (delta_cl - y_l)``, or
+    ``sqrt(y (1 - y))`` for a single channel. A coefficient row's absolute
+    values sum to ``2 sqrt(y_c) (1 - y_c) <= 4 / sqrt(27) < 0.77`` (at most
+    1/2 for one channel), so the rows are bounded by the checked
+    environments they combine."""
     phi = mps.embed(X)
     logits = mps.forward_batch(model, phi)
     if model.shape.n_labels == 1:
-        y = expit(logits[:, 0])
-        scale = np.sqrt(y * (1.0 - y))[:, None, None]
+        y = expit(logits)
+        coeff = np.sqrt(y * (1.0 - y))[:, :, None]
     else:
         y = softmax(logits)
-        scale = np.sqrt(y)[:, :, None]
-    for c0, c1, J in mps.jacobian_blocks(model, phi):
-        if model.shape.n_labels > 1:
-            J -= np.einsum("bl,blp->bp", y, J)[:, None]
-        np.multiply(J, scale, out=out[:, :, c0:c1])
+        coeff = np.sqrt(y)[:, :, None] * (np.eye(y.shape[1]) - y[:, None, :])
+    for _ in mps.jacobian_blocks(model, phi, coeff, out=out):
+        pass
 
 
 class LaplacePosterior:

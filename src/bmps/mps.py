@@ -72,9 +72,14 @@ agree bit for bit:
   digit scale). The gradient pass falls back to the same one-site sweep
   and per-site recurrence.
   :func:`jacobian_blocks`, the one Jacobian writer, turns each site's
-  environments into its Jacobian columns in one buffer that holds a run
-  of contiguous sites' columns at a time; both Laplace passes take those
-  runs, and :func:`jacobian_from_env` gathers them into one array.
+  environments into its Jacobian columns, one product a row and class of
+  the environment against a spread of the site's ``phi`` with one entry a
+  column, so each entry is one product of an environment entry and a
+  ``phi`` entry. It writes runs of contiguous sites' columns into one
+  buffer that holds a run at a time, which prediction takes, or straight
+  into a caller's array: :func:`jacobian_from_env`'s, or the GGN factor
+  build's rows of U, whose coefficients ``sqrt(y_c) (delta_cl - y_l)`` it
+  applies to each block of checked environments first, one product a row.
 
 Whole-dataset passes run through :func:`map_chunks`. A chunk holds at most
 :data:`CHUNK_ROWS` rows, and no more than :data:`CHUNK_BYTES` of the
@@ -86,8 +91,8 @@ usable core. That is the Jacobian passes at the digit scale; the forward
 pass stays serial there, and the training step always does.
 
 Every array the engine forms (partial and running products, the read-off
-product of closure and label node, logits, folded label matrices,
-environments) is checked against
+product of closure and label node, logits, folded label matrices, the
+Jacobian's class stack, environments) is checked against
 :data:`MAGNITUDE_CAP`: an entry above it in magnitude, or a
 NaN or infinite one, raises :class:`~bmps.errors.NumericError` naming the
 site. A streamed product is checked as soon as it is formed, one product a
@@ -668,28 +673,50 @@ def _environments(env, label_mats, pool):
 # 4 MiB 69 rows/s; 8 MiB 69 rows/s, 611 MiB; 16 MiB 72-77 rows/s, 627 MiB;
 # 24 MiB 78 rows/s, 642 MiB; 32 MiB 76-78 rows/s, 658 MiB; 48 MiB 79 rows/s,
 # 691 MiB; the whole Jacobian at once 77-78 rows/s, 812 MiB. The GGN factor
-# build takes its runs through the same buffer.
+# build holds no such buffer: it writes its runs into its rows of U.
 _JACOBIAN_BLOCK_BYTES = 24 << 20
 
 
-def jacobian_blocks(model, phi):
+def jacobian_blocks(model, phi, coeff=None, out=None):
     """Yield ``(c0, c1, J)`` for runs of contiguous sites that together
-    cover every column: ``J`` (batch, n_labels, c1 - c0) is the logit
-    Jacobian's columns ``c0:c1`` at the embedded rows ``phi``.
+    cover every column: ``J`` (batch, rows, c1 - c0) holds columns
+    ``c0:c1`` of the logit Jacobian at the embedded rows ``phi``, one row a
+    class, or, given ``coeff`` (batch, rows, n_labels), of the rows
+    ``sum_l coeff[b, c, l] d logit_l / d theta``.
 
-    ``J`` is a view of one buffer of at most :data:`_JACOBIAN_BLOCK_BYTES`
-    (or one site), which the next run overwrites, so the whole Jacobian is
-    never held; a caller may change ``J`` before it takes the next run.
-    The rows are swept once, stacked, in one-site groups, and sites are
-    written in ring order, then the label site, each as soon as the checked
-    :func:`_environments` pass gives its environments. Runs take them in
-    that order and end where the column order jumps: at the ring's wrap
-    from site ``n - 1`` to 0, and before a label site 0.
+    ``J`` is a view of ``out`` (batch, rows, param_count), which ends up
+    holding every column, or else of one buffer of at most
+    :data:`_JACOBIAN_BLOCK_BYTES` (or one site), which the next run
+    overwrites, so the whole Jacobian is never held; a caller may change
+    ``J`` before it takes the next run. The rows are swept once, stacked,
+    in one-site groups, and sites are written in ring order, then the label
+    site, each as soon as the checked :func:`_environments` pass gives its
+    environments. Runs take them in that order and end where the column
+    order jumps: at the ring's wrap from site ``n - 1`` to 0, and before a
+    label site 0.
+
+    The class stack and the class environments are formed and checked
+    with or without ``coeff``, so an overflow names the same site either
+    way; ``coeff`` then combines each block of environments, one product a
+    row. The combined ones are not checked again: coefficient rows whose
+    absolute values sum to at most 1 keep them within the checked ones'
+    bound (the GGN rows' sums are below 0.77, see
+    :func:`bmps.laplace._ggn_rows`). A site's block is one product a row
+    and class: the environment (left, right) against a (right, phys *
+    right) spread of ``phi`` with one nonzero entry a column. So every
+    entry is one product of an environment entry and a ``phi`` entry (up to
+    the sign of a zero), whatever the batch.
     """
     env = _sweep(model, phi, keep=True, group=1)
     shape = model.shape
-    B, L, k = env.phi.shape[0], shape.n_labels, shape.label_site
-    width = _JACOBIAN_BLOCK_BYTES // max(B * L * 8, 1)
+    B, L, k, D = env.phi.shape[0], shape.n_labels, shape.label_site, shape.bond_dim
+    s = shape.phys_dim
+    C = L if coeff is None else coeff.shape[1]
+    if coeff is not None and coeff.shape != (B, C, L):
+        raise ShapeError(f"coeff shape {coeff.shape} != (batch {B}, rows, {L})")
+    if out is not None and out.shape != (B, C, shape.param_count):
+        raise ShapeError(f"out shape {out.shape} != {(B, C, shape.param_count)}")
+    width = _JACOBIAN_BLOCK_BYTES // max(B * C * 8, 1)
     starts, ring, _, label_pos = _layout(shape)[:4]
     runs = []  # [sites, c0, c1]
     for i in [*ring, k]:
@@ -698,46 +725,66 @@ def jacobian_blocks(model, phi):
             runs[-1][2] = starts[i + 1]
         else:
             runs.append([[i], starts[i], starts[i + 1]])
-    buf = np.empty(B * L * max(c1 - c0 for _, c0, c1 in runs))
+    widest = max(c1 - c0 for _, c0, c1 in runs)
+    buf = np.empty(B * C * widest) if out is None else None
     where, ends = {}, {}
     for sites, c0, c1 in runs:
-        J = buf[: B * L * (c1 - c0)].reshape(B, L, c1 - c0)
+        if buf is None:
+            J = out[:, :, c0:c1]
+        else:
+            J = buf[: B * C * (c1 - c0)].reshape(B, C, c1 - c0)
         where.update((i, (J, c0)) for i in sites)
         ends[sites[-1]] = (c0, c1, J)
 
-    def block(i):  # site i's columns, laid out (batch, n_labels, *node_shape(i))
+    def block(i):  # site i's columns, laid out (batch, rows, *node_shape(i))
         J, c0 = where[i]
         cols = slice(starts[i] - c0, starts[i + 1] - c0)
-        return J[:, :, cols].reshape((B, L) + shape.node_shape(i))
+        return J[:, :, cols].reshape((B, C) + shape.node_shape(i))
+
+    spreads = {}
+
+    def spread(i, right):  # spread[b, 0, r, (s, r)] = phi[b, i, s], else 0
+        if right not in spreads:
+            spreads[right] = np.zeros((B, 1, right, s, right))
+        np.einsum("brsr->bsr", spreads[right][:, 0])[...] = env.phi[:, i, :, None]
+        return spreads[right].reshape(B, 1, right, s * right)
 
     # the class stack M_k[l] = sum_s phi_k[s] A_k[s, l] from the label node
     node = np.append(model.params, 0.0)[label_pos]  # (phys, n_labels, D, D)
-    stack = np.matmul(env.phi[:, k, None], node.reshape(len(node), -1))
-    for j0, envs in _environments(env, stack.reshape((B,) + node.shape[1:]), {}):
+    stack = _check(np.matmul(env.phi[:, k, None], node.reshape(len(node), -1)), k)
+    pool = {}
+    for j0, envs in _environments(env, stack.reshape((B,) + node.shape[1:]), pool):
+        if coeff is not None:
+            n = len(envs)
+            comb = _buffer(pool, "combined", (n, B, C, D * D))
+            envs = np.matmul(coeff, envs.reshape(n, B, L, D * D), out=comb)
+            envs = envs.reshape(n, B, C, D, D)
         for i, e in zip(ring[j0:], envs):
             left, right = shape.bond_dims(i)
-            e = e.swapaxes(2, 3)[:, :, :left, None, :right]
-            # block[b, l, a, s, r] = e[b, l, a, r] * phi[b, i, s]
-            np.multiply(e, env.phi[:, i, None, None, :, None], out=block(i))
+            # block[b, c, a, (s, r)] = e[b, c, r, a] * phi[b, i, s]
+            np.matmul(
+                e.swapaxes(2, 3)[:, :, :left, :right],
+                spread(i, right),
+                out=block(i).reshape(B, C, left, s * right),
+            )
             if i in ends:
                 yield ends[i]
-    # logit l depends only on class slice l of the label node
-    label = block(k)
-    label[...] = 0.0
+    # logit l depends only on class slice l of the label node:
+    # block[b, c, a, s, l, r] = coeff[b, c, l] * closure[b, a, r] * phi[b, k, s]
     left, right = shape.bond_dims(k)
     diag = np.einsum("bar,bs->basr", env.closure[:, :left, :right], env.phi[:, k])
-    for l in range(L):
-        label[:, l, :, :, l] = diag
+    coeff = np.eye(L)[None] if coeff is None else coeff
+    np.multiply(coeff[:, :, None, None, :, None], diag[:, None, :, :, None], out=block(k))
     yield ends[k]
 
 
 def jacobian_from_env(env):
     """The logit Jacobians of the env's rows, (batch, n_labels, param_count):
-    the runs of :func:`jacobian_blocks` gathered into one new array."""
+    :func:`jacobian_blocks` written into one new array."""
     shape = env.model.shape
     out = np.empty((env.phi.shape[0], shape.n_labels, shape.param_count))
-    for c0, c1, J in jacobian_blocks(env.model, env.phi):
-        out[:, :, c0:c1] = J
+    for _ in jacobian_blocks(env.model, env.phi, out=out):
+        pass
     return out
 
 

@@ -333,6 +333,10 @@ class TestPredictAndLaplace:
             "chunk_rows": mps.CHUNK_ROWS,
             "workers": 1,
         }
+        seconds = meta["seconds"]
+        assert set(seconds) == {"factors", "core", "save"}
+        assert all(t >= 0 for t in seconds.values())
+        assert sum(seconds.values()) <= meta["wall_time_seconds"]
         # a byte budget of 4 Jacobian rows sets the chunks and the pool
         row_bytes = mps.jacobian_row_bytes(post.map_model.shape)
         monkeypatch.setattr(mps, "CHUNK_BYTES", 4 * row_bytes)

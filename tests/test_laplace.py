@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 from scipy.special import expit, logsumexp, softmax
 
-from bmps import laplace, mps, trainer
+from bmps import initializer, laplace, mps, trainer
 from bmps.errors import DataError, NumericError, ParseError, ShapeError
 
 from oracles import awkward_logits, fd_hessian_from_grad, random_model, transfer_chain
@@ -162,6 +162,42 @@ class TestGgnFactors:
             for sites in (1, 2):
                 TestStreamedVariance.narrow(monkeypatch, model, 9, sites)
                 assert np.array_equal(laplace.ggn_factors(model, X).factors, whole.factors)
+
+    @pytest.mark.parametrize("label_site", [0, 4])
+    @pytest.mark.parametrize("boundary", ["open", "cyclic"])
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_rows_match_centre_then_scale(self, boundary, n_labels, label_site):
+        # the coefficients sqrt(y_c) (delta_cl - y_l), applied to the
+        # environments, give the centred and scaled Jacobian rows
+        rng = RNG(11)
+        shape = mps.MpsShape(5, 2, 3, n_labels, label_site=label_site, boundary=boundary)
+        model = random_model(rng, shape, scale=0.6)
+        X = rng.uniform(0, 1, size=(6, 5))
+        phi = mps.embed(X)
+        J = mps.jacobian_from_env(mps.sweep_env(model, phi))
+        logits = mps.forward_batch(model, phi)
+        if n_labels == 1:
+            y = expit(logits)
+            want = J * np.sqrt(y * (1 - y))[:, :, None]
+        else:
+            y = softmax(logits, axis=1)
+            want = (J - np.einsum("bl,blp->bp", y, J)[:, None]) * np.sqrt(y)[:, :, None]
+        got = laplace.ggn_factors(model, X).factors.reshape(want.shape)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_a_digit_chunk_writes_straight_into_its_rows(self):
+        # a 63-row digit-scale chunk (196 sites, bond 8, 10 classes) writes
+        # its rows into U itself: a run buffer of mps._JACOBIAN_BLOCK_BYTES
+        # (25.2 MB) would not fit under the bound beside the one-site sweep
+        shape = mps.MpsShape(196, 2, 8, 10)
+        model = initializer.init_model(shape, initializer.InitSpec(var_x=0.461, seed=3))
+        rng = RNG(12)
+        X = np.where(rng.uniform(size=(63, 196)) < 0.7, 0.0, rng.uniform(size=(63, 196)))
+        assert mps.chunk_plan(400, mps.jacobian_row_bytes(shape))[0] == 63
+        out = np.full((63, 10, shape.param_count), np.nan)
+        peak, _ = traced_peak(lambda: laplace._ggn_rows(model, X, out))
+        assert peak < 24e6 < mps._JACOBIAN_BLOCK_BYTES
+        assert not np.isnan(out).any()
 
     def test_non_finite_factors_rejected(self):
         rng = RNG(10)
@@ -624,7 +660,7 @@ class TestStreamedVariance:
         monkeypatch.setattr(
             mps,
             "jacobian_blocks",
-            lambda model, phi: (seen.append(b[:2]) or b for b in blocks(model, phi)),
+            lambda *args, **kw: (seen.append(b[:2]) or b for b in blocks(*args, **kw)),
         )
         with pytest.raises(NumericError) as streamed:
             laplace.predictive_batch(post, X)
@@ -635,6 +671,28 @@ class TestStreamedVariance:
         assert str(streamed.value) == str(whole.value)
         assert str(factors.value) == str(whole.value)
         assert seen == [(40, 48), (48, 56), (56, 64)] * 2  # 8 columns a site
+
+    def test_overflow_of_the_class_stack_names_the_label_site(self):
+        # A 5-site chain labelled at site 2, its label node at 1e120 and its
+        # ring at 1e-40: on rows of 1s the logits and every environment stay
+        # within the cap, but the class stack the Jacobian forms does not.
+        mats = [np.eye(2) * 1e-40] * 5
+        mats[2] = np.eye(2) * 1e120
+        model = transfer_chain(mats, label_site=2)
+        X = np.ones((3, 5))
+        phi = mps.embed(X)
+        assert np.all(np.abs(mps.forward_batch(model, phi)) < 1)
+        U = RNG(87).normal(size=(4, model.shape.param_count))
+        post = laplace.LaplacePosterior(model, factors_for(model, U), 1.0)
+        runs = [
+            lambda: laplace.ggn_factors(model, X),
+            lambda: laplace.predictive_batch(post, X),
+            lambda: mps.jacobian_from_env(mps.sweep_env(model, phi)),
+            lambda: mps.weighted_grad_from_env(mps.sweep_env(model, phi), np.ones((3, 1))),
+        ]
+        for run in runs:
+            with pytest.raises(NumericError, match="exceeded cap .* at site 2$"):
+                run()
 
     def test_a_chunk_never_holds_its_whole_jacobian(self, monkeypatch):
         # 40 sites, bond 6, 10 classes: a 100-row chunk's Jacobian is 28 MB,

@@ -35,6 +35,32 @@ def per_node(shape, jac):
     return [b.reshape((-1,) + shape.node_shape(i)) for i, b in enumerate(blocks)]
 
 
+def broadcast_jacobian(model, phi):
+    """The Jacobian assembled site by site as one broadcast multiply of
+    each site's environments with its ``phi``, and the label block as
+    ``closure * phi`` on its class diagonal."""
+    sh = model.shape
+    B, L, k = len(phi), sh.n_labels, sh.label_site
+    env = mps._sweep(model, phi, keep=True, group=1)
+    node = np.append(model.params, 0.0)[mps._layout(sh).label]
+    stack = np.matmul(phi[:, k, None], node.reshape(sh.phys_dim, -1))
+    stack = stack.reshape((B, L) + node.shape[2:])
+    passes = mps._environments(env, stack, {})
+    envs = [e.copy() for _, block in passes for e in block]  # blocks reuse buffers
+    blocks = {}
+    for i, e in zip(mps._ring(sh), envs):
+        left, right = sh.bond_dims(i)
+        e = e.swapaxes(2, 3)[:, :, :left, None, :right]
+        blocks[i] = np.multiply(e, phi[:, i, None, None, :, None])
+    left, right = sh.bond_dims(k)
+    label = np.zeros((B, L) + sh.node_shape(k))
+    diag = np.einsum("bar,bs->basr", env.closure[:, :left, :right], phi[:, k])
+    for l in range(L):
+        label[:, l, :, :, l] = diag
+    blocks[k] = label
+    return np.concatenate([blocks[i].reshape(B, L, -1) for i in range(sh.n_sites)], 2)
+
+
 class TestFeatureMap:
     def test_values(self):
         want = [[0.3, 0.7], [0.0, 1.0], [1.0, 0.0]]
@@ -756,31 +782,57 @@ class TestGradients:
 
     @pytest.mark.parametrize("boundary", ["open", "cyclic"])
     @pytest.mark.parametrize("n_labels", [1, 3])
-    def test_jacobian_is_environment_times_phi(self, boundary, n_labels):
+    def test_jacobian_is_environment_times_phi(self, monkeypatch, boundary, n_labels):
         # every entry is one product of an environment entry and a phi
-        # entry, so the Jacobian equals this assembly exactly
+        # entry, so the Jacobian equals the broadcast assembly exactly: in
+        # runs of one buffer, two sites a run, or written straight into a
+        # caller's array, and whatever the batch
         rng = np.random.default_rng(26)
-        sh = mps.MpsShape(6, 2, 3, n_labels, label_site=2, boundary=boundary)
+        for phys, label_site in [(2, 0), (2, 2), (2, 5), (3, 0), (3, 5)]:
+            sh = mps.MpsShape(6, phys, 3, n_labels, label_site=label_site, boundary=boundary)
+            model = oracles.random_model(rng, sh)
+            phi = rng.uniform(-1, 1, size=(4, 6, phys))
+            want = broadcast_jacobian(model, phi)
+            for c0, c1, J in mps.jacobian_blocks(model, phi):
+                assert np.array_equal(J, want[:, :, c0:c1])
+            out = np.full(want.shape, np.nan)
+            for c0, c1, J in mps.jacobian_blocks(model, phi, out=out):
+                assert np.shares_memory(J, out) and np.array_equal(J, want[:, :, c0:c1])
+            assert np.array_equal(out, want)
+            with monkeypatch.context() as m:
+                m.setattr(mps, "_JACOBIAN_BLOCK_BYTES", 4 * n_labels * 8 * 2 * phys * 9)
+                for c0, c1, J in mps.jacobian_blocks(model, phi):
+                    assert np.array_equal(J, want[:, :, c0:c1])
+            for b in range(4):
+                one = mps.jacobian_from_env(mps.sweep_env(model, phi[b : b + 1]))
+                assert np.array_equal(one[0], want[b])
+
+    @pytest.mark.parametrize("boundary", ["open", "cyclic"])
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_coefficients_combine_the_jacobian_rows(self, boundary, n_labels):
+        rng = np.random.default_rng(30)
+        sh = mps.MpsShape(7, 2, 3, n_labels, label_site=3, boundary=boundary)
         model = oracles.random_model(rng, sh)
-        phi = mps.embed(rng.uniform(0, 1, size=(4, 6)))
-        env = mps._sweep(model, phi, keep=True, group=1)
-        node = np.append(model.params, 0.0)[mps._layout(sh).label].reshape(2, -1)
-        stack = np.matmul(env.phi[:, 2, None], node).reshape(4, n_labels, 3, 3)
-        passes = mps._environments(env, stack, {})
-        envs = [e.copy() for _, block in passes for e in block]  # blocks reuse buffers
-        blocks = {}
-        for i, e in zip(mps._ring(sh), envs):
-            left, right = sh.bond_dims(i)
-            e = e[:, :, :right, :left]
-            blocks[i] = np.einsum("blra,bs->blasr", e, env.phi[:, i])
-        left, right = sh.bond_dims(2)
-        label = np.zeros((4,) + (n_labels,) + sh.node_shape(2))
-        diag = np.einsum("bar,bs->basr", env.closure[:, :left, :right], env.phi[:, 2])
-        for l in range(n_labels):
-            label[:, l, :, :, l] = diag
-        blocks[2] = label
-        want = np.concatenate([blocks[i].reshape(4, n_labels, -1) for i in range(6)], 2)
-        assert np.array_equal(mps.jacobian_from_env(env), want)
+        phi = mps.embed(rng.uniform(0, 1, size=(5, 7)))
+        jac = mps.jacobian_from_env(mps.sweep_env(model, phi))
+        for rows in (1, 2, 4):
+            coeff = rng.normal(size=(5, rows, n_labels))
+            want = np.einsum("bcl,blp->bcp", coeff, jac)
+            out = np.empty_like(want)
+            for c0, c1, J in mps.jacobian_blocks(model, phi, coeff):
+                assert J.shape == (5, rows, c1 - c0)
+                out[:, :, c0:c1] = J
+            assert rel_err(out, want) <= 1e-14
+            # the same bits written straight into a caller's array
+            into = np.full_like(want, np.nan)
+            for *_, J in mps.jacobian_blocks(model, phi, coeff, out=into):
+                assert np.shares_memory(J, into)
+            assert np.array_equal(into, out)
+        wide = np.empty((5, n_labels, sh.param_count + 1))
+        with pytest.raises(ShapeError):
+            next(mps.jacobian_blocks(model, phi, np.ones((5, 2, n_labels + 1))))
+        with pytest.raises(ShapeError):
+            next(mps.jacobian_blocks(model, phi, out=wide))
 
     @pytest.mark.parametrize("n_labels", [1, 3])
     def test_jacobian_of_empty_batch(self, n_labels):

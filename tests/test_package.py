@@ -71,8 +71,11 @@ def test_removed_engine_api_stays_removed():
     # and jacobian_from_env gathers its runs into a new array
     assert not hasattr(mps, "_write_jacobian")
     assert list(inspect.signature(mps.jacobian_from_env).parameters) == ["env"]
-    # the Jacobian sweeps its own rows; no env carries the class stack
-    assert list(inspect.signature(mps.jacobian_blocks).parameters) == ["model", "phi"]
+    # the Jacobian sweeps its own rows; no env carries the class stack, and
+    # the GGN factor build passes its coefficients and its rows of U
+    assert list(inspect.signature(mps.jacobian_blocks).parameters) == [
+        "model", "phi", "coeff", "out",
+    ]
     assert "label" not in {f.name for f in dataclasses.fields(mps.BatchEnv)}
     # the seed sweeps are rows of one table run by one handler
     gone = ["cmd_init_compare", "cmd_std_perturb", "cmd_bond_sweep", "_seed_sweep"]
