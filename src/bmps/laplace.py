@@ -339,15 +339,12 @@ def _variance(post, phi):
     """
     U, model = post.factors.factors, post.map_model
     b, L = phi.shape[0], model.shape.n_labels
-    sq, At, part = np.zeros(b * L), None, None
+    sq, At, part = np.zeros(b * L), np.zeros((b * L, len(U))), None
     for c0, c1, J in mps.jacobian_blocks(model, phi):
         J = J.reshape(b * L, c1 - c0)
         sq += np.einsum("kp,kp->k", J, J)
-        if At is None:
-            At = J @ U[:, c0:c1].T  # (k, R)
-        else:
-            part = np.matmul(J, U[:, c0:c1].T, out=part)
-            At += part
+        part = np.matmul(J, U[:, c0:c1].T, out=part)  # (k, R)
+        At += part
     J = part = None  # the block buffer is not needed while solving
     from scipy.linalg import solve_triangular
 

@@ -69,8 +69,9 @@ agree bit for bit:
   its rows once, stacked, in groups of one site: that sweep forms and
   checks every site's matrix and partial product. It then runs the
   recurrence per site, in blocks of a few sites for a chunk (three at the
-  digit scale). The gradient pass falls back to the same one-site sweep
-  and per-site recurrence.
+  digit scale). The gradient pass falls back to its own pass over the
+  same one-site sweep, whose group weights are ``phi`` and whose chain
+  rule is a copy.
   :func:`jacobian_blocks`, the one Jacobian writer, turns each site's
   environments into its Jacobian columns, one product a row and class of
   the environment against a spread of the site's ``phi`` with one entry a
@@ -104,14 +105,15 @@ merged form), the sweep goes on from there. A stack (the sweep's partial
 products, a block's running products and environments) is scanned once
 when it is full, by one min and one max reduction that copy nothing; if the
 sweep's scan fails, its products are formed again in order and checked as
-the stream checks them, and if a scan of the per-site recurrence fails,
-its products are rescanned one by one in the order they were formed. The
-gradient pass scans its group running products and environments, the
-prefix products ``A_j^{s_0} A_{j+1}^{s_1}`` of its chain rule and,
-for non-finite entries, the gradient; if a scan fails, the pass runs
-again per site, which raises the error a per-site pass raises or returns
-its result. (A group the sweep formed site by site because its merged
-form overflowed keeps a non-finite matrix, so its running products fail.)
+the stream checks them, and if a scan of the recurrence over a one-site
+sweep fails, its products are rescanned one by one in the order they were
+formed. The gradient pass scans its group running products and
+environments, the prefix products ``A_j^{s_0} A_{j+1}^{s_1}`` of its chain
+rule and, for non-finite entries, the gradient; if a scan fails, the same
+pass runs again over a one-site sweep, which raises the error a per-site
+pass raises or returns its result. (A group the sweep formed site by site
+because its merged form overflowed keeps a non-finite matrix, so its
+running products fail.)
 A product inside a group is formed by neither sweep nor by the gradient
 pass, so an excursion above the cap that starts and ends inside one group
 passes :func:`forward_batch`, :func:`sweep_env` and
@@ -424,8 +426,10 @@ class BatchEnv:
     back-propagation. ``mats`` and ``tails`` are None from
     :func:`forward_batch`, which streams. ``closure``, ``tails[0]``
     transposed, is the label node's environment.
-    ``buffers`` holds ``mats``, ``tails`` and the gradient pass's scratch
-    arrays, for :func:`sweep_env`'s ``reuse``.
+    ``buffers`` holds ``mats``, ``tails`` and the scratch arrays of the
+    passes over this sweep: the environment recurrence's running products
+    and environments, and the gradient's or the Jacobian's own, for
+    :func:`sweep_env`'s ``reuse``.
     """
 
     model: MpsModel
@@ -607,28 +611,34 @@ def sweep_env(model, phi, reuse=None):
 _BLOCK_BYTES = 1 << 20
 
 
-def _env_blocks(mats, tails, label_mats, pool):
-    """Yield ``(j0, runs, envs)`` for blocks of consecutive positions of a
-    ring stack: matrices ``mats`` (R, batch, D, D) and their partial products
-    ``tails`` (R + 1, batch, D, D) from the right.
+def _environments(env, label_mats):
+    """Yield ``(j0, envs)`` for blocks of consecutive units of a stacked
+    sweep ``env``: its unit matrices ``mats`` (U, batch, D, D) and their
+    partial products ``tails`` from the right.
 
     ``label_mats`` (batch, c, D, D) stands in for the label site's
     matrices; ``envs[j - j0, b, c]`` is the derivative of
     ``trace(label_mats[b, c] @ mats[0] @ .. @ mats[-1])`` with respect to
-    ``mats[j]``, transposed (laid out (right, left)), and ``runs[t]`` the
-    running product ``label_mats @ mats[0] @ .. @ mats[j0 + t - 2]``
-    (``runs[0]`` carries the previous block's last one in). A block holds
-    as many positions as :data:`_BLOCK_BYTES` allows: its running products
-    come one position at a time, its environments from one product. Both
-    live in ``pool``'s arrays, which each block overwrites. Nothing is
-    checked here.
+    ``mats[j]``, transposed (laid out (right, left)). A block holds as many
+    units as :data:`_BLOCK_BYTES` allows: its running products
+    ``label_mats @ mats[0] @ .. @ mats[j - 1]`` come one unit at a time,
+    its environments from one product. Both live in the env's ``buffers``,
+    which each block overwrites, and each is scanned once. If a scan fails
+    on a one-site sweep, whose units are the ring sites, the block is
+    rescanned product by product in the order of formation, which raises
+    :class:`~bmps.errors.NumericError` naming the site; on a grouped sweep
+    it yields ``(j0, None)`` and stops.
     """
+    mats, tails, pool = env.mats, env.tails, env.buffers
+    ring = _layout(env.model.shape).ring
     R = len(mats)
     size = max(1, min(R, _BLOCK_BYTES // max(label_mats.nbytes, 1)))
     runs = _buffer(pool, "runs", (size + 1,) + label_mats.shape)
     envs = _buffer(pool, "envs", (size,) + label_mats.shape)
     for j0 in range(0, R, size):
         n = min(size, R - j0)
+        # runs[t] is the running product up to unit j0 + t - 2: runs[0]
+        # carries the previous block's last one in
         if j0:
             runs[0] = runs[size]
         else:
@@ -636,33 +646,19 @@ def _env_blocks(mats, tails, label_mats, pool):
         for j in range(max(j0, 1), j0 + n):
             np.matmul(runs[j - j0], mats[j - 1][:, None], out=runs[j - j0 + 1])
         np.matmul(tails[j0 + 1 : j0 + 1 + n, :, None], runs[1 : n + 1], out=envs[:n])
-        yield j0, runs[: n + 1], envs[:n]
-
-
-def _block_within(j0, runs, envs):
-    """One scan per buffer of the products a block of :func:`_env_blocks`
-    formed (``runs[1]`` of the first block is the checked label stand-in)."""
-    return _within(runs[1 if j0 else 2 :], MAGNITUDE_CAP) and _within(envs, MAGNITUDE_CAP)
-
-
-def _environments(env, label_mats, pool):
-    """Yield ``(j0, envs)`` for blocks of consecutive ring positions.
-
-    ``envs[j - j0, b, c]`` is the derivative of ``trace(M_0 ..
-    label_mats[b, c] .. M_{n-1})`` with respect to the matrix of site
-    ``ring[j]``, transposed (see :func:`_env_blocks`). ``env`` is a stacked
-    sweep in one-site groups, whose units are the ring sites' matrices and
-    partial products. Each block's running products and environments are
-    scanned once, and rescanned in the order of formation on failure.
-    """
-    ring = _layout(env.model.shape).ring
-    for j0, runs, envs in _env_blocks(env.mats, env.tails, label_mats, pool):
-        if not _block_within(j0, runs, envs):
-            for j in range(j0, j0 + len(envs)):
+        # runs[1] of the first block is the checked label stand-in
+        if not (
+            _within(runs[1 if j0 else 2 : n + 1], MAGNITUDE_CAP)
+            and _within(envs[:n], MAGNITUDE_CAP)
+        ):
+            if env.group != 1:
+                yield j0, None
+                return
+            for j in range(j0, j0 + n):
                 if j:
                     _check(runs[j - j0 + 1], ring[j - 1])
                 _check(envs[j - j0], ring[j])
-        yield j0, envs
+        yield j0, envs[:n]
 
 
 # Bytes of Jacobian columns :func:`jacobian_blocks` holds at once: 39 sites
@@ -752,11 +748,10 @@ def jacobian_blocks(model, phi, coeff=None, out=None):
     # the class stack M_k[l] = sum_s phi_k[s] A_k[s, l] from the label node
     node = np.append(model.params, 0.0)[label_pos]  # (phys, n_labels, D, D)
     stack = _check(np.matmul(env.phi[:, k, None], node.reshape(len(node), -1)), k)
-    pool = {}
-    for j0, envs in _environments(env, stack.reshape((B,) + node.shape[1:]), pool):
+    for j0, envs in _environments(env, stack.reshape((B,) + node.shape[1:])):
         if coeff is not None:
             n = len(envs)
-            comb = _buffer(pool, "combined", (n, B, C, D * D))
+            comb = _buffer(env.buffers, "combined", (n, B, C, D * D))
             envs = np.matmul(coeff, envs.reshape(n, B, L, D * D), out=comb)
             envs = envs.reshape(n, B, C, D, D)
         for i, e in zip(ring[j0:], envs):
@@ -834,10 +829,12 @@ def _grouped_grad(env, folded, ring_grad):
     """Write the ring sites' part of a class-free gradient into
     ``ring_grad`` (R, phys, D * D) through the merged group tensors.
 
-    The environment pass runs over the sweep's units, and each group's
-    gradient reaches its nodes by :func:`_backprop`. Returns False, with
-    ``ring_grad`` partly written, if a block's scan fails or the gradient
-    is not finite.
+    The :func:`_environments` pass runs over the sweep's units, and each
+    group's gradient reaches its nodes by :func:`_backprop`; over a
+    one-site sweep the group weights are ``phi`` and that is a copy.
+    Returns False, with ``ring_grad`` partly written, if a block's or a
+    prefix's scan fails or the gradient is not finite. Over a one-site
+    sweep a failed block scan raises the error naming its site instead.
     """
     B, (R, s, D) = env.phi.shape[0], env.nodes.shape[:3]
     G, group = len(env.psi), env.group
@@ -845,8 +842,8 @@ def _grouped_grad(env, folded, ring_grad):
     psi = env.psi[:, :, 0].swapaxes(1, 2)  # (G, phys**group, B)
     phi = env.phi[:, _layout(env.model.shape).ring[n:]].transpose(1, 2, 0)
     H = _buffer(env.buffers, "merged_grad", (G, s**group, D * D))
-    for u0, runs, envs in _env_blocks(env.mats, env.tails, folded, env.buffers):
-        if not _block_within(u0, runs, envs):
+    for u0, envs in _environments(env, folded):
+        if envs is None:
             return False
         u1 = u0 + len(envs)
         envs = envs.reshape(u1 - u0, B, D * D)
@@ -871,9 +868,10 @@ def weighted_grad_from_env(env, coeff, out=None):
     the label node first, so one class-free environment pass serves every
     site. It runs over the sweep's units, one product a group per batch
     takes each group's gradient to its merged tensor, and :func:`_backprop`
-    takes it to the nodes. If a scan of that pass fails, it runs again per
-    site over a one-site sweep, which raises the error a per-site pass
-    raises or gives its result. This is the workhorse behind loss gradients.
+    takes it to the nodes. If a scan of that pass fails, or the gradient is
+    not finite, the same pass runs again over a one-site sweep of the rows,
+    which raises the error naming the site or gives its result. This is the
+    workhorse behind loss gradients.
     """
     shape = env.model.shape
     lay = _layout(shape)
@@ -890,13 +888,8 @@ def weighted_grad_from_env(env, coeff, out=None):
     ring_grad = pad[: R * s * D * D].reshape(R, s, D * D)
     with np.errstate(over="ignore", invalid="ignore"):
         grouped = _grouped_grad(env, folded, ring_grad)
-    if not grouped:  # the per-site pass, over a one-site sweep
-        one = _sweep(env.model, env.phi, keep=True, group=1)
-        phi = env.phi[:, lay.ring].transpose(1, 2, 0)  # (R, phys, batch)
-        for j0, envs in _environments(one, folded, env.buffers):
-            j1 = j0 + len(envs)
-            # grad[j, s, (r, a)] = sum_b phi[b, ring[j], s] * envs[j, b, 0, r, a]
-            np.matmul(phi[j0:j1], envs.reshape(j1 - j0, B, D * D), out=ring_grad[j0:j1])
+    if not grouped:  # the same pass over a one-site sweep
+        _grouped_grad(_sweep(env.model, env.phi, keep=True, group=1), folded, ring_grad)
     # label[a, s, l, r] = sum_b weights[b, (s, l)] * closure[b, a, r]
     label = np.matmul(weights.T, env.closure.reshape(B, D * D)).reshape(s, L, D, D)
     pad[R * s * D * D :].reshape(D, s, L, D)[...] = label.transpose(2, 0, 1, 3)

@@ -45,7 +45,7 @@ def broadcast_jacobian(model, phi):
     node = np.append(model.params, 0.0)[mps._layout(sh).label]
     stack = np.matmul(phi[:, k, None], node.reshape(sh.phys_dim, -1))
     stack = stack.reshape((B, L) + node.shape[2:])
-    passes = mps._environments(env, stack, {})
+    passes = mps._environments(env, stack)
     envs = [e.copy() for _, block in passes for e in block]  # blocks reuse buffers
     blocks = {}
     for i, e in zip(mps._ring(sh), envs):
@@ -253,6 +253,19 @@ def swept(run, model, X):
     return env
 
 
+def traced_sweeps(monkeypatch):
+    """The ``(keep, group)`` of every ``mps._sweep`` call from now on."""
+    calls = []
+    sweep = mps._sweep
+
+    def traced(model, phi, keep, reuse=None, group=None):
+        calls.append((keep, group))
+        return sweep(model, phi, keep, reuse, group)
+
+    monkeypatch.setattr(mps, "_sweep", traced)
+    return calls
+
+
 class TestMagnitudeChecks:
     """Every product the engine forms is checked, not only the logits, and a
     failure names the site of the first offending product.
@@ -347,6 +360,29 @@ class TestMagnitudeChecks:
             trainer.train_map(model, data, config)
         assert (exc_info.value.epoch, exc_info.value.batch) == (1, 0)
 
+
+    def test_environments_over_a_grouped_sweep_yield_none_where_a_scan_fails(
+        self, monkeypatch
+    ):
+        # The chain of the test above, in blocks of one unit: ring 5 6 7 |
+        # 8 0 1 | 2 | 3 as groups, ring 5 | 6 | .. | 3 as sites. The running
+        # product through the first group (or through site 7) is 1e80.
+        model = self.excursion_chain({6: 1e40, 7: 1e40, 1: 1e-40, 2: 1e-40})
+        phi = mps.embed(np.ones((3, 9)))
+        label = np.tile(np.eye(2), (3, 1, 1, 1))  # the label site's matrix
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
+        monkeypatch.setattr(mps, "_BLOCK_BYTES", label.nbytes)
+        grouped = mps.sweep_env(model, phi)
+        blocks = [(j0, envs is None) for j0, envs in mps._environments(grouped, label)]
+        assert blocks == [(0, False), (1, True)]
+        one_site = mps._sweep(model, phi, keep=True, group=1)
+        with pytest.raises(NumericError, match="at site 7$"):
+            list(mps._environments(one_site, label))
+        # the gradient pass then runs once more over one such one-site sweep
+        calls = traced_sweeps(monkeypatch)
+        with pytest.raises(NumericError, match="at site 7$"):
+            mps.weighted_grad_from_env(grouped, np.ones((3, 1)))
+        assert calls == [(True, 1)]
 
     def test_gradient_pass_scans_every_environment(self, monkeypatch):
         # Site 0 (1e-70) sits between sites 6 and 2 (1e35 each): no partial
@@ -674,7 +710,9 @@ class TestGroupedTrainingStep:
             with pytest.raises(NumericError, match="at site 6$"):
                 swept("weighted_grad_from_env", model, X)
 
-    def test_overflowing_merged_slice_weighted_zero_gives_the_per_site_step(self):
+    def test_overflowing_merged_slice_weighted_zero_gives_the_per_site_step(
+        self, monkeypatch
+    ):
         # As in the forward stream's test: the first group's merged slice
         # (.., 1, 1) is inf and weighted by 0, so the sweep forms that group
         # again site by site; the group's matrix is NaN, so the gradient
@@ -689,6 +727,20 @@ class TestGroupedTrainingStep:
             warnings.simplefilter("error")
             env, _ = self.check(model, phi, coeff)
         assert np.array_equal(env.logits, np.full((2, 1), 2.0))
+        # the one-site pass reruns the grouped pass's own code: psi is phi
+        # and the back-propagation a copy
+        calls = traced_sweeps(monkeypatch)
+        grouped = mps._grouped_grad
+        passes = []
+
+        def counted(env, folded, ring_grad):
+            passes.append(env.group)
+            return grouped(env, folded, ring_grad)
+
+        monkeypatch.setattr(mps, "_grouped_grad", counted)
+        mps.weighted_grad_from_env(env, coeff)
+        assert calls == [(True, 1)]
+        assert passes == [mps._GROUP, 1]
 
 
 class TestGradients:

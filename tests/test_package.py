@@ -77,6 +77,10 @@ def test_removed_engine_api_stays_removed():
         "model", "phi", "coeff", "out",
     ]
     assert "label" not in {f.name for f in dataclasses.fields(mps.BatchEnv)}
+    # one environment recurrence, which forms, scans and rescans its blocks
+    # in the env's own buffers
+    assert not hasattr(mps, "_env_blocks") and not hasattr(mps, "_block_within")
+    assert list(inspect.signature(mps._environments).parameters) == ["env", "label_mats"]
     # the seed sweeps are rows of one table run by one handler
     gone = ["cmd_init_compare", "cmd_std_perturb", "cmd_bond_sweep", "_seed_sweep"]
     assert [name for name in gone if hasattr(cli, name)] == []
