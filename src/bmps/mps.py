@@ -42,19 +42,21 @@ matrices share one shape. Every sweep cuts the ring into groups of three
 (:data:`_GROUP`) consecutive ring sites and streams or stacks one product a
 group. The node tensors are shared by every row, so one product per call
 merges each group's nodes into the slice products
-``K[s_0, s_1, s_2] = A_j^{s_0} A_{j+1}^{s_1} A_{j+2}^{s_2}``; a row weights
-them by ``psi[s_0, s_1, s_2] = phi_j[s_0] phi_{j+1}[s_1] phi_{j+2}[s_2]``,
-one vector-matrix product, and multiplies the group's matrix onto its
-product so far. The ring sites that fill no group come first, one at a
-time. Both sweeps form these products in the same order, so their logits
-agree bit for bit:
+``K[s_0, s_1, s_2] = A_j^{s_0} A_{j+1}^{s_1} A_{j+2}^{s_2}``; the batch
+weights them by its rows of
+``psi[s_0, s_1, s_2] = phi_j[s_0] phi_{j+1}[s_1] phi_{j+2}[s_2]``, one GEMM
+with the batch as its rows, and each row multiplies the group's matrix
+onto its product so far. The ring sites that fill no group come first, one
+at a time, each one GEMM of the batch's ``phi`` against the site's node.
+Both sweeps form these products in the same order, so their logits agree
+bit for bit:
 
 * :func:`forward_batch` streams, so a chunk of whole-dataset prediction
   holds its rows' embeddings and group weights, O(batch * n_sites), and
   O(batch * bond^2) of products.
-* :func:`sweep_env` forms every group's and leftover site's matrix in two
-  batched products and writes the partial products into one preallocated
-  stack, one entry a group.
+* :func:`sweep_env` forms every group's and leftover site's matrix, one
+  GEMM a unit, into one preallocated stack, and writes the partial
+  products into another, one entry a unit.
 * The class-free gradient pass of a training batch runs its environment
   recurrence over the same groups, in blocks sized by a byte budget
   (``_BLOCK_BYTES``): a block's running products fill one stack and one
@@ -118,8 +120,20 @@ A product inside a group is formed by neither sweep nor by the gradient
 pass, so an excursion above the cap that starts and ends inside one group
 passes :func:`forward_batch`, :func:`sweep_env` and
 :func:`weighted_grad_from_env`, and so training; :func:`jacobian_blocks`,
-whose one-site sweep forms them, still names its site. Rows
-are contracted one by one, so a row's results do not depend on its batch.
+whose one-site sweep forms them, still names its site.
+
+A row's results do not depend on its batch. Each product of the batch
+against a tensor every row shares (a unit's merged or one-site node, the
+gradient's folded label node) is one GEMM with the batch as its rows,
+through :func:`_rows_by`: on OpenBLAS a gemm row's bits do not depend on
+the rows around it at these inner sizes (phys**group, phys,
+phys * n_labels), but numpy sends a one-row product to gemv, whose bits
+differ, so a one-row batch runs as two copies of its row. The other
+products are one a row: each row's unit matrix onto its running product,
+the Jacobian's class stack and the label read-off. At the read-off's inner
+size ``D * D`` (64 at the digit scale), with the label node as the
+transposed operand, gemm rows of small batches differ from the same rows
+in larger ones, so it stays a product a row.
 All operations are pure: they never mutate their inputs (bar an env
 handed to :func:`sweep_env` as ``reuse``), and identical inputs give
 bit-identical outputs.
@@ -447,11 +461,31 @@ class BatchEnv:
 
 # Consecutive ring sites the sweeps merge into one node tensor (see the
 # module docstring). At the digit scale (196 sites, bond 8, 10 classes;
-# 2 vCPUs, OpenBLAS, median of 25 interleaved runs), groups of 1 to 5 took
-# 25.1, 16.5, 14.3, 18.5 and 18.7 ms for a 400-row forward, and 6.07, 3.54,
-# 2.98, 3.18 and 3.91 ms for a 32-row training step (stacked sweep and
-# gradient pass).
+# 2 vCPUs, OpenBLAS, median of 25 interleaved runs), with each group
+# product one GEMM, groups of 1 to 5 took 14.2, 8.04, 5.55, 6.82 and
+# 10.2 ms for a 400-row forward, and 5.84, 3.27, 2.68, 2.72 and 3.29 ms for
+# a 32-row training step (stacked sweep and gradient pass).
 _GROUP = 3
+
+
+def _rows_by(rows, node, out=None):
+    """``rows @ node``: a batch of rows (batch, K) against a matrix ``node``
+    (K, N) that every row shares, as one GEMM with the batch as its rows.
+
+    ``rows`` may be laid out batch fastest, which BLAS reads as its
+    transposed operand, so it is not copied. At the engine's inner sizes a
+    gemm row's bits do not depend on the rows around it (see the module
+    docstring), but numpy sends a one-row product to gemv, whose bits
+    differ; so one row runs as two copies of itself, one of them kept. A
+    zero-row batch gives zero rows.
+    """
+    if len(rows) != 1:
+        return np.matmul(rows, node, out=out)
+    one = np.matmul(np.repeat(rows, 2, axis=0), node)[:1]
+    if out is None:
+        return one
+    out[...] = one
+    return out
 
 
 def _merged(nodes, phi, group):
@@ -459,13 +493,18 @@ def _merged(nodes, phi, group):
     consecutive ring sites.
 
     ``nodes`` (G * group, phys, D, D) and ``phi`` (G * group, phys, batch)
-    give ``suffixes`` and ``psi`` (G, batch, 1, phys**group). For
+    give ``suffixes`` and ``psi`` (G, batch, phys**group). For
     ``j = t * group``, ``suffixes[m]`` (G, phys**(group - m), D, D) holds
     the slice products ``A_{j+m}^{s_m} .. A_{j+group-1}^{s_{group-1}}`` of
     the group's last sites, so ``suffixes[0]`` is its merged tensor; entry
     ``(s_0, s_1, ..)`` of ``psi[t]`` is the weight ``phi_j[s_0]
-    phi_{j+1}[s_1] ..``, and ``psi[t] @ suffixes[0][t]`` (flattened to
-    (phys**group, D * D)) is the product of the group's site matrices.
+    phi_{j+1}[s_1] ..``. ``psi[t] @ suffixes[0][t]`` (flattened to
+    (phys**group, D * D)) gives every row the product of the group's site
+    matrices in one GEMM with the batch as its rows (:func:`_rows_by`,
+    which runs a one-row batch as two rows). ``psi`` keeps the batch axis
+    fastest, as ``phi`` has it, and BLAS reads each ``psi[t]`` as its
+    transposed operand, so neither is copied for the product; at
+    ``group = 1``, ``psi`` is ``phi`` itself.
     """
     G, (_, s, B), D = len(nodes) // group, phi.shape, nodes.shape[-1]
     nodes = nodes.reshape(G, group, s, D, D)
@@ -485,11 +524,7 @@ def _merged(nodes, phi, group):
     phi = phi.reshape(G, group, s, B).transpose(1, 0, 2, 3)
     axes = "ijklmnopqr"[:group]
     psi = np.einsum(",".join(f"g{a}b" for a in axes) + f"->gb{axes}", *phi)
-    if group == 1:
-        # einsum returns phi itself, strided; its products with the nodes
-        # would take another BLAS path in a one-row batch than in a larger one
-        psi = np.ascontiguousarray(psi)
-    return suffixes, psi.reshape(G, B, 1, s**group)
+    return suffixes, psi.reshape(G, B, s**group)
 
 
 def _sweep(model, phi, keep, reuse=None, group=None):
@@ -497,7 +532,7 @@ def _sweep(model, phi, keep, reuse=None, group=None):
     the ring (see the module docstring).
 
     Both ways form the same unit products in the same order. ``keep``
-    forms every unit's matrix in two batched products, stacks the partial
+    forms every unit's matrix, one GEMM a unit, stacks the partial
     products for the environments and scans the stack once; otherwise the
     sweep streams, each product checked as it is formed, so it holds
     O(batch * bond^2) of products. ``group`` defaults to :data:`_GROUP` as
@@ -516,16 +551,14 @@ def _sweep(model, phi, keep, reuse=None, group=None):
     s, L = shape.phys_dim, shape.n_labels
     theta = np.append(model.params, 0.0)
     nodes = theta[lay.nodes]  # (R, phys, D, D)
-    # each row's matrices are its own vector-matrix products, so they do
-    # not depend on the batch the row is in
-    flat_nodes = nodes.reshape(R, 1, s, D * D)
+    flat_nodes = nodes.reshape(R, s, D * D)
     n = R - R % group  # ring positions [0, n) form groups, the rest stream
     G = n // group
     U = G + R - n
-    # the grouped sites' rows, (n, phys, B), batch axis last (C order): the
-    # one copy of phi the sweep makes, dropped once psi is formed; the
-    # other sites' rows are read in place
-    grouped = np.ascontiguousarray(phi[:, lay.ring[:n]].transpose(1, 2, 0))
+    # the grouped sites' rows, (n, phys, B), batch axis last (C order), as
+    # psi keeps them for its GEMMs: the one copy of phi the sweep makes,
+    # dropped once psi is formed; the other sites' rows are read in place
+    grouped = np.take(phi.transpose(1, 2, 0), lay.ring[:n], axis=0)
     # an overflow or 0 * inf in a group's merged tensor or product fails
     # its check, silently; a failed group's sites are formed, checked and
     # warn as in a per-site stream
@@ -533,17 +566,22 @@ def _sweep(model, phi, keep, reuse=None, group=None):
     with np.errstate(**quiet):
         suffixes, psi = _merged(nodes[:n], grouped, group)
     del grouped
-    merged = suffixes[0].reshape(G, 1, s**group, D * D)
+    merged = suffixes[0].reshape(G, s**group, D * D)
+
+    def unit(u, out=None):  # unit u's matrices, one GEMM with the batch as rows
+        if u < G:
+            return _rows_by(psi[u], merged[u], out)
+        return _rows_by(phi[:, lay.ring[n + u - G]], flat_nodes[n + u - G], out)
 
     def site(j, tail):
-        m = np.matmul(phi[:, lay.ring[j], None], flat_nodes[j]).reshape(B, D, D)
+        m = _rows_by(phi[:, lay.ring[j]], flat_nodes[j]).reshape(B, D, D)
         return _check(np.matmul(m, tail), lay.ring[j])
 
     def step(u, tail):  # unit u's checked product onto tail
         if u >= G:
             return site(n + u - G, tail)
         with np.errstate(**quiet):
-            out = np.matmul(np.matmul(psi[u], merged[u]).reshape(B, D, D), tail)
+            out = np.matmul(unit(u).reshape(B, D, D), tail)
         if _within(out, MAGNITUDE_CAP):
             return out
         for j in reversed(range(u * group, (u + 1) * group)):
@@ -558,10 +596,8 @@ def _sweep(model, phi, keep, reuse=None, group=None):
         tails = _buffer(pool, "tails", (U + 1, B, D, D))
         tails[U] = tail
         with np.errstate(**quiet):
-            np.matmul(psi, merged, out=mats[:G].reshape(G, B, 1, D * D))
-            leftover = mats[G:].reshape(R - n, B, 1, D * D)
-            rows = phi[:, lay.ring[n:], None].swapaxes(0, 1)  # (R - n, B, 1, phys)
-            np.matmul(rows, flat_nodes[n:], out=leftover)
+            for u in range(U):
+                unit(u, out=mats[u].reshape(B, D * D))
             for u in reversed(range(U)):
                 np.matmul(mats[u], tails[u + 1], out=tails[u])
         # one scan; on failure, form the products again in order, checked
@@ -839,7 +875,7 @@ def _grouped_grad(env, folded, ring_grad):
     B, (R, s, D) = env.phi.shape[0], env.nodes.shape[:3]
     G, group = len(env.psi), env.group
     n = G * group
-    psi = env.psi[:, :, 0].swapaxes(1, 2)  # (G, phys**group, B)
+    psi = env.psi.swapaxes(1, 2)  # (G, phys**group, B)
     phi = env.phi[:, _layout(env.model.shape).ring[n:]].transpose(1, 2, 0)
     H = _buffer(env.buffers, "merged_grad", (G, s**group, D * D))
     for u0, envs in _environments(env, folded):
@@ -883,7 +919,7 @@ def weighted_grad_from_env(env, coeff, out=None):
     # folded[b] = sum_l coeff[b, l] M_k[l] = sum_(s, l) weights[b, (s, l)] A_k[s, l]
     weights = (env.phi[:, k, :, None] * coeff[:, None]).reshape(B, s * L)
     node = np.append(env.model.params, 0.0)[lay.label].reshape(s * L, D * D)
-    folded = _check(np.matmul(weights[:, None], node).reshape(B, 1, D, D), k)
+    folded = _check(_rows_by(weights, node).reshape(B, 1, D, D), k)
     pad = _buffer(env.buffers, "grad", (R * s * D * D + lay.label.size,))
     ring_grad = pad[: R * s * D * D].reshape(R, s, D * D)
     with np.errstate(over="ignore", invalid="ignore"):

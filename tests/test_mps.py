@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmps import initializer, mps, trainer
+from bmps import initializer, laplace, mps, trainer
 from bmps.errors import DataError, NumericError, ParseError, ShapeError, TrainingDiverged
 
 import oracles
@@ -454,6 +454,22 @@ class TestGroupedForward:
                 single = mps.forward_batch(model, phi[b : b + 1])[0]
                 assert np.array_equal(batch[b], single)
 
+    @pytest.mark.parametrize("K", [2, 8, 20])
+    def test_one_row_runs_as_a_gemm_row(self, K):
+        # numpy sends a one-row product to gemv, whose bits differ from a
+        # gemm row's; _rows_by gives a row the same bits alone as in a batch,
+        # with the batch fastest (as psi) or each row contiguous (as phi)
+        rng = np.random.default_rng(K)
+        node = rng.standard_normal((K, 64))
+        for rows in (rng.standard_normal((K, 40)).T, rng.standard_normal((40, K))):
+            batch = mps._rows_by(rows, node)
+            for b in (0, 17, 39):
+                assert np.array_equal(mps._rows_by(rows[b : b + 1], node), batch[b : b + 1])
+                out = np.full((1, 64), np.nan)
+                assert mps._rows_by(rows[b : b + 1], node, out=out) is out
+                assert np.array_equal(out, batch[b : b + 1])
+        assert mps._rows_by(np.zeros((0, K)), node).shape == (0, 64)
+
     def test_overflowing_merged_slice_weighted_zero_is_recomputed(self):
         # Slice 1 of sites 2 and 3 (one group) is 1e200 I, so their merged
         # slice (1, 1) overflows to inf; a row of ones weights slice 1 by 0,
@@ -493,6 +509,70 @@ class TestGroupedForward:
         data = SimpleNamespace(train_x=X, train_y=np.eye(2)[[0, 1, 0]])
         _, history = trainer.train_map(model, data, config)
         assert len(history.records) == 1
+
+
+class TestBatchIndependenceAtDigitScale:
+    """Each product of a batch against a tensor every row shares is one GEMM
+    with the batch as its rows, a one-row batch run as two rows, and the
+    rest are per-row products; so at the digit scale (196 sites, bond 8,
+    10 classes) a row's results are bit-identical in 1-, 2-, 17- and 63-row
+    batches and in offset slices of a 400-row batch, and the forward's in a
+    whole chunk (:data:`mps.CHUNK_ROWS` rows, whose GEMMs may take more
+    than one BLAS thread)."""
+
+    SIZES = (1, 2, 17, 63)
+    # (start, size) within a 63-row batch, one Laplace chunk at this scale
+    PARTS = ((0, 1), (5, 2), (40, 17), (62, 1))
+
+    @pytest.fixture(scope="class")
+    def digits(self):
+        rng = np.random.default_rng(25)
+        sh = mps.MpsShape(196, 2, 8, 10)
+        model = initializer.init_model(sh, initializer.InitSpec(var_x=0.461, seed=25))
+        size = (mps.CHUNK_ROWS, 196)
+        X = np.where(rng.uniform(size=size) < 0.7, 0.0, rng.uniform(size=size))
+        return model, X
+
+    def batches(self):  # (start, size): at the front, inside and at the end
+        return [(a, n) for n in self.SIZES for a in (0, 150, 400 - n)]
+
+    def test_forward_and_sweep(self, digits):
+        model, X = digits
+        phi = mps.embed(X[:400])
+        logits = mps.forward_batch(model, phi)
+        env = mps.sweep_env(model, phi)
+        assert np.array_equal(env.logits, logits)
+        assert np.array_equal(mps.forward_batch(model, mps.embed(X))[:400], logits)
+        # each group's weights are laid out batch fastest, which BLAS reads
+        # as its transposed operand, so the GEMMs copy nothing
+        assert env.psi.shape == (65, 400, 8) and env.psi.strides[1:] == (8, 8 * 400)
+        for a, n in self.batches():
+            for part in (phi[a : a + n], phi[a : a + n].copy()):
+                assert np.array_equal(mps.forward_batch(model, part), logits[a : a + n])
+                got = mps.sweep_env(model, part)
+                assert np.array_equal(got.mats, env.mats[:, a : a + n])
+                assert np.array_equal(got.tails, env.tails[:, a : a + n])
+                assert np.array_equal(got.logits, logits[a : a + n])
+
+    def test_jacobian_blocks(self, digits):
+        model, X = digits
+        phi = mps.embed(X[150:213])
+        P = model.shape.param_count
+        outs = []
+        for a, n in self.PARTS:
+            outs.append(np.empty((n, 10, P)))
+            for _ in mps.jacobian_blocks(model, phi[a : a + n], out=outs[-1]):
+                pass
+        for c0, c1, J in mps.jacobian_blocks(model, phi):
+            for (a, n), out in zip(self.PARTS, outs):
+                assert np.array_equal(out[:, :, c0:c1], J[a : a + n])
+
+    def test_ggn_factors(self, digits):
+        model, X = digits
+        rows = laplace.ggn_factors(model, X[150:213]).factors.reshape(63, 10, -1)
+        for a, n in self.PARTS:
+            got = laplace.ggn_factors(model, X[150 + a : 150 + a + n]).factors
+            assert np.array_equal(got.reshape(n, 10, -1), rows[a : a + n])
 
 
 class TestLabelReadOff:
