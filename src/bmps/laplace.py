@@ -456,9 +456,14 @@ def _check_core(c, U, precision):
     if not np.all(np.diag(c) > 0):
         raise ParseError("core factor has a diagonal entry <= 0")
     v = np.random.default_rng(0).standard_normal(c.shape[0])
-    want = U @ (U.T @ v) + precision * v
-    got = dtrmv(c, dtrmv(c, v), trans=1)  # C'Cv, upper triangle only
-    if np.linalg.norm(got - want) > _CORE_PROBE_TOL * np.linalg.norm(want):
+    # the norms are taken over want's largest entry, so they do not overflow;
+    # a probe that does (factor rows of 1e155 or more) gives NaN and fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = U @ (U.T @ v) + precision * v
+        got = dtrmv(c, dtrmv(c, v), trans=1)  # C'Cv, upper triangle only
+        top = np.abs(want).max()
+        err, scale = np.linalg.norm((got - want) / top), np.linalg.norm(want / top)
+    if not err <= _CORE_PROBE_TOL * scale:
         raise ParseError("core factor does not match the factor rows")
 
 
@@ -530,13 +535,12 @@ def _read_posterior(fh):
     c = np.empty((rank, rank), dtype="<f8", order="F")
     if fh.readinto(c.ravel(order="F").view(np.uint8)) != c_bytes:
         raise ParseError(f"core factor at offset {offset + u_bytes} could not be read")
-    sample_ids = meta.get("sample_ids")
-    factors = GgnFactors(
-        factors=U,
-        n_samples=meta["n_samples"],
-        sample_ids=None if sample_ids is None else np.asarray(sample_ids, dtype=np.int64),
-        model_digest=meta["model_digest"],
-    )
+    try:  # a non-finite factor row is damage in the file, not a numeric failure
+        factors = GgnFactors(
+            U, meta["n_samples"], meta.get("sample_ids"), meta["model_digest"]
+        )
+    except NumericError as exc:
+        raise ParseError(f"factor rows: {exc}") from exc
     return LaplacePosterior._with_core(model, factors, precision, c)
 
 

@@ -98,29 +98,22 @@ product of closure and label node, logits, folded label matrices, the
 Jacobian's class stack, environments) is checked against
 :data:`MAGNITUDE_CAP`: an entry above it in magnitude, or a
 NaN or infinite one, raises :class:`~bmps.errors.NumericError` naming the
-site. A streamed product is checked as soon as it is formed, one product a
-group: a group whose product fails is formed again one site at a time from
-its incoming product, so the error names the site, with the text and
-warnings, that a per-site stream gives; if every site passes (an
-overflowing merged slice that the row weights by 0 gives NaN only in the
-merged form), the sweep goes on from there. A stack (the sweep's partial
-products, a block's running products and environments) is scanned once
-when it is full, by one min and one max reduction that copy nothing; if the
-sweep's scan fails, its products are formed again in order and checked as
-the stream checks them, and if a scan of the recurrence over a one-site
-sweep fails, its products are rescanned one by one in the order they were
-formed. The gradient pass scans its group running products and
-environments, the prefix products ``A_j^{s_0} A_{j+1}^{s_1}`` of its chain
-rule and, for non-finite entries, the gradient; if a scan fails, the same
-pass runs again over a one-site sweep, which raises the error a per-site
-pass raises or returns its result. (A group the sweep formed site by site
-because its merged form overflowed keeps a non-finite matrix, so its
-running products fail.)
-A product inside a group is formed by neither sweep nor by the gradient
-pass, so an excursion above the cap that starts and ends inside one group
-passes :func:`forward_batch`, :func:`sweep_env` and
-:func:`weighted_grad_from_env`, and so training; :func:`jacobian_blocks`,
-whose one-site sweep forms them, still names its site.
+site. One rule serves every pass: a pass over groups that fails a check
+runs again over the one-site sweep of the same rows, where the first
+failing product in formation order names its site. A stream checks each
+product as it is formed; a stack (the sweep's partial products, a block's
+running products and environments) is scanned once when full, by one min
+and one max reduction that copy nothing, and rescanned product by product
+in formation order only on a one-site sweep. So a sweep whose merged slice
+overflows but is weighted by 0 (NaN only in the merged form) gives the
+one-site sweep's result, an env with ``group == 1``. The gradient pass
+scans its group running products and environments, the prefix products
+``A_j^{s_0} A_{j+1}^{s_1}`` of its chain rule and, for non-finite entries,
+the gradient. No grouped pass forms a product inside a group, so an
+excursion above the cap that starts and ends inside one group passes
+:func:`forward_batch`, :func:`sweep_env` and :func:`weighted_grad_from_env`,
+and so training, unless another check fails and the pass reruns;
+:func:`jacobian_blocks`, whose one-site sweep forms them, names its site.
 
 A row's results do not depend on its batch. Each product of the batch
 against a tensor every row shares (a unit's merged or one-site node, the
@@ -429,7 +422,9 @@ class BatchEnv:
     Bonds are padded to ``D = bond_dim`` (see :func:`_layout`). The ring
     (see :func:`_ring`) is cut into units: ``G = len(ring) // group``
     groups of ``group`` consecutive ring positions (:data:`_GROUP` unless
-    the sweep was given another size), then the ``len(ring) % group``
+    the sweep was given another size, or 1 if a grouped sweep failed a
+    magnitude check and ran again one site at a time; a grouped env has
+    passed every check), then the ``len(ring) % group``
     leftover positions, one unit each. ``mats[u]``
     (batch, D, D) is unit ``u``'s matrix (for a group, the product of its
     sites' matrices, formed from the merged node tensor) and ``tails[u]``
@@ -535,8 +530,10 @@ def _sweep(model, phi, keep, reuse=None, group=None):
     forms every unit's matrix, one GEMM a unit, stacks the partial
     products for the environments and scans the stack once; otherwise the
     sweep streams, each product checked as it is formed, so it holds
-    O(batch * bond^2) of products. ``group`` defaults to :data:`_GROUP` as
-    it is when the sweep runs.
+    O(batch * bond^2) of products. A grouped sweep that fails a check
+    returns the one-site sweep (``group=1``) of the same rows, whose check
+    names the first failing product in formation order. ``group`` defaults
+    to :data:`_GROUP` as it is when the sweep runs.
     """
     shape = model.shape
     group = _GROUP if group is None else group
@@ -559,9 +556,8 @@ def _sweep(model, phi, keep, reuse=None, group=None):
     # psi keeps them for its GEMMs: the one copy of phi the sweep makes,
     # dropped once psi is formed; the other sites' rows are read in place
     grouped = np.take(phi.transpose(1, 2, 0), lay.ring[:n], axis=0)
-    # an overflow or 0 * inf in a group's merged tensor or product fails
-    # its check, silently; a failed group's sites are formed, checked and
-    # warn as in a per-site stream
+    # an overflow or 0 * inf fails a check silently: a grouped sweep that
+    # fails one runs again in one-site groups, whose check names the site
     quiet = {"over": "ignore", "invalid": "ignore"}
     with np.errstate(**quiet):
         suffixes, psi = _merged(nodes[:n], grouped, group)
@@ -573,42 +569,33 @@ def _sweep(model, phi, keep, reuse=None, group=None):
             return _rows_by(psi[u], merged[u], out)
         return _rows_by(phi[:, lay.ring[n + u - G]], flat_nodes[n + u - G], out)
 
-    def site(j, tail):
-        m = _rows_by(phi[:, lay.ring[j]], flat_nodes[j]).reshape(B, D, D)
-        return _check(np.matmul(m, tail), lay.ring[j])
-
-    def step(u, tail):  # unit u's checked product onto tail
-        if u >= G:
-            return site(n + u - G, tail)
-        with np.errstate(**quiet):
-            out = np.matmul(unit(u).reshape(B, D, D), tail)
-        if _within(out, MAGNITUDE_CAP):
-            return out
-        for j in reversed(range(u * group, (u + 1) * group)):
-            tail = site(j, tail)
-        return tail
-
     pool = {} if reuse is None else reuse.buffers
     mats = tails = None
     tail = np.broadcast_to(np.eye(D), (B, D, D))
-    if keep:
-        mats = _buffer(pool, "mats", (U, B, D, D))
-        tails = _buffer(pool, "tails", (U + 1, B, D, D))
-        tails[U] = tail
-        with np.errstate(**quiet):
+    with np.errstate(**quiet):
+        if keep:
+            mats = _buffer(pool, "mats", (U, B, D, D))
+            tails = _buffer(pool, "tails", (U + 1, B, D, D))
+            tails[U] = tail
             for u in range(U):
                 unit(u, out=mats[u].reshape(B, D * D))
             for u in reversed(range(U)):
                 np.matmul(mats[u], tails[u + 1], out=tails[u])
-        # one scan; on failure, form the products again in order, checked
-        # as the stream checks them
-        if not _within(tails[:U], MAGNITUDE_CAP):
+            # one scan; a one-site sweep's rescan in formation order names
+            # the first failing product
+            if not _within(tails[:U], MAGNITUDE_CAP):
+                if group > 1:
+                    return _sweep(model, phi, keep, reuse, group=1)
+                for u in reversed(range(U)):
+                    _check(tails[u], lay.ring[u])
+            tail = tails[0]
+        else:
             for u in reversed(range(U)):
-                tails[u] = step(u, tails[u + 1])
-        tail = tails[0]
-    else:
-        for u in reversed(range(U)):
-            tail = step(u, tail)
+                tail = np.matmul(unit(u).reshape(B, D, D), tail)
+                if group == 1:
+                    _check(tail, lay.ring[u])
+                elif not _within(tail, MAGNITUDE_CAP):
+                    return _sweep(model, phi, keep, reuse, group=1)
     # logits[b, l] = sum_s phi[b, k, s] <A_k[s, l], C_b>: the label node,
     # (phys * n_labels, D * D) in the closure's transposed layout, against
     # each row's flattened tail, one product a row, then the phys-weighted sum
@@ -660,10 +647,11 @@ def _environments(env, label_mats):
     ``label_mats @ mats[0] @ .. @ mats[j - 1]`` come one unit at a time,
     its environments from one product. Both live in the env's ``buffers``,
     which each block overwrites, and each is scanned once. If a scan fails
-    on a one-site sweep, whose units are the ring sites, the block is
-    rescanned product by product in the order of formation, which raises
-    :class:`~bmps.errors.NumericError` naming the site; on a grouped sweep
-    it yields ``(j0, None)`` and stops.
+    on a grouped sweep, it yields ``(j0, None)`` and stops, so that its
+    caller runs again over the one-site sweep; there, whose units are the
+    ring sites, the block is rescanned product by product in the order of
+    formation, which raises :class:`~bmps.errors.NumericError` naming the
+    site.
     """
     mats, tails, pool = env.mats, env.tails, env.buffers
     ring = _layout(env.model.shape).ring
@@ -869,8 +857,9 @@ def _grouped_grad(env, folded, ring_grad):
     group's gradient reaches its nodes by :func:`_backprop`; over a
     one-site sweep the group weights are ``phi`` and that is a copy.
     Returns False, with ``ring_grad`` partly written, if a block's or a
-    prefix's scan fails or the gradient is not finite. Over a one-site
-    sweep a failed block scan raises the error naming its site instead.
+    prefix's scan fails or the gradient is not finite, and the caller runs
+    it again over the one-site sweep; there a failed block scan raises the
+    error naming its site instead.
     """
     B, (R, s, D) = env.phi.shape[0], env.nodes.shape[:3]
     G, group = len(env.psi), env.group
@@ -905,9 +894,10 @@ def weighted_grad_from_env(env, coeff, out=None):
     site. It runs over the sweep's units, one product a group per batch
     takes each group's gradient to its merged tensor, and :func:`_backprop`
     takes it to the nodes. If a scan of that pass fails, or the gradient is
-    not finite, the same pass runs again over a one-site sweep of the rows,
-    which raises the error naming the site or gives its result. This is the
-    workhorse behind loss gradients.
+    not finite, the same pass runs again over the one-site sweep of the
+    rows, which raises the error naming the site or gives its result: the
+    engine's one overflow rule, as :func:`sweep_env` follows it. This is
+    the workhorse behind loss gradients.
     """
     shape = env.model.shape
     lay = _layout(shape)

@@ -460,6 +460,22 @@ class TestPredictAndLaplace:
         err = capsys.readouterr().err
         assert "not a JSON object" in err and "re-run laplace-fit" in err
 
+    def test_non_finite_factor_row_exits_2(self, tmp_path, trained, capsys):
+        # damage in the file, not a numeric failure (which exits 3)
+        lap = tmp_path / "lap"
+        args = ["--model", trained / "model.bmps", *self.data_args()]
+        assert run("laplace-fit", *args, "--reg", "1e-4", "--out", lap) == 0
+        blob = bytearray((lap / "posterior.blap").read_bytes())
+        start = len(laplace._MAGIC)
+        head = laplace._HEADER.unpack_from(blob, start)
+        rows = start + laplace._HEADER.size + head[3] + head[4]
+        blob[rows : rows + 8] = np.float64(np.nan).tobytes()
+        path = tmp_path / "nan.blap"
+        path.write_bytes(bytes(blob))
+        code = run("predict", *args, "--posterior", path, "--out", tmp_path / "pred")
+        assert code == 2
+        assert "factor rows" in capsys.readouterr().err
+
     def test_predict_missing_model_file_exits_2(self, tmp_path):
         code = run(
             "predict", "--model", tmp_path / "nope.bmps", *self.data_args(),

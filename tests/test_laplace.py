@@ -1031,6 +1031,54 @@ class TestStoredCore:
         with pytest.raises(ParseError, match="core factor does not match"):
             laplace.posterior_from_bytes(blob)
 
+    def test_probe_holds_for_large_factor_rows(self):
+        # rows of 1e100, the engine's magnitude cap, put the probe's squared
+        # norms above the float range; it still tells a damaged core
+        rng = RNG(72)
+        model = small_model(rng, 2)
+        U = 1e100 * rng.normal(size=(12, model.shape.param_count))
+        post = laplace.LaplacePosterior(model, factors_for(model, U), 0.25)
+        loaded = laplace.posterior_from_bytes(laplace.posterior_to_bytes(post))
+        assert loaded._core.tobytes(order="F") == post._core.tobytes(order="F")
+        blob = self.with_entry(post, 1, 3, lambda v: 2.0 * v)
+        with pytest.raises(ParseError, match="core factor does not match"):
+            laplace.posterior_from_bytes(blob)
+
+    def with_factor(self, post, i, j, fn):
+        """The container of ``post`` with entry (i, j) of its factor rows
+        (the section after the head, in C order) replaced by ``fn`` of it."""
+        blob = bytearray(laplace.posterior_to_bytes(post))
+        at = len(laplace._posterior_head(post)) + (i * post.factors.n_params + j) * 8
+        (value,) = struct.unpack_from("<d", blob, at)
+        struct.pack_into("<d", blob, at, fn(value))
+        return bytes(blob)
+
+    @pytest.mark.parametrize(
+        "damage", [lambda v: 2.0 * v, lambda v: 1e155, lambda v: 1e300],
+        ids=["doubled", "1e155", "1e300"],
+    )
+    def test_damaged_factor_entry_fails_the_probe(self, damage):
+        # entries of 1e155 and more overflow the probe U U' v to inf, against
+        # a finite stored core
+        post, _ = fitted_posterior(RNG(69))
+        U = post.factors.factors
+        i, j = np.unravel_index(np.argmax(np.abs(U)), U.shape)
+        blob = self.with_factor(post, i, j, damage)
+        with pytest.raises(ParseError, match="core factor does not match the factor rows"):
+            laplace.posterior_from_bytes(blob)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_factor_entry_is_a_parse_error(self, bad):
+        post, _ = fitted_posterior(RNG(71))
+        blob = self.with_factor(post, 1, 2, lambda v: bad)
+        with pytest.raises(ParseError, match="factor rows.*non-finite"):
+            laplace.posterior_from_bytes(blob)
+        # factor rows built in memory keep their NumericError
+        U = post.factors.factors.copy()
+        U[1, 2] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            factors_for(post.map_model, U)
+
     def test_lower_triangle_is_not_read(self):
         # cho_factor leaves the lower triangle unused; the probe reads the upper
         post, X = fitted_posterior(RNG(66))

@@ -384,6 +384,67 @@ class TestMagnitudeChecks:
             mps.weighted_grad_from_env(grouped, np.ones((3, 1)))
         assert calls == [(True, 1)]
 
+    # Ring 5 6 7 | 8 0 1 | 2 | 3 under a cap of 1e50: the first product
+    # above it, in formation order, and the text that names its site
+    RERUNS = {
+        "leftover site": (
+            {3: 3.7e30, 2: 1.9e31, 5: 1e-60},
+            "contraction magnitude 7.030e+61 exceeded cap 1.000e+50 at site 2",
+        ),
+        "inside a group": (
+            {1: 2.3e30, 0: 7.1e31, 8: 1e-3, 6: 1e-60},
+            "contraction magnitude 1.633e+62 exceeded cap 1.000e+50 at site 0",
+        ),
+    }
+
+    @pytest.mark.parametrize("keep", [False, True], ids=["streamed", "stacked"])
+    @pytest.mark.parametrize("chain", ["zero-weighted merged slice", *RERUNS])
+    def test_a_failed_grouped_sweep_reruns_as_a_one_site_sweep(
+        self, monkeypatch, keep, chain
+    ):
+        if chain in self.RERUNS:
+            scales, text = self.RERUNS[chain]
+            model = self.excursion_chain(scales)
+            monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
+        else:  # as in TestGroupedForward: ring 1 2 3 | 4 5 6
+            n, eye = 2 * mps._GROUP + 1, np.eye(2)
+            model = oracles.transfer_chain([eye] * n, label_site=0)
+            for i in (mps._GROUP - 1, mps._GROUP):
+                model.nodes[i][:, 1] = 1e200 * eye
+            text = None
+        phi = mps.embed(np.ones((3, model.shape.n_sites)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if text is None:
+                one_site = mps._sweep(model, phi, keep, group=1)
+                assert np.array_equal(
+                    mps.forward_batch(model, phi), mps.sweep_env(model, phi).logits
+                )
+                calls = traced_sweeps(monkeypatch)
+                env = mps._sweep(model, phi, keep)
+                assert env.group == 1
+                assert np.array_equal(env.logits, one_site.logits)
+                assert np.array_equal(env.logits, np.full((3, 1), 2.0))
+            else:
+                calls = traced_sweeps(monkeypatch)
+                with pytest.raises(NumericError) as info:
+                    mps._sweep(model, phi, keep)
+                assert str(info.value) == text
+        assert calls == [(keep, None), (keep, 1)]
+
+    def test_a_rerun_names_the_excursion_the_jacobian_names(self, monkeypatch):
+        # The group 8 0 1 passes (site 0's 1e60 is undone by site 8), and
+        # the group 5 6 7 fails at site 7; the one-site rerun meets site 0
+        # first, as the Jacobian's one-site sweep does.
+        model = self.excursion_chain({0: 1e60, 8: 1e-60, 7: 1e60})
+        phi = mps.embed(np.ones((2, 9)))
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
+        for run in (mps.forward_batch, mps.sweep_env):
+            with pytest.raises(NumericError, match="at site 0$"):
+                run(model, phi)
+        with pytest.raises(NumericError, match="at site 0$"):
+            next(mps.jacobian_blocks(model, phi))
+
     def test_gradient_pass_scans_every_environment(self, monkeypatch):
         # Site 0 (1e-70) sits between sites 6 and 2 (1e35 each): no partial
         # or running product leaves [1e-35, 1e35], but site 0's environment,
@@ -473,8 +534,8 @@ class TestGroupedForward:
     def test_overflowing_merged_slice_weighted_zero_is_recomputed(self):
         # Slice 1 of sites 2 and 3 (one group) is 1e200 I, so their merged
         # slice (1, 1) overflows to inf; a row of ones weights slice 1 by 0,
-        # and 0 * inf is NaN in the group's product only. The group is
-        # formed again site by site, which gives the exact identity product.
+        # and 0 * inf is NaN in the group's product only. The sweep runs
+        # again in one-site groups, which give the exact identity product.
         n, eye = 2 * mps._GROUP + 1, np.eye(2)
         model = oracles.transfer_chain([eye] * n, label_site=0)
         for i in (mps._GROUP - 1, mps._GROUP):
@@ -794,9 +855,9 @@ class TestGroupedTrainingStep:
         self, monkeypatch
     ):
         # As in the forward stream's test: the first group's merged slice
-        # (.., 1, 1) is inf and weighted by 0, so the sweep forms that group
-        # again site by site; the group's matrix is NaN, so the gradient
-        # pass runs per site. Neither warns.
+        # (.., 1, 1) is inf and weighted by 0, so the group's matrix is NaN
+        # and the sweep runs again in one-site groups; the gradient pass
+        # runs once, over that sweep. Neither warns.
         n, eye = 2 * mps._GROUP + 1, np.eye(2)
         model = oracles.transfer_chain([eye] * n, label_site=0)
         for i in (mps._GROUP - 1, mps._GROUP):
@@ -807,9 +868,9 @@ class TestGroupedTrainingStep:
             warnings.simplefilter("error")
             env, _ = self.check(model, phi, coeff)
         assert np.array_equal(env.logits, np.full((2, 1), 2.0))
-        # the one-site pass reruns the grouped pass's own code: psi is phi
-        # and the back-propagation a copy
-        calls = traced_sweeps(monkeypatch)
+        # the one-site pass runs the grouped pass's own code: psi is phi and
+        # the back-propagation a copy
+        assert env.group == 1
         grouped = mps._grouped_grad
         passes = []
 
@@ -819,8 +880,7 @@ class TestGroupedTrainingStep:
 
         monkeypatch.setattr(mps, "_grouped_grad", counted)
         mps.weighted_grad_from_env(env, coeff)
-        assert calls == [(True, 1)]
-        assert passes == [mps._GROUP, 1]
+        assert passes == [1]
 
 
 class TestGradients:
