@@ -257,6 +257,7 @@ def cmd_laplace_fit(cfg):
         "log_det_precision": post.log_det_precision,
         "chunk_rows": chunk_rows,
         "workers": workers,
+        "blas_threads": mps.blas_threads(workers),
     }
     _write_meta(out, "laplace-fit", cfg, started, posterior=summary, seconds=seconds)
     print(f"posterior rank {factors.rank} over {factors.n_params} parameters")
@@ -320,7 +321,8 @@ def cmd_predict(cfg):
     _write_csv(out, "predictions", fields, rows)
     _write_meta(
         out, "predictions", dict(cfg, mode=mode), started,
-        chunk_rows=chunk_rows, workers=workers, seconds=seconds,
+        chunk_rows=chunk_rows, workers=workers,
+        blas_threads=mps.blas_threads(workers), seconds=seconds,
     )
     acc = float(np.mean(moderated == truth))
     print(f"wrote {len(rows)} predictions ({mode}); accuracy {acc:.4f}")

@@ -90,8 +90,12 @@ pass's per-row measure: :func:`jacobian_row_bytes` for the Jacobian
 passes (GGN factors, moderated prediction), which hold only runs of it,
 :func:`forward_row_bytes` for the MAP forward. Where the byte budget, not
 the row cap, sets the chunk size, the chunks are mapped over a thread per
-usable core. That is the Jacobian passes at the digit scale; the forward
-pass stays serial there, and the training step always does.
+usable core, sized so that the workers take even shares of the rows
+where that lowers the busiest worker's share (see :func:`chunk_plan`).
+Each pooled chunk's BLAS calls run on one thread, so a pool of a thread a
+core does not also run every BLAS call on every core. That is the
+Jacobian passes at the digit scale; the forward pass stays serial there,
+and the training step always does.
 
 Every array the engine forms (partial and running products, the read-off
 product of closure and label node, logits, folded label matrices, the
@@ -109,8 +113,10 @@ overflows but is weighted by 0 (NaN only in the merged form) gives the
 one-site sweep's result, an env with ``group == 1``. The gradient pass
 scans its group running products and environments, the prefix products
 ``A_j^{s_0} A_{j+1}^{s_1}`` of its chain rule and, for non-finite entries,
-the gradient. No grouped pass forms a product inside a group, so an
-excursion above the cap that starts and ends inside one group passes
+the gradient; a one-site pass whose gradient is still not finite names
+the first such site in ring order, or the label site. No grouped pass
+forms a product inside a group, so an excursion above the cap that
+starts and ends inside one group passes
 :func:`forward_batch`, :func:`sweep_env` and :func:`weighted_grad_from_env`,
 and so training, unless another check fails and the pass reruns;
 :func:`jacobian_blocks`, whose one-site sweep forms them, names its site.
@@ -134,10 +140,12 @@ bit-identical outputs.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import os
 import struct
+import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -155,7 +163,8 @@ MAGNITUDE_CAP = 1e100
 # No pass holds a chunk's whole Jacobian, so for the Laplace passes the
 # budget sets the chunk width (rows * n_labels) that keeps prediction's
 # products with U wide, and the worker count. At the digit scale (196
-# sites, bond 8, 10 classes: 2.1 MB of Jacobian a row) it gives 63 rows.
+# sites, bond 8, 10 classes: 2.1 MB of Jacobian a row) it gives at most 63
+# rows; :func:`chunk_plan` runs 200 or 400 rows on two workers as chunks of 50.
 CHUNK_ROWS = 512
 CHUNK_BYTES = 128 << 20
 
@@ -296,6 +305,16 @@ def forward_row_bytes(shape):
     return 8 * (2 * shape.n_sites * s + shape.n_sites // _GROUP * s**_GROUP)
 
 
+def _busiest(n_rows, rows, workers):
+    """Rows the busiest of ``workers`` threads takes when chunks of ``rows``
+    rows, the last one short, go to them in turn: the first thread takes
+    the most chunks, the short last one among them only when no other
+    thread takes as many."""
+    chunks = -(-n_rows // rows)
+    short = chunks * rows - n_rows if (chunks - 1) % workers == 0 else 0
+    return -(-chunks // workers) * rows - short
+
+
 def chunk_plan(n_rows, row_bytes):
     """``(rows, workers)``: the chunk size and thread count :func:`map_chunks`
     uses for ``n_rows`` rows whose pass holds ``row_bytes`` a row.
@@ -303,29 +322,132 @@ def chunk_plan(n_rows, row_bytes):
     Chunks hold at most :data:`CHUNK_ROWS` rows and :data:`CHUNK_BYTES` of
     that measure. Only when the byte budget sets the size do they go to a
     pool: pooling row-capped chunks raised peak memory (one malloc arena a
-    thread) for no clear speed-up.
+    thread) for no clear speed-up. A pool's chunk count is then rounded up
+    to a multiple of the workers and the rows spread evenly over it, where
+    that lowers the rows of the busiest worker: at the digit scale, 200 rows
+    run as 4 chunks of 50, not 63, 63, 63 and 11, which gave one of two
+    workers 126 rows. Where it does not (10 rows of at most 3 on 3 workers
+    would run as five chunks of 2, 4 rows on the busiest either way), the
+    budget's wider chunks stay.
     """
     rows = max(1, min(CHUNK_ROWS, CHUNK_BYTES // max(row_bytes, 1)))
     if rows == CHUNK_ROWS:
         return rows, 1
-    return rows, max(1, min(_usable_cores(), -(-n_rows // rows)))
+    chunks = -(-n_rows // rows)
+    workers = max(1, min(_usable_cores(), chunks))
+    if workers > 1:
+        even = -(-n_rows // (-(-chunks // workers) * workers))
+        if _busiest(n_rows, even, workers) < _busiest(n_rows, rows, workers):
+            rows = even
+    return rows, workers
+
+
+def _openblas():
+    """``{path: openblas_set_num_threads_local}`` for every OpenBLAS loaded
+    in the process (numpy's and scipy's wheels each bundle one), found
+    through ``/proc/self/maps`` as the mapped files whose path names
+    OpenBLAS; empty where that file cannot be read or none exports the
+    setter. Despite its name the setter sets the library's process-wide
+    count, and it returns the count it replaced.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            lines = [line for line in fh if "openblas" in line]
+        paths = {line.split(None, 5)[5].rstrip("\n") for line in lines}
+    except OSError:
+        return {}
+    found, seen = {}, set()
+    for path in sorted(paths):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        address = ctypes.cast(setter, ctypes.c_void_p).value
+        if address not in seen:  # one library mapped under two names
+            seen.add(address)
+            setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+            found[path] = setter
+    return found
+
+
+class _OneBlasThread:
+    """Context manager under which every OpenBLAS :func:`_openblas` finds
+    runs one thread, so a pool of ``workers`` threads keeps ``workers``
+    cores busy rather than ``workers`` times the BLAS count.
+
+    OpenBLAS's count is process-wide, so one lock and a depth counter serve
+    every pool in the process: the first pass to enter sets each library
+    to 1 and keeps the count the setter returned, and the last to leave
+    restores it, once, however the passes nest or overlap. A library
+    loaded inside is left as it is. Work outside every pool, such as the
+    Laplace core's ``U U'`` and Cholesky factor, keeps the library's own
+    count.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self._depth = 0
+        self._saved = []  # (setter, count to restore)
+
+    def __enter__(self):
+        with self.lock:
+            if not self._depth:
+                self._saved = [(f, f(1)) for f in _openblas().values()]
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self._depth -= 1
+            if not self._depth:
+                for f, count in self._saved:
+                    f(count)
+                self._saved = []
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+def _blas_counts():
+    """``{path: count}``: each loaded OpenBLAS's thread count now. The
+    setter is the one thread-count call every OpenBLAS exports under the
+    same name (the getter carries each wheel's symbol prefix), so a count
+    is read by setting 1 and restoring what it returns, under the pools'
+    lock."""
+    counts = {}
+    with _one_blas_thread.lock:
+        for path, f in _openblas().items():
+            counts[path] = f(1)
+            f(counts[path])
+    return counts
+
+
+def blas_threads(workers):
+    """BLAS threads each chunk of a :func:`map_chunks` pass on ``workers``
+    threads runs with: 1 in a pool, else the largest count of the loaded
+    OpenBLAS libraries; None where none is found."""
+    counts = _blas_counts()
+    if not counts:
+        return None
+    return 1 if workers > 1 else max(counts.values())
 
 
 def map_chunks(fn, n_rows, row_bytes):
     """``[fn(rows), ..]`` over consecutive row slices covering ``range(n_rows)``.
 
     Chunk sizes and threads come from :func:`chunk_plan`; results are in
-    row order either way. An empty range is one empty slice, so results
-    keep their trailing shape. If chunks raise, the error of the first
-    failing chunk in row order is raised, as a serial run would raise it,
-    and chunks that have not started are cancelled. No thread outlives the
-    call.
+    row order either way. A pool runs under :class:`_OneBlasThread`, so
+    each chunk's BLAS calls run on one thread, and the libraries' counts
+    are restored once the pool has joined. An empty range is one empty
+    slice, so results keep their trailing shape. If chunks raise, the error
+    of the first failing chunk in row order is raised, as a serial run
+    would raise it, and chunks that have not started are cancelled. No
+    thread outlives the call.
     """
     rows, workers = chunk_plan(n_rows, row_bytes)
     chunks = [slice(s, s + rows) for s in range(0, max(n_rows, 1), rows)]
     if workers == 1:
         return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(workers) as pool:
+    with _one_blas_thread, ThreadPoolExecutor(workers) as pool:
         futures = [pool.submit(fn, c) for c in chunks]
         try:
             return [f.result() for f in futures]
@@ -857,9 +979,9 @@ def _grouped_grad(env, folded, ring_grad):
     group's gradient reaches its nodes by :func:`_backprop`; over a
     one-site sweep the group weights are ``phi`` and that is a copy.
     Returns False, with ``ring_grad`` partly written, if a block's or a
-    prefix's scan fails or the gradient is not finite, and the caller runs
-    it again over the one-site sweep; there a failed block scan raises the
-    error naming its site instead.
+    prefix's scan fails, and the caller runs it again over the one-site
+    sweep; there a failed block scan raises the error naming its site
+    instead.
     """
     B, (R, s, D) = env.phi.shape[0], env.nodes.shape[:3]
     G, group = len(env.psi), env.group
@@ -878,9 +1000,7 @@ def _grouped_grad(env, folded, ring_grad):
         np.matmul(psi[u0:g1], envs[: max(g1 - u0, 0)], out=H[u0:g1])
         np.matmul(phi[lo:hi], envs[lo + G - u0 :], out=ring_grad[n + lo : n + hi])
     grad = ring_grad[:n].reshape(G, group, s, D, D)
-    return _backprop(env.nodes[:n], env.suffixes, H, grad) and _within(
-        ring_grad, np.inf
-    )
+    return _backprop(env.nodes[:n], env.suffixes, H, grad)
 
 
 def weighted_grad_from_env(env, coeff, out=None):
@@ -896,8 +1016,11 @@ def weighted_grad_from_env(env, coeff, out=None):
     takes it to the nodes. If a scan of that pass fails, or the gradient is
     not finite, the same pass runs again over the one-site sweep of the
     rows, which raises the error naming the site or gives its result: the
-    engine's one overflow rule, as :func:`sweep_env` follows it. This is
-    the workhorse behind loss gradients.
+    engine's one overflow rule, as :func:`sweep_env` follows it. Where the
+    one-site pass's gradient is not finite either, the error names the
+    first ring site whose gradient is not, and a non-finite label node
+    gradient names the label site. This is the workhorse behind loss
+    gradients.
     """
     shape = env.model.shape
     lay = _layout(shape)
@@ -913,12 +1036,18 @@ def weighted_grad_from_env(env, coeff, out=None):
     pad = _buffer(env.buffers, "grad", (R * s * D * D + lay.label.size,))
     ring_grad = pad[: R * s * D * D].reshape(R, s, D * D)
     with np.errstate(over="ignore", invalid="ignore"):
-        grouped = _grouped_grad(env, folded, ring_grad)
-    if not grouped:  # the same pass over a one-site sweep
-        _grouped_grad(_sweep(env.model, env.phi, keep=True, group=1), folded, ring_grad)
-    # label[a, s, l, r] = sum_b weights[b, (s, l)] * closure[b, a, r]
-    label = np.matmul(weights.T, env.closure.reshape(B, D * D)).reshape(s, L, D, D)
-    pad[R * s * D * D :].reshape(D, s, L, D)[...] = label.transpose(2, 0, 1, 3)
+        # label[a, s, l, r] = sum_b weights[b, (s, l)] * closure[b, a, r]
+        label = np.matmul(weights.T, env.closure.reshape(B, D * D))
+        label = label.reshape(s, L, D, D).transpose(2, 0, 1, 3)
+        pad[R * s * D * D :].reshape(D, s, L, D)[...] = label
+        # a failed scan or a non-finite gradient reruns over the one-site
+        # sweep, whose scans raise at their site
+        if not (_grouped_grad(env, folded, ring_grad) and _within(pad, np.inf)):
+            one = _sweep(env.model, env.phi, keep=True, group=1)
+            _grouped_grad(one, folded, ring_grad)
+            if not _within(pad, np.inf):
+                bad = (i for i, g in zip(lay.ring, ring_grad) if not _within(g, np.inf))
+                raise NumericError(f"non-finite gradient at site {next(bad, k)}")
     return np.take(pad, lay.grad, out=out)
 
 

@@ -332,6 +332,7 @@ class TestPredictAndLaplace:
             "log_det_precision": post.log_det_precision,
             "chunk_rows": mps.CHUNK_ROWS,
             "workers": 1,
+            "blas_threads": mps.blas_threads(1),
         }
         seconds = meta["seconds"]
         assert set(seconds) == {"factors", "core", "save"}
@@ -352,6 +353,7 @@ class TestPredictAndLaplace:
         assert meta["posterior"]["rank"] == meta["posterior"]["n_samples"] == 10
         assert meta["posterior"]["chunk_rows"] == 4
         assert meta["posterior"]["workers"] == 2
+        assert meta["posterior"]["blas_threads"] == (1 if mps._openblas() else None)
 
         pred = tmp_path / "pred"
         code = run(
@@ -368,6 +370,7 @@ class TestPredictAndLaplace:
         meta = json.loads((pred / "predictions.meta.json").read_text())
         assert meta["config"]["mode"] == "moderated"
         assert (meta["chunk_rows"], meta["workers"]) == (4, 2)
+        assert meta["blas_threads"] == (1 if mps._openblas() else None)
         assert 0 < meta["peak_rss_mib"] < 1 << 20
         seconds = meta["seconds"]
         assert seconds["load_posterior"] >= 0 and seconds["predict"] >= 0
@@ -384,6 +387,7 @@ class TestPredictAndLaplace:
         meta = json.loads((pred / "predictions.meta.json").read_text())
         assert meta["config"]["mode"] == "map"
         assert (meta["chunk_rows"], meta["workers"]) == (mps.CHUNK_ROWS, 1)
+        assert meta["blas_threads"] == mps.blas_threads(1)
         assert 0 < meta["peak_rss_mib"] < 1 << 20
         assert meta["seconds"]["load_posterior"] is None
         assert 0 <= meta["seconds"]["predict"] <= meta["wall_time_seconds"]

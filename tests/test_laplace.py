@@ -185,15 +185,18 @@ class TestGgnFactors:
         got = laplace.ggn_factors(model, X).factors.reshape(want.shape)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
-    def test_a_digit_chunk_writes_straight_into_its_rows(self):
-        # a 63-row digit-scale chunk (196 sites, bond 8, 10 classes) writes
-        # its rows into U itself: a run buffer of mps._JACOBIAN_BLOCK_BYTES
-        # (25.2 MB) would not fit under the bound beside the one-site sweep
+    def test_a_digit_chunk_writes_straight_into_its_rows(self, monkeypatch):
+        # a 63-row digit-scale chunk (196 sites, bond 8, 10 classes), the
+        # budget's largest, writes its rows into U itself: a run buffer of
+        # mps._JACOBIAN_BLOCK_BYTES (25.2 MB) would not fit under the bound
+        # beside the one-site sweep. Two workers take 400 rows as chunks of 50.
         shape = mps.MpsShape(196, 2, 8, 10)
         model = initializer.init_model(shape, initializer.InitSpec(var_x=0.461, seed=3))
         rng = RNG(12)
         X = np.where(rng.uniform(size=(63, 196)) < 0.7, 0.0, rng.uniform(size=(63, 196)))
-        assert mps.chunk_plan(400, mps.jacobian_row_bytes(shape))[0] == 63
+        monkeypatch.setattr(mps, "_usable_cores", lambda: 2)
+        assert mps.CHUNK_BYTES // mps.jacobian_row_bytes(shape) == 63
+        assert mps.chunk_plan(400, mps.jacobian_row_bytes(shape))[0] == 50
         out = np.full((63, 10, shape.param_count), np.nan)
         peak, _ = traced_peak(lambda: laplace._ggn_rows(model, X, out))
         assert peak < 24e6 < mps._JACOBIAN_BLOCK_BYTES
@@ -817,6 +820,59 @@ class TestChunkedPasses:
         with pytest.raises(DataError):  # a failing chunk stops the pool too
             laplace.predictive_batch(post, np.c_[X[:, :3], X[:, :1] + 2.0])
         assert threading.active_count() == before
+
+    def test_concurrent_pooled_calls_run_one_blas_thread_and_restore_it(
+        self, monkeypatch, blas_at_3
+    ):
+        # two callers' pools of two workers each: a barrier of four holds
+        # every chunk until all four are in flight, so both guards overlap
+        rng = RNG(65)
+        model = small_model(rng, 3)
+        X = rng.uniform(0, 1, size=(4, 4))
+        post = laplace.LaplacePosterior(model, laplace.ggn_factors(model, X), 0.5)
+        serial = laplace.predictive_batch(post, X)
+        self.plan(monkeypatch, model, 1, 2)
+        barrier, seen = threading.Barrier(4, timeout=30), []
+        moderate = laplace._moderate
+
+        def traced(post, xb):
+            barrier.wait()
+            seen.append(mps._blas_counts())
+            return moderate(post, xb)
+
+        monkeypatch.setattr(laplace, "_moderate", traced)
+        results = [None, None]
+
+        def call(i):
+            results[i] = laplace.predictive_batch(post, X)
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in callers)
+        assert seen == [{path: 1 for path in blas_at_3}] * 8
+        assert mps._blas_counts() == blas_at_3
+        for got in results:
+            for f in fields(laplace.PredictiveBatch):
+                assert np.array_equal(getattr(got, f.name), getattr(serial, f.name))
+
+    def test_no_blas_found_leaves_the_results(self, monkeypatch):
+        rng = RNG(66)
+        model = small_model(rng, 3)
+        X = rng.uniform(0, 1, size=(9, 4))
+        self.plan(monkeypatch, model, 2, 2)
+        runs = []
+        for found in (mps._openblas, dict):
+            monkeypatch.setattr(mps, "_openblas", found)
+            fac = laplace.ggn_factors(model, X)
+            post = laplace.LaplacePosterior(model, fac, 0.5)
+            runs.append((fac.factors, laplace.predictive_batch(post, X)))
+        (u0, p0), (u1, p1) = runs
+        assert np.array_equal(u0, u1)
+        for f in fields(laplace.PredictiveBatch):
+            assert np.array_equal(getattr(p0, f.name), getattr(p1, f.name))
 
 
 def fitted_posterior(rng, n_labels=2, subsample=False):

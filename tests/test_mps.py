@@ -1,6 +1,8 @@
 """Chain contraction, gradients, and the binary model container."""
 
 import dataclasses
+import sys
+import threading
 import warnings
 from types import SimpleNamespace
 
@@ -456,6 +458,33 @@ class TestMagnitudeChecks:
         for run in self.GRADIENT_PASSES:
             with pytest.raises(NumericError, match="at site 0$"):
                 swept(run, model, X)
+
+    def test_a_non_finite_gradient_of_the_rerun_names_its_site(self, monkeypatch):
+        # Under an infinite cap, site 0 at 1e-300 and site 2 at 1.7e308 keep
+        # every product finite and the logits near 1e7, but site 0's
+        # gradient, the product of the others, overflows: the grouped pass
+        # and its one-site rerun both end with an infinite gradient there.
+        shape = mps.MpsShape(9, 2, 2, 3, label_site=4)
+        nodes = list(oracles.random_model(np.random.default_rng(0), shape).nodes)
+        nodes[0] = nodes[0] * 1e-300
+        nodes[2] = nodes[2] * (1.7e308 / np.abs(nodes[2]).max())
+        model = mps.MpsModel(shape, nodes)
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", np.inf)
+        X = np.ones((2, 9))
+        env = swept("sweep_env", model, X)
+        assert np.all(np.isfinite(env.logits)) and np.abs(env.logits).max() > 1e6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite gradient at site 0$"):
+                swept("weighted_grad_from_env", model, X)
+        # the label node's gradient alone: a closure of 1.2e308 a row,
+        # summed over two rows, against a label node of 1e-300
+        mats = [np.diag([1.2e308**0.25, 1.0])] * 5
+        mats[2] = np.eye(2) * 1e-300
+        model = oracles.transfer_chain(mats, label_site=2)
+        assert np.all(np.isfinite(swept("sweep_env", model, np.ones((2, 5))).logits))
+        with pytest.raises(NumericError, match="non-finite gradient at site 2$"):
+            swept("weighted_grad_from_env", model, np.ones((2, 5)))
 
 
 def site_loop_logits(model, phi):
@@ -1118,8 +1147,9 @@ class TestGradients:
 
 
 class TestChunkPlan:
-    def test_budget_bounds_a_784_site_jacobian_chunk(self):
+    def test_budget_bounds_a_784_site_jacobian_chunk(self, monkeypatch):
         # arithmetic only: no contraction runs
+        monkeypatch.setattr(mps, "_usable_cores", lambda: 2)
         shape = mps.MpsShape(784, 2, 8, 10)
         row_bytes = mps.jacobian_row_bytes(shape)
         assert row_bytes == 10 * 101_504 * 8
@@ -1127,7 +1157,7 @@ class TestChunkPlan:
         assert rows == 16 and rows * row_bytes <= mps.CHUNK_BYTES
         assert 1 <= workers <= mps._usable_cores()
         digits = mps.MpsShape(196, 2, 8, 10)
-        assert mps.chunk_plan(200, mps.jacobian_row_bytes(digits))[0] == 63
+        assert mps.chunk_plan(200, mps.jacobian_row_bytes(digits))[0] == 50
         # the forward pass stays row-capped, so serial, at both scales
         for sh in (shape, digits):
             assert mps.chunk_plan(2000, mps.forward_row_bytes(sh)) == (mps.CHUNK_ROWS, 1)
@@ -1136,6 +1166,101 @@ class TestChunkPlan:
         monkeypatch.setattr(mps, "_usable_cores", lambda: 8)
         assert mps.chunk_plan(3, mps.CHUNK_BYTES // 2) == (2, 2)
         assert mps.chunk_plan(0, mps.CHUNK_BYTES) == (1, 1)
+
+    def test_pooled_chunks_balance_the_workers(self, monkeypatch):
+        # the digit budget's 63 rows: 200 rows as 63/63/63/11 gave one of
+        # two workers 126 rows, 400 rows as 6 x 63 + 22 one 211
+        monkeypatch.setattr(mps, "_usable_cores", lambda: 2)
+        digits = mps.jacobian_row_bytes(mps.MpsShape(196, 2, 8, 10))
+        assert mps.CHUNK_BYTES // digits == 63
+        assert mps.chunk_plan(200, digits) == (50, 2)
+        assert mps.chunk_plan(400, digits) == (50, 2)
+        assert mps.chunk_plan(63, digits) == (63, 1)
+        wide = mps.jacobian_row_bytes(mps.MpsShape(784, 2, 8, 10))
+        assert mps.chunk_plan(2000, wide) == (16, 2)
+        # where even chunks leave the busiest worker as many rows, the
+        # budget's wider chunks stay: 10 rows as 4, 4, 2 or 3, 3, 3, 1 give
+        # two workers 6 and 4 rows either way, and on three workers 3, 3,
+        # 3, 1 or five chunks of 2 give the busiest 4
+        assert mps.chunk_plan(10, mps.CHUNK_BYTES // 4) == (4, 2)
+        monkeypatch.setattr(mps, "_usable_cores", lambda: 3)
+        assert mps.chunk_plan(10, mps.CHUNK_BYTES // 3) == (3, 3)
+        assert mps.chunk_plan(11, mps.CHUNK_BYTES // 3) == (2, 3)
+
+
+class TestOneBlasThread:
+    """Pooled chunks run single-threaded BLAS, and the count is restored."""
+
+    @staticmethod
+    def pooled(monkeypatch):
+        """``map_chunks`` over 4 rows runs 2-row chunks on 2 threads."""
+        monkeypatch.setattr(mps, "_usable_cores", lambda: 2)
+        return lambda fn: mps.map_chunks(fn, 4, mps.CHUNK_BYTES // 2)
+
+    def test_a_pooled_chunk_reads_one_thread_and_the_count_returns(
+        self, monkeypatch, blas_at_3
+    ):
+        seen = self.pooled(monkeypatch)(lambda rows: mps._blas_counts())
+        assert seen == [{path: 1 for path in blas_at_3}] * 2
+        assert mps._blas_counts() == blas_at_3
+
+    def test_the_count_returns_after_a_chunk_raises(self, monkeypatch, blas_at_3):
+        def fn(rows):
+            if rows.start:
+                raise NumericError("chunk failed")
+            return mps._blas_counts()
+
+        with pytest.raises(NumericError, match="chunk failed"):
+            self.pooled(monkeypatch)(fn)
+        assert mps._blas_counts() == blas_at_3
+
+    def test_a_nested_guard_restores_once(self, blas_at_3):
+        ones = {path: 1 for path in blas_at_3}
+        with mps._one_blas_thread:
+            with mps._one_blas_thread:
+                assert mps._blas_counts() == ones
+            assert mps._blas_counts() == ones
+        assert mps._blas_counts() == blas_at_3
+
+    def test_many_overlapping_guards_restore_once(self, blas_at_3):
+        # more threads than cores, switching often: a lost update of the
+        # depth would restore a count while another pass is inside, or
+        # leave a library at 1
+        ones = {path: 1 for path in blas_at_3}
+        seen = []
+
+        def passes():
+            for _ in range(50):
+                with mps._one_blas_thread:
+                    seen.append(mps._blas_counts() == ones)
+
+        threads = [threading.Thread(target=passes) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [True] * 400
+        assert mps._blas_counts() == blas_at_3
+
+    def test_serial_passes_never_enter_the_guard(self, monkeypatch):
+        found = []
+        monkeypatch.setattr(mps, "_openblas", lambda: found.append(1) or {})
+        monkeypatch.setattr(mps, "_usable_cores", lambda: 2)
+        model = oracles.random_model(np.random.default_rng(5), mps.MpsShape(6, 2, 3, 2))
+        X = np.random.default_rng(6).uniform(0, 1, size=(40, 6))
+        trainer.predict_logits(model, X)  # row-capped: one 40-row chunk
+        mps.map_chunks(lambda rows: None, 4, mps.CHUNK_BYTES // 4)  # one chunk
+        monkeypatch.setattr(mps, "_usable_cores", lambda: 1)
+        mps.map_chunks(lambda rows: None, 4, mps.CHUNK_BYTES // 2)  # one core
+        assert found == []
+        self.pooled(monkeypatch)(lambda rows: None)
+        assert found == [1]
 
 
 class TestParams:
