@@ -57,7 +57,14 @@ Importing this module loads numpy and no scipy module. The sigmoid,
 softmax and logsumexp are the numpy forms of :mod:`bmps.trainer`, and
 ``scipy.linalg`` (the Cholesky factor, its solves and the core check's
 triangular product) is imported where a posterior is first built or
-loaded, so a process that never holds a posterior never loads it.
+loaded, so a process that never holds a posterior never loads it. Each
+of those calls runs on one BLAS thread, under ``mps._one_blas_thread``
+entered after the import: scipy ships its own OpenBLAS beside numpy's,
+and its idle worker spins for about 0.1 s after a threaded call, taking
+a core from numpy's next product. numpy's products (``UU'``, ``UJ'``,
+the probe's passes over U) keep numpy's count. One thread also keeps the
+Cholesky step's bits independent of the thread count; ``UU'`` (a syrk)
+is so on OpenBLAS 0.3.31 only where R is a multiple of 8.
 
 Posterior files use a self-contained container: magic ``BLAP2``, a fixed
 little-endian header (rank R, parameter count P, prior precision, metadata
@@ -220,7 +227,8 @@ class LaplacePosterior:
             # core is exactly symmetric (U @ U.T runs as one syrk), so its
             # transpose is the Fortran-ordered array LAPACK factors in
             # place; a C-ordered one would be copied first
-            self._core = cho_factor(core.T, overwrite_a=True)[0]
+            with mps._one_blas_thread:
+                self._core = cho_factor(core.T, overwrite_a=True)[0]
         except LinAlgError as exc:
             raise NumericError(
                 "posterior core factorization failed; factors are likely "
@@ -275,7 +283,8 @@ class LaplacePosterior:
 
         U = self.factors.factors
         w = U @ V.T  # (R, k)
-        s = cho_solve((self._core, False), w)
+        with mps._one_blas_thread:
+            s = cho_solve((self._core, False), w)
         return (V - s.T @ U) / self.prior_precision
 
     @property
@@ -348,7 +357,8 @@ def _variance(post, phi):
     J = part = None  # the block buffer is not needed while solving
     from scipy.linalg import solve_triangular
 
-    Z = solve_triangular(post._core, At.T, trans=1, lower=False, overwrite_b=True)
+    with mps._one_blas_thread:
+        Z = solve_triangular(post._core, At.T, trans=1, lower=False, overwrite_b=True)
     sq -= np.einsum("rk,rk->k", Z, Z)
     return (sq / post.prior_precision).reshape(b, L)
 
@@ -460,7 +470,8 @@ def _check_core(c, U, precision):
     # a probe that does (factor rows of 1e155 or more) gives NaN and fails
     with np.errstate(over="ignore", invalid="ignore"):
         want = U @ (U.T @ v) + precision * v
-        got = dtrmv(c, dtrmv(c, v), trans=1)  # C'Cv, upper triangle only
+        with mps._one_blas_thread:
+            got = dtrmv(c, dtrmv(c, v), trans=1)  # C'Cv, upper triangle only
         top = np.abs(want).max()
         err, scale = np.linalg.norm((got - want) / top), np.linalg.norm(want / top)
     if not err <= _CORE_PROBE_TOL * scale:

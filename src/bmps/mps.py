@@ -95,7 +95,10 @@ where that lowers the busiest worker's share (see :func:`chunk_plan`).
 Each pooled chunk's BLAS calls run on one thread, so a pool of a thread a
 core does not also run every BLAS call on every core. That is the
 Jacobian passes at the digit scale; the forward pass stays serial there,
-and the training step always does.
+and the training step always does. Every ``scipy.linalg`` call of
+:mod:`bmps.laplace` runs on one BLAS thread too, pooled or not: scipy
+ships a second OpenBLAS, whose idle worker spins for about 0.1 s after a
+threaded call and takes a core from numpy's next product.
 
 Every array the engine forms (partial and running products, the read-off
 product of closure and label node, logits, folded label matrices, the
@@ -379,9 +382,16 @@ class _OneBlasThread:
     every pool in the process: the first pass to enter sets each library
     to 1 and keeps the count the setter returned, and the last to leave
     restores it, once, however the passes nest or overlap. A library
-    loaded inside is left as it is. Work outside every pool, such as the
-    Laplace core's ``U U'`` and Cholesky factor, keeps the library's own
-    count.
+    loaded inside is left as it is, so a caller imports what it runs
+    before it enters.
+
+    :mod:`bmps.laplace` runs each ``scipy.linalg`` call under it (the
+    Cholesky factor, its solves and the core check's triangular product):
+    scipy's OpenBLAS is a second library, whose idle worker spins after a
+    threaded call and takes a core from numpy's next product, and one
+    thread keeps the Cholesky step's bits independent of the count. numpy's
+    products outside every guard, such as the Laplace core's ``U U'`` and
+    prediction's ``U J'``, keep the library's own count.
     """
 
     def __init__(self):

@@ -874,6 +874,68 @@ class TestChunkedPasses:
         for f in fields(laplace.PredictiveBatch):
             assert np.array_equal(getattr(p0, f.name), getattr(p1, f.name))
 
+    def test_every_scipy_call_runs_one_blas_thread(self, monkeypatch, blas_at_3):
+        # scipy ships its own OpenBLAS, whose idle worker spins after a
+        # threaded call and takes a core from numpy's next product
+        rng = RNG(67)
+        model = small_model(rng, 3)
+        X = rng.uniform(0, 1, size=(9, 4))
+        seen = []
+
+        def traced(module, name):
+            call = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                seen.append((name, mps._blas_counts()))
+                return call(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("cho_factor", "cho_solve", "solve_triangular"):
+            traced(scipy.linalg, name)
+        traced(scipy.linalg.blas, "dtrmv")
+        post = laplace.LaplacePosterior(model, laplace.ggn_factors(model, X), 0.5)
+        post = laplace.posterior_from_bytes(laplace.posterior_to_bytes(post))
+        assert mps.chunk_plan(len(X), mps.jacobian_row_bytes(model.shape))[1] == 1
+        laplace.predictive_batch(post, X)
+        post.solve_many(rng.normal(size=(2, model.shape.param_count)))
+        names = ["cho_factor", "dtrmv", "dtrmv", "solve_triangular", "cho_solve"]
+        assert [name for name, _ in seen] == names
+        assert all(counts == {path: 1 for path in blas_at_3} for _, counts in seen)
+        assert mps._blas_counts() == blas_at_3
+
+    def test_the_core_factor_does_not_depend_on_the_thread_count(self, blas_at_3):
+        # 240 factor rows: at this OpenBLAS numpy's U U' (a syrk, which keeps
+        # the library's count) is bit-identical across thread counts only
+        # where the rank is a multiple of 8
+        rng = RNG(70)
+        model = small_model(rng, 3, n_sites=6, bond=4)
+        X = rng.uniform(0, 1, size=(80, 6))
+
+        def fit():
+            post = laplace.LaplacePosterior(model, laplace.ggn_factors(model, X), 0.5)
+            return post, laplace.predictive_batch(post, X)
+
+        threaded, pb = fit()
+        with mps._one_blas_thread:
+            serial, pb1 = fit()
+        assert threaded.factors.rank == 240
+        assert np.array_equal(threaded._core, serial._core)
+        assert np.array_equal(pb.sigma2, pb1.sigma2)
+        assert np.array_equal(pb.probabilities, pb1.probabilities)
+
+    def test_a_core_that_is_not_positive_definite_raises_and_restores(
+        self, blas_at_3
+    ):
+        # at 1e150 the precision is lost in U U', which has rank 1
+        rng = RNG(71)
+        model = small_model(rng, 3)
+        row = rng.normal(size=model.shape.param_count) * 1e150
+        fac = factors_for(model, np.tile(row, (3, 1)))
+        with pytest.raises(NumericError, match="factorization failed"):
+            laplace.LaplacePosterior(model, fac, 1e-3)
+        assert mps._blas_counts() == blas_at_3
+
 
 def fitted_posterior(rng, n_labels=2, subsample=False):
     """A posterior around GGN factors of 9 random rows, and those rows."""
