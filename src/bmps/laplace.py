@@ -40,18 +40,18 @@ usable core when the budget sets the size. Neither holds a chunk's whole
 Jacobian: both take it from :func:`bmps.mps.jacobian_blocks`, one stacked
 sweep of the chunk in one-site groups; its logits come from the streamed
 forward. The factor build hands it the coefficients
-``sqrt(y_k) (delta_kj - y_j)`` (or ``sqrt(y(1-y))``), which it applies to
-each block of checked environments, and the chunk's rows of one
-preallocated U, which it writes the factor rows into, so the build's peak
-is U plus, for each chunk in flight, the Jacobian's sweep and environment
-blocks. Prediction takes the Jacobian in runs of contiguous sites, each
-written into one reused buffer of at most ``mps._JACOBIAN_BLOCK_BYTES``,
-and adds each run into ``A = U J'`` (R x k, k = rows * n_labels) by one
-product; the triangular solve overwrites A with Z. So a prediction chunk
-holds A, the run buffer, the current run's product before it is added to
-A, and the one-site sweep's stacks and class stack. Its row count is the
-one its whole Jacobian would fix: that width, ``k``, keeps the passes over
-U few and wide.
+``sqrt(y_k) (delta_kj - y_j)`` (or ``sqrt(y(1-y))``), which it folds into
+the label site's class stack before its environment recurrence, and the
+chunk's rows of one preallocated U, which it writes the factor rows into,
+so the build's peak is U plus, for each chunk in flight, the Jacobian's
+sweep and environment blocks. Prediction takes the Jacobian in runs of
+contiguous sites, each written into one reused buffer of at most
+``mps._JACOBIAN_BLOCK_BYTES``, and adds each run into ``A = U J'`` (R x k,
+k = rows * n_labels) by one product; the triangular solve overwrites A
+with Z. So a prediction chunk holds A, the run buffer, the current run's
+product before it is added to A, and the one-site sweep's stacks and class
+stack. Its row count is the one its whole Jacobian would fix: that width,
+``k``, keeps the passes over U few and wide.
 
 Importing this module loads numpy and no scipy module. The sigmoid,
 softmax and logsumexp are the numpy forms of :mod:`bmps.trainer`, and
@@ -191,10 +191,9 @@ def _ggn_rows(model, X, out):
     by sample (see the module docstring), straight from the Jacobian stream
     (:func:`bmps.mps.jacobian_blocks`): row ``c`` is ``sum_l coeff[c, l]
     g_l`` with ``coeff[c, l] = sqrt(y_c) (delta_cl - y_l)``, or
-    ``sqrt(y (1 - y))`` for a single channel. A coefficient row's absolute
-    values sum to ``2 sqrt(y_c) (1 - y_c) <= 4 / sqrt(27) < 0.77`` (at most
-    1/2 for one channel), so the rows are bounded by the checked
-    environments they combine."""
+    ``sqrt(y (1 - y))`` for a single channel. The coefficients are folded
+    in before the environment recurrence, so the magnitude checks see the
+    products that make up these rows."""
     phi = mps.embed(X)
     logits = mps.forward_batch(model, phi)
     if model.shape.n_labels == 1:

@@ -31,10 +31,11 @@ closure with the node viewed as (phys * n_labels, D * D) and then the
 phys-weighted sum, without forming the class stack ``M_k[l]``. Every
 other site's environment joins a cached partial product of that sweep with
 a running product through stand-in label matrices formed from the label
-node: the class stack, for the Jacobian, or ``sum_l coeff[l] * M_k[l]``
-for a loss gradient, which folds the logit coefficients in first so that
-pass is reverse mode on a scalar, without a class axis. An outer product
-with the site vector restores the physical index.
+node: ``sum_l coeff[c, l] * M_k[l]``, the logit coefficients folded in
+before the recurrence. A loss gradient has one such row, so its pass is
+reverse mode on a scalar, without a class axis; the Jacobian has one a
+row it writes, the class stack itself for plain logit rows. An outer
+product with the site vector restores the physical index.
 
 Bonds are padded to ``bond_dim`` with zeros, so an open chain runs as a
 cyclic one whose end nodes have zero rows or columns and every ring site's
@@ -48,15 +49,14 @@ weights them by its rows of
 with the batch as its rows, and each row multiplies the group's matrix
 onto its product so far. The ring sites that fill no group come first, one
 at a time, each one GEMM of the batch's ``phi`` against the site's node.
-Both sweeps form these products in the same order, so their logits agree
-bit for bit:
+Both sweeps run one loop, which forms each unit's matrix and multiplies it
+onto the product so far, so their logits agree bit for bit:
 
 * :func:`forward_batch` streams, so a chunk of whole-dataset prediction
   holds its rows' embeddings and group weights, O(batch * n_sites), and
   O(batch * bond^2) of products.
-* :func:`sweep_env` forms every group's and leftover site's matrix, one
-  GEMM a unit, into one preallocated stack, and writes the partial
-  products into another, one entry a unit.
+* :func:`sweep_env` keeps the same products: each unit's matrix in one
+  preallocated stack and each partial product in another.
 * The class-free gradient pass of a training batch runs its environment
   recurrence over the same groups, in blocks sized by a byte budget
   (``_BLOCK_BYTES``): a block's running products fill one stack and one
@@ -82,7 +82,8 @@ bit for bit:
   buffer that holds a run at a time, which prediction takes, or straight
   into a caller's array: :func:`jacobian_from_env`'s, or the GGN factor
   build's rows of U, whose coefficients ``sqrt(y_c) (delta_cl - y_l)`` it
-  applies to each block of checked environments first, one product a row.
+  folds into the class stack before the recurrence, so the recurrence runs
+  over the rows it writes and checks every array it forms.
 
 Whole-dataset passes run through :func:`map_chunks`. A chunk holds at most
 :data:`CHUNK_ROWS` rows, and no more than :data:`CHUNK_BYTES` of the
@@ -569,8 +570,8 @@ class BatchEnv:
     transposed, is the label node's environment.
     ``buffers`` holds ``mats``, ``tails`` and the scratch arrays of the
     passes over this sweep: the environment recurrence's running products
-    and environments, and the gradient's or the Jacobian's own, for
-    :func:`sweep_env`'s ``reuse``.
+    and environments, and the gradient's own, for :func:`sweep_env`'s
+    ``reuse``.
     """
 
     model: MpsModel
@@ -658,14 +659,15 @@ def _sweep(model, phi, keep, reuse=None, group=None):
     """Contract a batch of embedded rows ``phi`` (batch, n_sites, phys) round
     the ring (see the module docstring).
 
-    Both ways form the same unit products in the same order. ``keep``
-    forms every unit's matrix, one GEMM a unit, stacks the partial
-    products for the environments and scans the stack once; otherwise the
-    sweep streams, each product checked as it is formed, so it holds
-    O(batch * bond^2) of products. A grouped sweep that fails a check
-    returns the one-site sweep (``group=1``) of the same rows, whose check
-    names the first failing product in formation order. ``group`` defaults
-    to :data:`_GROUP` as it is when the sweep runs.
+    One loop forms each unit's matrix, one GEMM a unit, and multiplies it
+    onto the partial product, last unit first. ``keep`` writes both into
+    stacks, for the environments, and scans the partial products once
+    after the loop; otherwise the sweep streams, each product checked as
+    it is formed, so it holds O(batch * bond^2) of products. The stacked
+    sweep's products are thus the stream's, bit for bit. A grouped sweep
+    that fails a check returns the one-site sweep (``group=1``) of the same
+    rows, whose check names the first failing product in formation order.
+    ``group`` defaults to :data:`_GROUP` as it is when the sweep runs.
     """
     shape = model.shape
     group = _GROUP if group is None else group
@@ -704,30 +706,27 @@ def _sweep(model, phi, keep, reuse=None, group=None):
     pool = {} if reuse is None else reuse.buffers
     mats = tails = None
     tail = np.broadcast_to(np.eye(D), (B, D, D))
+    if keep:
+        mats = _buffer(pool, "mats", (U, B, D, D))
+        tails = _buffer(pool, "tails", (U + 1, B, D, D))
+        tails[U] = tail
     with np.errstate(**quiet):
-        if keep:
-            mats = _buffer(pool, "mats", (U, B, D, D))
-            tails = _buffer(pool, "tails", (U + 1, B, D, D))
-            tails[U] = tail
-            for u in range(U):
-                unit(u, out=mats[u].reshape(B, D * D))
+        for u in reversed(range(U)):
+            m = unit(u, mats[u].reshape(B, D * D) if keep else None)
+            tail = np.matmul(m.reshape(B, D, D), tail, out=tails[u] if keep else None)
+            if keep:
+                continue
+            if group == 1:
+                _check(tail, lay.ring[u])
+            elif not _within(tail, MAGNITUDE_CAP):
+                return _sweep(model, phi, keep, reuse, group=1)
+        # a stack is scanned once; a one-site sweep's rescan in formation
+        # order names the first failing product
+        if keep and not _within(tails[:U], MAGNITUDE_CAP):
+            if group > 1:
+                return _sweep(model, phi, keep, reuse, group=1)
             for u in reversed(range(U)):
-                np.matmul(mats[u], tails[u + 1], out=tails[u])
-            # one scan; a one-site sweep's rescan in formation order names
-            # the first failing product
-            if not _within(tails[:U], MAGNITUDE_CAP):
-                if group > 1:
-                    return _sweep(model, phi, keep, reuse, group=1)
-                for u in reversed(range(U)):
-                    _check(tails[u], lay.ring[u])
-            tail = tails[0]
-        else:
-            for u in reversed(range(U)):
-                tail = np.matmul(unit(u).reshape(B, D, D), tail)
-                if group == 1:
-                    _check(tail, lay.ring[u])
-                elif not _within(tail, MAGNITUDE_CAP):
-                    return _sweep(model, phi, keep, reuse, group=1)
+                _check(tails[u], lay.ring[u])
     # logits[b, l] = sum_s phi[b, k, s] <A_k[s, l], C_b>: the label node,
     # (phys * n_labels, D * D) in the closure's transposed layout, against
     # each row's flattened tail, one product a row, then the phys-weighted sum
@@ -847,24 +846,26 @@ def jacobian_blocks(model, phi, coeff=None, out=None):
     order jumps: at the ring's wrap from site ``n - 1`` to 0, and before a
     label site 0.
 
-    The class stack and the class environments are formed and checked
-    with or without ``coeff``, so an overflow names the same site either
-    way; ``coeff`` then combines each block of environments, one product a
-    row. The combined ones are not checked again: coefficient rows whose
-    absolute values sum to at most 1 keep them within the checked ones'
-    bound (the GGN rows' sums are below 0.77, see
-    :func:`bmps.laplace._ggn_rows`). A site's block is one product a row
-    and class: the environment (left, right) against a (right, phys *
-    right) spread of ``phi`` with one nonzero entry a column. So every
-    entry is one product of an environment entry and a ``phi`` entry (up to
-    the sign of a zero), whatever the batch.
+    ``coeff=None`` is the identity. The class stack ``M_k[l]`` is formed
+    and checked, then folded into the stand-ins ``sum_l coeff[b, c, l]
+    M_k[l]``, one product a row, checked at the label site, and the
+    :func:`_environments` recurrence runs over those ``rows`` stand-ins.
+    So every array the pass writes is one it checked, and an overflow
+    names the site where the folded products leave the cap, which a
+    coefficient may move or remove. A site's block is one product a row
+    of ``phi`` and of ``J``: the environment (left, right) against a
+    (right, phys * right) spread of ``phi`` with one nonzero entry a
+    column. So every entry is one product of an environment entry and a
+    ``phi`` entry (up to the sign of a zero), whatever the batch.
     """
     env = _sweep(model, phi, keep=True, group=1)
     shape = model.shape
     B, L, k, D = env.phi.shape[0], shape.n_labels, shape.label_site, shape.bond_dim
     s = shape.phys_dim
-    C = L if coeff is None else coeff.shape[1]
-    if coeff is not None and coeff.shape != (B, C, L):
+    if coeff is None:
+        coeff = np.broadcast_to(np.eye(L), (B, L, L))
+    C = coeff.shape[1]
+    if coeff.shape != (B, C, L):
         raise ShapeError(f"coeff shape {coeff.shape} != (batch {B}, rows, {L})")
     if out is not None and out.shape != (B, C, shape.param_count):
         raise ShapeError(f"out shape {out.shape} != {(B, C, shape.param_count)}")
@@ -901,15 +902,12 @@ def jacobian_blocks(model, phi, coeff=None, out=None):
         np.einsum("brsr->bsr", spreads[right][:, 0])[...] = env.phi[:, i, :, None]
         return spreads[right].reshape(B, 1, right, s * right)
 
-    # the class stack M_k[l] = sum_s phi_k[s] A_k[s, l] from the label node
+    # the class stack M_k[l] = sum_s phi_k[s] A_k[s, l] from the label node,
+    # then the stand-ins sum_l coeff[b, c, l] M_k[l], one product a row
     node = np.append(model.params, 0.0)[label_pos]  # (phys, n_labels, D, D)
     stack = _check(np.matmul(env.phi[:, k, None], node.reshape(len(node), -1)), k)
-    for j0, envs in _environments(env, stack.reshape((B,) + node.shape[1:])):
-        if coeff is not None:
-            n = len(envs)
-            comb = _buffer(env.buffers, "combined", (n, B, C, D * D))
-            envs = np.matmul(coeff, envs.reshape(n, B, L, D * D), out=comb)
-            envs = envs.reshape(n, B, C, D, D)
+    stack = _check(np.matmul(coeff, stack.reshape(B, L, D * D)), k)
+    for j0, envs in _environments(env, stack.reshape(B, C, D, D)):
         for i, e in zip(ring[j0:], envs):
             left, right = shape.bond_dims(i)
             # block[b, c, a, (s, r)] = e[b, c, r, a] * phi[b, i, s]
@@ -924,7 +922,6 @@ def jacobian_blocks(model, phi, coeff=None, out=None):
     # block[b, c, a, s, l, r] = coeff[b, c, l] * closure[b, a, r] * phi[b, k, s]
     left, right = shape.bond_dims(k)
     diag = np.einsum("bar,bs->basr", env.closure[:, :left, :right], env.phi[:, k])
-    coeff = np.eye(L)[None] if coeff is None else coeff
     np.multiply(coeff[:, :, None, None, :, None], diag[:, None, :, :, None], out=block(k))
     yield ends[k]
 

@@ -639,18 +639,22 @@ class TestStreamedVariance:
             for f in fields(laplace.PredictiveBatch):
                 assert np.array_equal(getattr(got, f.name), getattr(results[0], f.name))
 
-    def test_overflow_names_the_site_of_the_whole_jacobian(self, monkeypatch):
-        # Ring 5 6 7 8 0 1 2 3 of a 9-site chain labelled at site 4: on rows
-        # of 1s its running products from the label site reach 1e80 at site
-        # 7 (sites 6 and 7 scale by 1e40 each), while the sweep's products
-        # and every environment stay within 1e40. With one position an
-        # environment block and one site a run, the runs of sites 5, 6 and 7
-        # reach A before site 8's environment block fails its scan.
+    @staticmethod
+    def overflow_chain():
+        """Ring 5 6 7 8 0 1 2 3 of a 9-site chain labelled at site 4: on rows
+        of 1s its running products from the label site reach 1e80 at site
+        7 (sites 6 and 7 scale by 1e40 each), while the sweep's products
+        and every environment stay within 1e40. Its logit is 2."""
         mats = [np.eye(2)] * 9
         for i, c in {6: 1e40, 7: 1e40, 1: 1e-40, 2: 1e-40}.items():
             mats[i] = np.diag([c, 1.0])
-        model = transfer_chain(mats, label_site=4)
-        X = np.ones((3, 9))
+        return transfer_chain(mats, label_site=4), np.ones((3, 9))
+
+    def test_overflow_names_the_site_of_the_whole_jacobian(self, monkeypatch):
+        # With one position an environment block and one site a run, the
+        # runs of sites 5, 6 and 7 reach A before site 8's environment block
+        # fails its scan.
+        model, X = self.overflow_chain()
         U = RNG(84).normal(size=(4, model.shape.param_count))
         post = laplace.LaplacePosterior(model, factors_for(model, U), 1.0)
         monkeypatch.setattr(mps, "MAGNITUDE_CAP", 1e50)
@@ -672,8 +676,31 @@ class TestStreamedVariance:
             laplace.ggn_factors(model, X)
         assert str(whole.value).endswith("at site 7")
         assert str(streamed.value) == str(whole.value)
-        assert str(factors.value) == str(whole.value)
+        # the factor build's running products carry its coefficient
+        # sqrt(y (1 - y)) from the label site on, and their check reports it
+        y = expit(mps.forward_batch(model, mps.embed(X))[0, 0])
+        folded = 1e80 * np.sqrt(y * (1.0 - y))
+        assert str(factors.value) == (
+            f"contraction magnitude {folded:.3e} exceeded cap 1.000e+50 at site 7"
+        )
         assert seen == [(40, 48), (48, 56), (56, 64)] * 2  # 8 columns a site
+
+    def test_a_coefficient_folds_a_class_wide_overflow_below_the_cap(self, monkeypatch):
+        # At a cap of 5e79 the class-wide running product of site 7 (1e80)
+        # fails, but the factor build's, scaled by sqrt(y (1 - y)) = 0.32,
+        # does not: each pass checks the products it forms.
+        model, X = self.overflow_chain()
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", np.inf)
+        J = mps.jacobian_from_env(mps.sweep_env(model, mps.embed(X)))
+        y = expit(mps.forward_batch(model, mps.embed(X)))
+        want = (J * np.sqrt(y * (1.0 - y))[:, :, None]).reshape(len(X), -1)
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", 5e79)
+        got = laplace.ggn_factors(model, X).factors
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        U = RNG(88).normal(size=(4, model.shape.param_count))
+        post = laplace.LaplacePosterior(model, factors_for(model, U), 1.0)
+        with pytest.raises(NumericError, match="exceeded cap .* at site 7$"):
+            laplace.predictive_batch(post, X)
 
     def test_overflow_of_the_class_stack_names_the_label_site(self):
         # A 5-site chain labelled at site 2, its label node at 1e120 and its

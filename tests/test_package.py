@@ -92,6 +92,16 @@ def test_removed_engine_api_stays_removed():
     assert isinstance(grad, np.ndarray) and grad.shape == (shape.param_count,)
 
 
+def test_readme_quickstart_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```python\n")[1:]
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0].split("```", 1)[0], namespace)
+    assert namespace["actions"].shape == (len(namespace["ds"].test_x),)
+
+
 def test_traced_bench_targets_resolve():
     # the traced bench run wraps these names and fails with a KeyError on
     # one that is gone; the untraced runs never look them up
