@@ -213,13 +213,15 @@ def _training_summary(dataset, history):
 def cmd_train(cfg):
     started = time.perf_counter()
     dataset = _load_dataset(cfg)
+    seconds = {"load_dataset": time.perf_counter() - started}
     shape = _build_shape(dataset, cfg)
     fit, history = _fit(dataset, shape, _init_spec(dataset, cfg), cfg)
     out = _out_dir(cfg)
     mps.save_model(fit, out / "model.bmps")
     history.to_csv(out / "history.csv")
     history.to_json(out / "history.json")
-    _write_meta(out, "train", cfg, started, training=_training_summary(dataset, history))
+    training = _training_summary(dataset, history)
+    _write_meta(out, "train", cfg, started, training=training, seconds=seconds)
     test_acc = _test_accuracy(dataset, fit, history)
     print(
         f"trained {shape.n_sites} sites, bond {shape.bond_dim}: "
@@ -235,17 +237,19 @@ def cmd_laplace_fit(cfg):
     if cfg["reg"] <= 0:
         raise DataError("--reg must be > 0 for a posterior")
     model = mps.load_model(cfg["model"])
-    dataset = _load_dataset(cfg)
     t0 = time.perf_counter()
+    dataset = _load_dataset(cfg)
+    t1 = time.perf_counter()
     factors = laplace.ggn_factors(
         model, dataset.train_x, rank_cap=cfg["rank_cap"], seed=cfg["seed"]
     )
-    t1 = time.perf_counter()
-    post = laplace.LaplacePosterior(model, factors, cfg["reg"])
     t2 = time.perf_counter()
+    post = laplace.LaplacePosterior(model, factors, cfg["reg"])
+    t3 = time.perf_counter()
     out = _out_dir(cfg)
     laplace.save_posterior(post, out / "posterior.blap")
-    seconds = {"factors": t1 - t0, "core": t2 - t1, "save": time.perf_counter() - t2}
+    save_s = time.perf_counter() - t3
+    seconds = {"load_dataset": t1 - t0, "factors": t2 - t1, "core": t3 - t2, "save": save_s}
     chunk_rows, workers = mps.chunk_plan(
         factors.n_samples, mps.jacobian_row_bytes(model.shape)
     )
@@ -277,14 +281,15 @@ def cmd_predict(cfg):
             f"utility matrix is {util.n_labels}x{util.n_labels} but the model "
             f"has {n_classes} classes"
         )
+    t0 = time.perf_counter()
     dataset = _load_dataset(cfg)
+    seconds = {"load_dataset": time.perf_counter() - t0, "load_posterior": None}
     use_test = cfg["on"] == "test" or (cfg["on"] == "auto" and dataset.test_x.shape[0])
     X = dataset.test_x if use_test else dataset.train_x
     Y = dataset.test_y if use_test else dataset.train_y
     if X.shape[0] == 0:
         raise DataError("selected partition has no rows")
 
-    seconds = {"load_posterior": None}
     if cfg["posterior"]:
         t0 = time.perf_counter()
         post = laplace.load_posterior(cfg["posterior"])
@@ -540,7 +545,9 @@ def _options(command):
     return {**_SHARED_OPTIONS, **{name: _OWN_OPTIONS[name] for name in _COMMANDS[command][2]}}
 
 
-def _build_parser():
+def _build_parser(only=None):
+    """The parser of every command, or of only ``only``'s options; every
+    command is listed, for ``-h`` and for an unknown command's error."""
     parser = argparse.ArgumentParser(
         prog="bmps",
         description="Tensor-network classifier experiments and model tools",
@@ -549,6 +556,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
+        if only not in (None, command):
+            continue
         p.add_argument("--config", default=argparse.SUPPRESS, help="JSON file of option overrides")
         for name, (_, kwargs) in _options(command).items():
             flag = "--" + name.replace("_", "-")
@@ -586,7 +595,10 @@ def _merge_config(command, args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option with a value, so the first word
+    # that is not an option names the command; "" declares no command's options
+    args = _build_parser(next((a for a in argv if not a.startswith("-")), "")).parse_args(argv)
     try:
         cfg = _merge_config(args.command, args)
         return _COMMANDS[args.command][0](cfg)

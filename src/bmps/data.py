@@ -26,6 +26,7 @@ The cache directory for named datasets is ``$BMPS_DATA_DIR`` (default
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -305,24 +306,26 @@ def _scale_cells(feature_cols, schema, rows, line_nos):
     )
 
 
-def _scale_columns(feature_cols, schema, rows):
-    """The floats of :func:`_scale_cells`, one column at a time.
+def _scale_columns(feature_cols, schema, columns):
+    """The floats of :func:`_scale_cells`, one column at a time, from each
+    column's stripped cells (a range column's may be floats already).
 
     Returns None where any cell or column spec would fail, so the caller can
     rerun the per-cell path to raise the first failure in file order.
     """
-    n = len(rows)
+    n = len(columns[0])
     X = np.empty((n, len(feature_cols)))
-    for j, (column, cells) in enumerate(zip(feature_cols, zip(*rows))):
+    for j, (column, cells) in enumerate(zip(feature_cols, columns)):
         spec = schema[column]
         try:
             if spec["kind"] == "range":
                 lo, hi = float(spec["min"]), float(spec["max"])
-                v = np.fromiter(map(float, cells), np.float64, n)
+                if not isinstance(cells, np.ndarray):
+                    cells = np.fromiter(map(float, cells), np.float64, n)
                 # NaN fails both comparisons, as it does in _scale_cell
-                if not lo < hi or not np.all((lo <= v) & (v <= hi)):
+                if not lo < hi or not np.all((lo <= cells) & (cells <= hi)):
                     return None
-                X[:, j] = (v - lo) / (hi - lo)
+                X[:, j] = (cells - lo) / (hi - lo)
             else:
                 mapping = spec["values"]
                 X[:, j] = np.fromiter((float(mapping[c]) for c in cells), np.float64, n)
@@ -331,27 +334,10 @@ def _scale_columns(feature_cols, schema, rows):
     return X
 
 
-def load_csv(path, label_column, schema, classes=None):
-    """Feature rows from a CSV with a header, scaled by a declared schema.
-
-    ``schema`` maps feature column names to either
-    ``{"kind": "range", "min": a, "max": b}`` (affine rescale of the
-    declared range onto [0,1]) or ``{"kind": "map", "values": {...}}``
-    (exact category strings to values in [0,1]). Rows with missing values
-    ('' or '?') in used columns are dropped and counted in provenance.
-    ``classes`` fixes the label order and may not repeat a class; by
-    default the sorted distinct observed labels are used. The result has an
-    empty test half. A schema of the wrong structure, or a ``map`` value
-    outside [0, 1], raises ``DataError`` naming the column before any cell
-    is read.
-    """
-    _check_schema(schema)
-    feature_cols = list(schema)
-    if label_column in schema:
-        raise DataError(f"label column {label_column!r} also appears in the schema")
-    if not feature_cols:
-        raise DataError("schema declares no feature columns")
-
+def _read_rows(path, feature_cols, label_column, schema):
+    """``(X, labels, dropped)`` of a CSV read record by record: rows with a
+    missing value in a used column are dropped and counted, and the first
+    bad cell in file order raises, naming its file line."""
     used = feature_cols + [label_column]
     rows, line_nos, labels, dropped = [], [], [], 0
     with open(path, newline="") as fh:
@@ -374,10 +360,83 @@ def load_csv(path, label_column, schema, classes=None):
             labels.append(cells[-1])
     if not rows:
         raise DataError(f"{path}: no usable rows (dropped {dropped})")
-
-    X = _scale_columns(feature_cols, schema, rows)
+    X = _scale_columns(feature_cols, schema, list(zip(*rows)))
     if X is None:
         X = _scale_cells(feature_cols, schema, rows, line_nos)
+    return X, labels, dropped
+
+
+def _read_clean(path, feature_cols, label_column, schema):
+    """``(X, labels)`` of a clean CSV, parsed by numpy's C reader, or None.
+
+    Clean means :func:`_read_rows` would drop no row and refuse no cell, and
+    no line ends in a bare ``\\r``; it then gives the same floats and labels,
+    bit for bit. numpy's reader takes quotes as the ``csv`` module does,
+    strips what ``float`` strips and skips empty lines; a record it cannot
+    parse (too short, blank but whitespace, ``1_000``) makes the file unclean.
+    """
+    with open(path, newline="") as fh:
+        try:
+            header = next(csv.reader(fh), [])
+            text = fh.read()
+        except (UnicodeDecodeError, csv.Error):
+            return None
+    where = {name: i for i, name in enumerate(header)}  # a repeated name's last, as DictReader
+    used = feature_cols + [label_column]
+    if any(c not in where for c in used) or not text.strip() or text.count("\r") != text.count("\r\n"):
+        return None
+    # _read_rows refuses a field longer than the csv module's limit; a quoted one may span lines
+    if (len(text) if '"' in text else max(map(len, text.split("\n")))) > csv.field_size_limit():
+        return None
+    kinds = [np.float64 if schema[c]["kind"] == "range" else object for c in feature_cols]
+    dtype = np.dtype([(f"f{j}", kind) for j, kind in enumerate(kinds + [object])])
+    try:
+        rec = np.loadtxt(
+            io.StringIO(text), dtype=dtype, delimiter=",", comments=None,
+            quotechar='"', usecols=[where[c] for c in used], ndmin=1,
+        )
+    except ValueError:
+        return None
+    # the map columns' and the labels' strings, stripped as _read_rows strips them
+    cells = [rec[name] for name in dtype.names]
+    cells = [[c.strip() for c in v.tolist()] if v.dtype == object else v for v in cells]
+    if any("" in v or "?" in v for v in cells if isinstance(v, list)):
+        return None  # a row _read_rows drops
+    X = _scale_columns(feature_cols, schema, cells[:-1])
+    return None if X is None else (X, cells[-1])
+
+
+def load_csv(path, label_column, schema, classes=None):
+    """Feature rows from a CSV with a header, scaled by a declared schema.
+
+    ``schema`` maps feature column names to either
+    ``{"kind": "range", "min": a, "max": b}`` (affine rescale of the
+    declared range onto [0,1]) or ``{"kind": "map", "values": {...}}``
+    (exact category strings to values in [0,1]). Rows with missing values
+    ('' or '?') in used columns are dropped and counted in provenance.
+    ``classes`` fixes the label order and may not repeat a class; by
+    default the sorted distinct observed labels are used. The result has an
+    empty test half. A schema of the wrong structure, or a ``map`` value
+    outside [0, 1], raises ``DataError`` naming the column before any cell
+    is read.
+
+    A clean file (no dropped row, no bad cell; see :func:`_read_clean`) is
+    parsed by numpy's C reader. Any other file is read record by record,
+    and its first bad cell in file order raises ``DataError`` naming its
+    line. Both give the same split and provenance, bit for bit.
+    """
+    _check_schema(schema)
+    feature_cols = list(schema)
+    if label_column in schema:
+        raise DataError(f"label column {label_column!r} also appears in the schema")
+    if not feature_cols:
+        raise DataError("schema declares no feature columns")
+
+    clean = _read_clean(path, feature_cols, label_column, schema)
+    if clean is None:
+        X, labels, dropped = _read_rows(path, feature_cols, label_column, schema)
+    else:
+        (X, labels), dropped = clean, 0
     variances = X.var(axis=0)
     flat = [feature_cols[i] for i in np.nonzero(variances == 0)[0]]
     if flat:
@@ -409,6 +468,8 @@ def load_csv(path, label_column, schema, classes=None):
         test_y=np.zeros((0, len(classes))),
         provenance=prov,
     )
+
+
 
 
 # The two cloud centers of :func:`make_blobs`, class 0 first.

@@ -80,6 +80,14 @@ must be at most 1e-10 times ``|U(U'v) + precision*v|`` (Cholesky's backward
 error here is about R*eps). The probe reads only C's upper triangle and
 makes two passes over U. ``BLAP1`` files, which carry no core factor, must
 be refit.
+
+Each input is checked for finiteness once. The probe's passes are the file
+rows' check: only a non-finite probe rescans U, to tell a NaN or inf row
+(``ParseError`` naming the factor rows) from rows that overflow it. The
+rows :func:`ggn_factors` writes are not rescanned, since the Jacobian
+stream checked every product they hold; a :class:`GgnFactors` built by
+hand is. The triangular solve of prediction does not rescan the core or
+``A``; a variance that comes out non-finite raises ``NumericError``.
 """
 
 from __future__ import annotations
@@ -122,16 +130,27 @@ class GgnFactors:
     sample_ids: np.ndarray | None
     model_digest: str
 
-    def __post_init__(self):
+    def __post_init__(self, rescan=True):
         factors = np.ascontiguousarray(np.asarray(self.factors, dtype=np.float64))
         if factors.ndim != 2:
             raise ShapeError(f"factors must be 2-d (rank, params), got {factors.shape}")
-        if not mps._within(factors, np.inf):
+        if rescan and not mps._within(factors, np.inf):
             raise NumericError("factors contain non-finite entries")
         object.__setattr__(self, "factors", factors)
         if self.sample_ids is not None:
             ids = np.asarray(self.sample_ids, dtype=np.int64)
             object.__setattr__(self, "sample_ids", ids)
+
+    @classmethod
+    def _checked(cls, *values):
+        """Factors of the field ``values`` whose rows another pass checks for
+        finiteness, so they are not rescanned: :func:`ggn_factors`'s (the
+        Jacobian stream checked every product) or a file's (the probe)."""
+        obj = cls.__new__(cls)
+        for f, value in zip(fields(cls), values, strict=True):
+            object.__setattr__(obj, f.name, value)
+        obj.__post_init__(rescan=False)
+        return obj
 
     @property
     def rank(self):
@@ -178,12 +197,7 @@ def ggn_factors(model, X, rank_cap=DEFAULT_RANK_CAP, seed=0):
         _ggn_rows(model, xb, out.reshape(len(xb), L, P))
 
     mps.map_chunks(fill, m, mps.jacobian_row_bytes(model.shape))
-    return GgnFactors(
-        factors=U,
-        n_samples=m,
-        sample_ids=sample_ids,
-        model_digest=model_digest(model),
-    )
+    return GgnFactors._checked(U, m, sample_ids, model_digest(model))
 
 
 def _ggn_rows(model, X, out):
@@ -356,9 +370,13 @@ def _variance(post, phi):
     J = part = None  # the block buffer is not needed while solving
     from scipy.linalg import solve_triangular
 
+    # the core was checked where it was built or loaded, and A is a product
+    # of checked arrays: only an overflow makes it, and then sq, non-finite
     with mps._one_blas_thread:
-        Z = solve_triangular(post._core, At.T, trans=1, lower=False, overwrite_b=True)
+        Z = solve_triangular(post._core, At.T, 1, False, overwrite_b=True, check_finite=False)
     sq -= np.einsum("rk,rk->k", Z, Z)
+    if not mps._within(sq, np.inf):
+        raise NumericError("posterior variance is not finite")
     return (sq / post.prior_precision).reshape(b, L)
 
 
@@ -469,6 +487,10 @@ def _check_core(c, U, precision):
     # a probe that does (factor rows of 1e155 or more) gives NaN and fails
     with np.errstate(over="ignore", invalid="ignore"):
         want = U @ (U.T @ v) + precision * v
+        # the probe is the rows' one finiteness pass; only a failed probe
+        # rescans them, to tell NaN or inf rows (damage) from an overflow
+        if not mps._within(want, np.inf) and not mps._within(U, np.inf):
+            raise ParseError("factor rows: factors contain non-finite entries")
         with mps._one_blas_thread:
             got = dtrmv(c, dtrmv(c, v), trans=1)  # C'Cv, upper triangle only
         top = np.abs(want).max()
@@ -545,12 +567,9 @@ def _read_posterior(fh):
     c = np.empty((rank, rank), dtype="<f8", order="F")
     if fh.readinto(c.ravel(order="F").view(np.uint8)) != c_bytes:
         raise ParseError(f"core factor at offset {offset + u_bytes} could not be read")
-    try:  # a non-finite factor row is damage in the file, not a numeric failure
-        factors = GgnFactors(
-            U, meta["n_samples"], meta.get("sample_ids"), meta["model_digest"]
-        )
-    except NumericError as exc:
-        raise ParseError(f"factor rows: {exc}") from exc
+    factors = GgnFactors._checked(
+        U, meta["n_samples"], meta.get("sample_ids"), meta["model_digest"]
+    )
     return LaplacePosterior._with_core(model, factors, precision, c)
 
 

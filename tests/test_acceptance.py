@@ -121,6 +121,7 @@ def test_c02_gradients_match_finite_differences():
     )
 
 
+@pytest.mark.slow
 def test_c03_response_variance_law():
     t0 = time.perf_counter()
     worst_z = 0.0
@@ -167,6 +168,7 @@ def _mc_log10_var(shape, sigma, n_inits, seed):
     return float(np.log10(vals.var()))
 
 
+@pytest.mark.slow
 def test_c04_calibrated_init_is_stable_and_unit_variance_blows_up():
     # Bond 16 keeps the Monte-Carlo variance estimate honest at depth 100;
     # thinner chains concentrate too slowly for 2000 replicas to see the
@@ -288,6 +290,7 @@ def _timed_solve(post, v):
     return time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_c07_low_rank_solver_matches_dense_and_scales_linearly():
     rng = np.random.default_rng(700)
     worst = 0.0

@@ -9,6 +9,7 @@ fast; accuracy targets here are loose because the point is the plumbing
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,37 @@ class TestTrain:
         model = mps.load_model(out / "model.bmps")
         assert model.shape.n_sites == 2
 
+    def test_lifecycle_sidecars_time_the_dataset_load(self, tmp_path):
+        rng = np.random.default_rng(6)
+        rows = ["size,shade,kind"] + [
+            f"{rng.uniform(0, 2) + 3 * (i % 2):.4f},{rng.uniform(0, 5):.4f},{'ab'[i % 2]}"
+            for i in range(40)
+        ]
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        schema_path = tmp_path / "schema.json"
+        spec = {"kind": "range", "min": 0, "max": 5}
+        schema_path.write_text(json.dumps({"size": spec, "shade": spec}))
+        common = [
+            "--dataset", "csv", "--csv", csv_path, "--label-column", "kind",
+            "--schema", schema_path, "--bond", "2", "--reg", "0.5",
+        ]
+        model = tmp_path / "train" / "model.bmps"
+        commands = {
+            "train": ["--epochs", "2"],
+            "laplace-fit": ["--model", model],
+            "predict": ["--model", model, "--posterior", tmp_path / "laplace-fit" / "posterior.blap"],
+        }
+        for command, args in commands.items():
+            out = tmp_path / command
+            assert run(command, *common, *args, "--out", out) == 0
+            (meta_path,) = out.glob("*.meta.json")
+            meta = json.loads(meta_path.read_text())
+            seconds = meta["seconds"]
+            assert seconds["load_dataset"] > 0
+            assert all(t >= 0 for t in seconds.values())
+            assert sum(seconds.values()) <= meta["wall_time_seconds"]
+
     def test_repeated_class_exits_2(self, tmp_path, capsys, monkeypatch):
         csv_path = tmp_path / "d.csv"
         csv_path.write_text("size,kind\n1,a\n2,b\n3,a\n4,b\n")
@@ -291,6 +323,32 @@ class TestConfigMerge:
 
 class TestOptionTable:
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_help_lists_exactly_its_options(self, command, capsys, monkeypatch):
+        # main declares only the invoked command's options
+        built, build = [], cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda only=None: built.append(only) or build(only))
+        with pytest.raises(SystemExit) as done:
+            cli.main([command, "-h"])
+        assert done.value.code == 0 and built == [command]
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        own = {"--" + name.replace("_", "-") for name in cli._options(command)}
+        assert flags == own | {"--help", "--config"}
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            cli.main(["-h"])
+        assert done.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in cli._COMMANDS)
+
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            cli.main(["nope", "--out", "x"])
+        assert done.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope'" in err and "laplace-fit" in err
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_defaults_and_flags_come_from_the_table(self, command):
         options = cli._options(command)
         parser = cli._build_parser()
@@ -335,7 +393,7 @@ class TestPredictAndLaplace:
             "blas_threads": mps.blas_threads(1),
         }
         seconds = meta["seconds"]
-        assert set(seconds) == {"factors", "core", "save"}
+        assert set(seconds) == {"load_dataset", "factors", "core", "save"}
         assert all(t >= 0 for t in seconds.values())
         assert sum(seconds.values()) <= meta["wall_time_seconds"]
         # a byte budget of 4 Jacobian rows sets the chunks and the pool
@@ -373,8 +431,9 @@ class TestPredictAndLaplace:
         assert meta["blas_threads"] == (1 if mps._openblas() else None)
         assert 0 < meta["peak_rss_mib"] < 1 << 20
         seconds = meta["seconds"]
-        assert seconds["load_posterior"] >= 0 and seconds["predict"] >= 0
-        assert seconds["load_posterior"] + seconds["predict"] <= meta["wall_time_seconds"]
+        assert set(seconds) == {"load_dataset", "load_posterior", "predict"}
+        assert all(t >= 0 for t in seconds.values())
+        assert sum(seconds.values()) <= meta["wall_time_seconds"]
 
     def test_predict_without_posterior_warns_and_uses_map(self, tmp_path, trained, capsys):
         pred = tmp_path / "pred"
@@ -389,8 +448,9 @@ class TestPredictAndLaplace:
         assert (meta["chunk_rows"], meta["workers"]) == (mps.CHUNK_ROWS, 1)
         assert meta["blas_threads"] == mps.blas_threads(1)
         assert 0 < meta["peak_rss_mib"] < 1 << 20
-        assert meta["seconds"]["load_posterior"] is None
-        assert 0 <= meta["seconds"]["predict"] <= meta["wall_time_seconds"]
+        seconds = meta["seconds"]
+        assert seconds["load_posterior"] is None
+        assert 0 <= seconds["load_dataset"] + seconds["predict"] <= meta["wall_time_seconds"]
         header, rows = read_csv(pred / "predictions.csv")
         model = mps.load_model(trained / "model.bmps")
         defaults = {name: d for name, (d, _) in cli._options("predict").items()}

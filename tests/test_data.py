@@ -1,12 +1,16 @@
 """Tests for dataset loading, preprocessing, synthesis, and splitting."""
 
+import importlib.util
 import json
 import re
 import struct
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -307,6 +311,147 @@ class TestCsvLoading:
         write_csv(path, ["1,2,0,a", "2,3,1,b"])
         with pytest.raises(DataError, match="schema must be a JSON object, got list"):
             data.load_csv(path, "outcome", ["clump", "size", "shade"])
+
+# A range column a in [0, 10], b in [-5, 5] and a map column m whose keys
+# include the two missing-value markers, which drop a row before any map.
+CLEAN_SCHEMA = {
+    "a": {"kind": "range", "min": 0, "max": 10},
+    "b": {"kind": "range", "min": -5, "max": 5},
+    "m": {"kind": "map", "values": {"x": 0.0, "y": 1.0, "?": 0.5, "": 0.25}},
+}
+HEAD = "a,b,m,label"
+ROWS = ["1,2,x,p", "3,-4,y,q", "5,0.5,x,q"]
+
+
+def csv_outcome(path, schema, classes=None):
+    """What ``load_csv`` gives: the split's bytes and provenance, or the
+    exception's type and text."""
+    try:
+        ds = data.load_csv(path, "label", schema, classes=classes)
+    except Exception as exc:  # the outcome is compared, not handled
+        return type(exc), str(exc)
+    return ds.train_x.tobytes(), ds.train_y.tobytes(), ds.provenance
+
+
+def both_paths(path, schema=CLEAN_SCHEMA, classes=None):
+    """``(outcome, outcome of the record-by-record path, whether the file
+    took numpy's C-parsed path)``."""
+    clean = data._read_clean(path, list(schema), "label", schema) is not None
+    outcome = csv_outcome(path, schema, classes)
+    with mock.patch.object(data, "_read_clean", lambda *args: None):
+        per_record = csv_outcome(path, schema, classes)
+    return outcome, per_record, clean
+
+
+def lines(*rows, head=HEAD, end="\n"):
+    return end.join([head, *rows]) + end
+
+
+class TestCleanCsvPath:
+    """A clean file is parsed by numpy's C reader; every file gives what the
+    record-by-record path gives, bit for bit, or raises its exception."""
+
+    @pytest.mark.parametrize(
+        "text, clean",
+        [
+            (lines(*ROWS), True),
+            (lines('"1",2,"x","p, q"', '3,"-4",y,"q""r"', "5,0,x,q", head='"a",b,m,label'), True),
+            (lines(*ROWS, end="\r\n"), True),
+            (lines(*ROWS, end="\r"), False),  # the csv module's line ends, not numpy's
+            (lines(*ROWS).replace("\n", "\r\n", 2), True),
+            ("﻿" + lines(*ROWS), False),  # 'a' is missing from the header
+            (lines("", ROWS[0], "", *ROWS[1:], ""), True),
+            (lines(ROWS[0], "  \t", *ROWS[1:]), False),
+            (lines(*ROWS, "1,2,x"), False),  # short: the label is missing
+            (lines(*ROWS, head=HEAD + ",note"), True),  # short of an unused column
+            (lines(*ROWS, "6,1,y,p,extra,more"), True),
+            (lines("9,1,2,x,p", "9,3,-4,y,q", head="a,a,b,m,label"), True),  # the last 'a'
+            (lines(*ROWS, "?,1,x,p"), False),
+            (lines(*ROWS, ",1,x,p"), False),
+            (lines(*ROWS, "2,1,?,p"), False),
+            (lines(*ROWS, "2,1, ,p"), False),
+            (lines(*ROWS, "2,1,x,?"), False),
+            (lines("1,2,x,p,?", "3,-4,y,q,", "5,0,x,q, ", head=HEAD + ",note"), True),
+            (lines(*ROWS, "nan,1,x,p"), False),
+            (lines(*ROWS, "2,inf,x,p"), False),
+            (lines(*ROWS, "1_0,1,x,p"), False),  # float reads 10, numpy does not
+            (lines(*ROWS, "2,1e1,x,p"), False),  # outside [-5, 5]
+            (lines(*ROWS, "11,1,x,p"), False),
+            (lines(*ROWS, "2,1,w,p"), False),
+            (lines(ROWS[0], HEAD, *ROWS[1:]), False),  # the header again
+            (lines(" 1 , 2 , x , p ", "\xa03\t,-4,y ,q", "5,0,x ,\x1cq"), True),
+            (lines(*ROWS, '7,1,y,"p\nq"'), True),
+            (lines(*ROWS, '7,1,y,"p\r\nq"', end="\r\n"), True),
+            (lines("?,1,x,p", "2,?,y,q"), False),  # no usable rows
+            (lines(), False),
+            ("", False),
+            (lines("1,2,x,p", "1,3,y,q"), True),  # zero variance in 'a'
+            pytest.param(  # a field over the csv module's limit
+                lines(*ROWS, "2,1,y,q," + "z" * 140_000, head=HEAD + ",note"), False,
+                id="field-limit",
+            ),
+        ],
+    )
+    def test_corpus(self, tmp_path, text, clean):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        outcome, per_record, took = both_paths(path)
+        assert outcome == per_record
+        assert took == clean
+
+    def test_declared_classes_on_both_paths(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(lines(*ROWS))
+        for classes in (["q", "p"], ["p", "q", "r"], ["p"], ["p", "p", "q"]):
+            outcome, per_record, took = both_paths(path, classes=classes)
+            assert took and outcome == per_record
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_files_match_the_record_path(self, draw):
+        numbers = st.sampled_from(["1", " 2.5 ", "0", "-5", "4", '"3"', "1e0", "-0", "+.5", "5.", "\t7"])
+        cats = st.sampled_from(["x", "y", '"x"', " y ", "x\xa0"])
+        labels = st.sampled_from(["p", "q", " q ", '"p, q"', '"p""q"', "p\x00", '"p\nq"'])
+        odd = st.sampled_from(
+            ["11", "nan", "-inf", "1_0", "?", "", " ", "w", "0x1p1", '"', '4"', ' "3"', "1\r2", "﻿1"]
+        )
+        pools = {"a": numbers, "b": numbers, "m": cats, "label": labels}
+        head = draw.draw(st.sampled_from([HEAD, "label,m,b,a,note", "a,a,b,m,label", '"a",b,m,label']))
+        names = [c.strip('"') for c in head.split(",")]
+        rows = []
+        for _ in range(draw.draw(st.integers(0, 6))):
+            kind = draw.draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "short", "long"]))
+            width = len(names) + {"short": -1, "long": 1}.get(kind, 0)
+            cells = []
+            for name in (names + ["extra"])[:width]:
+                # one cell in twenty is one that a clean file cannot hold
+                odd_cell = draw.draw(st.integers(0, 19)) == 0
+                cells.append(draw.draw(odd if odd_cell else pools.get(name, labels)))
+            rows.append({"blank": "", "spaces": " \t"}.get(kind, ",".join(cells)))
+        end = draw.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        schema = draw.draw(st.sampled_from([CLEAN_SCHEMA, {"a": CLEAN_SCHEMA["a"], "b": CLEAN_SCHEMA["b"]}]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes(lines(*rows, head=head, end=end).encode())
+            outcome, per_record, _ = both_paths(path, schema)
+        assert outcome == per_record
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bench_screening_file_takes_the_clean_path(self, tmp_path, seed):
+        path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("bench_gen", path)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        csv_path, schema_path, _ = gen.write_screening(seed, tmp_path)
+        schema = json.loads(schema_path.read_text())
+        clean = data._read_clean(csv_path, list(schema), gen.LABEL_COLUMN, schema)
+        assert clean is not None
+        ds = data.load_csv(csv_path, gen.LABEL_COLUMN, schema)
+        with mock.patch.object(data, "_read_clean", lambda *args: None):
+            per_record = data.load_csv(csv_path, gen.LABEL_COLUMN, schema)
+        assert ds.train_x.tobytes() == per_record.train_x.tobytes()
+        assert ds.train_y.tobytes() == per_record.train_y.tobytes()
+        assert ds.provenance == per_record.provenance
 
 
 class TestBlobs:

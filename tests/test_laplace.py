@@ -1247,3 +1247,67 @@ class TestStoredCore:
         # the core is the empty factor cho_factor gives, and has no bytes
         assert loaded._core.shape == (0, 0) and loaded.factors.rank == 0
         assert loaded.log_det_precision == post.log_det_precision
+
+
+class TestCheckOnce:
+    """Each input is checked for finiteness once: the factor rows by the
+    Jacobian stream that writes them or by the probe that reads them from a
+    file, and the core where it is built or loaded."""
+
+    @staticmethod
+    def scanned(monkeypatch):
+        """The sizes of the arrays ``mps._within`` scans from now on."""
+        sizes, within = [], mps._within
+        monkeypatch.setattr(mps, "_within", lambda arr, cap: sizes.append(arr.size) or within(arr, cap))
+        return sizes
+
+    def test_factor_rows_are_not_rescanned(self, monkeypatch):
+        rng = RNG(90)
+        model = small_model(rng, 3)
+        X = rng.uniform(0, 1, size=(9, 4))
+        sizes = self.scanned(monkeypatch)
+        fac = laplace.ggn_factors(model, X)
+        assert sizes and max(sizes) < fac.factors.size
+        post = laplace.LaplacePosterior(model, fac, 0.25)
+        blob = laplace.posterior_to_bytes(post)
+        sizes.clear()
+        loaded = laplace.posterior_from_bytes(blob)
+        assert np.array_equal(loaded.factors.factors, fac.factors)
+        # the probe is the rows' one pass; only the R x R core is scanned
+        assert max(sizes) < fac.factors.size
+        # rows built by hand keep the scan and its NumericError
+        U = fac.factors.copy()
+        sizes.clear()
+        factors_for(model, U)
+        assert sizes == [U.size]
+        U[2, 5] = np.nan
+        with pytest.raises(NumericError, match="factors contain non-finite entries"):
+            factors_for(model, U)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_only_a_failed_probe_rescans_the_rows(self, monkeypatch, bad):
+        post, _ = fitted_posterior(RNG(91))
+        U = post.factors.factors
+        blob = bytearray(laplace.posterior_to_bytes(post))
+        struct.pack_into("<d", blob, len(laplace._posterior_head(post)) + 8 * U.shape[1], bad)
+        sizes = self.scanned(monkeypatch)
+        with pytest.raises(ParseError, match=r"^factor rows: factors contain non-finite entries$"):
+            laplace.posterior_from_bytes(bytes(blob))
+        assert sizes.count(U.size) == 1
+
+    def test_an_overflowing_variance_raises(self, monkeypatch):
+        # With the cap lifted, the Jacobian of this chain reaches 1e160 at
+        # site 3: A = U J' of factor rows at 1e150 overflows, as does |j|^2,
+        # while the core U U' + I stays finite. The triangular solve no
+        # longer checks A, so the variance check must catch it.
+        monkeypatch.setattr(mps, "MAGNITUDE_CAP", np.inf)
+        mats = [np.eye(2)] * 5
+        mats[3], mats[1] = np.diag([1e160, 1.0]), np.diag([1e-160, 1.0])
+        model = transfer_chain(mats, label_site=2)
+        U = 1e150 * RNG(92).normal(size=(3, model.shape.param_count))
+        post = laplace.LaplacePosterior(model, factors_for(model, U), 1.0)
+        X = np.ones((2, 5))
+        assert np.all(mps.forward_batch(model, mps.embed(X)) == 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="posterior variance is not finite"):
+                laplace.predictive_batch(post, X)
