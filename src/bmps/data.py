@@ -33,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from . import mps
+from .errors import DataError, ParseError, ShapeError
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -59,26 +60,16 @@ def minmax_scale(X):
     return (X - lo) / span
 
 
-def _check_features(name, X, allow_empty=False):
-    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    if X.ndim != 2:
-        raise DataError(f"{name} must be 2-d (samples, features), got shape {X.shape}")
-    if X.shape[0] == 0 and not allow_empty:
-        raise DataError(f"{name} has no rows")
-    if X.size and not (0.0 <= X.min() and X.max() <= 1.0):
-        raise DataError(f"{name} has entries outside [0, 1]")
-    return X
-
-
-def _check_onehot(name, Y, allow_empty=False):
-    Y = np.ascontiguousarray(np.asarray(Y, dtype=np.float64))
+def _labels(Y):
+    """``Y`` as float64, checked as one-hot rows: 2-D (ShapeError), each
+    entry 0 or 1 and one 1 a row (DataError); run once a public call."""
+    Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
-        raise DataError(f"{name} must be 2-d one-hot, got shape {Y.shape}")
-    if Y.shape[0] == 0 and not allow_empty:
-        raise DataError(f"{name} has no rows")
-    if Y.size:
-        if not np.all((Y == 0.0) | (Y == 1.0)) or not np.all(Y.sum(axis=1) == 1.0):
-            raise DataError(f"{name} rows must be one-hot")
+        raise ShapeError(f"labels must be 2-D one-hot rows, got shape {Y.shape}")
+    if not np.all((Y == 0.0) | (Y == 1.0)):
+        raise DataError("labels must be one-hot rows of 0s and 1s")
+    if not np.all(Y.sum(axis=1) == 1.0):
+        raise DataError("each label row must have exactly one 1")
     return Y
 
 
@@ -97,12 +88,14 @@ class DatasetSplit:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        tx = _check_features("train_x", self.train_x)
-        ty = _check_onehot("train_y", self.train_y)
-        ex = _check_features("test_x", self.test_x, allow_empty=True)
-        ey = _check_onehot("test_y", self.test_y, allow_empty=True)
+        tx = np.ascontiguousarray(mps._features(self.train_x))
+        ty = np.ascontiguousarray(_labels(self.train_y))
+        ex = np.ascontiguousarray(mps._features(self.test_x))
+        ey = np.ascontiguousarray(_labels(self.test_y))
         if tx.shape[0] != ty.shape[0] or ex.shape[0] != ey.shape[0]:
             raise DataError("feature and label row counts differ")
+        if not tx.shape[0]:
+            raise DataError("train_x has no rows")
         if ex.shape[0] and ex.shape[1] != tx.shape[1]:
             raise DataError(
                 f"test has {ex.shape[1]} features, train has {tx.shape[1]}"
@@ -141,8 +134,6 @@ class DatasetSplit:
         """Use another split's training half as this split's test set."""
         if self.test_x.shape[0] or other.test_x.shape[0]:
             raise DataError("with_test expects two splits without test rows")
-        if other.n_features != self.n_features or other.n_classes != self.n_classes:
-            raise DataError("train and test sources disagree on shape")
         prov = dict(self.provenance)
         prov["test_source"] = other.provenance.get("source", "unknown")
         return DatasetSplit(

@@ -169,8 +169,8 @@ def ggn_factors(model, X, rank_cap=DEFAULT_RANK_CAP, seed=0):
     exceed ``rank_cap``, a seeded uniform subsample is used and its row
     indices are recorded on the result.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
+    X = mps._features(X)
+    if X.shape[0] == 0:
         raise DataError(f"need a nonempty 2-d batch, got shape {X.shape}")
     if rank_cap < 1:
         raise ValueError(f"rank_cap must be >= 1, got {rank_cap}")
@@ -208,7 +208,7 @@ def _ggn_rows(model, X, out):
     ``sqrt(y (1 - y))`` for a single channel. The coefficients are folded
     in before the environment recurrence, so the magnitude checks see the
     products that make up these rows."""
-    phi = mps.embed(X)
+    phi = mps._stack(X)
     logits = mps.forward_batch(model, phi)
     if model.shape.n_labels == 1:
         y = expit(logits)
@@ -381,8 +381,8 @@ def _variance(post, phi):
 
 
 def _moderate(post, X):
-    """Moderated predictions of one batch; see :func:`predictive_batch`."""
-    phi = mps.embed(X)
+    """Moderated predictions of one checked batch; see :func:`predictive_batch`."""
+    phi = mps._stack(X)
     logits = mps.forward_batch(post.map_model, phi)
     sigma2 = np.maximum(_variance(post, phi), 0.0)
     gaps = _logit_gaps(logits)
@@ -403,9 +403,7 @@ def predictive_batch(post, X):
     ``logits`` are the point-estimate logits, identical to
     :func:`bmps.mps.forward_batch` on the embedded rows.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError(f"X must be 2-d (batch, features), got shape {X.shape}")
+    X = mps._features(X)
     if X.shape[0] == 0:
         raise DataError(f"need a nonempty 2-d batch, got shape {X.shape}")
     parts = mps.map_chunks(

@@ -149,6 +149,7 @@ import functools
 import math
 import os
 import struct
+import sys
 import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -270,19 +271,24 @@ def embed(X):
 
     ``X`` must be 2-D (ShapeError) with every value in [0, 1] (DataError).
     """
-    X = _features(X)
+    return _stack(_features(X))
+
+
+def _stack(X):
+    """:func:`embed` of a feature matrix :func:`_features` has checked."""
     return np.stack([X, 1.0 - X], axis=2)
 
 
 def _features(X):
-    """``X`` as float64, checked as :func:`embed` checks it, not embedded."""
+    """``X`` as float64, checked as :func:`embed` checks it, not embedded;
+    each public pass runs it once, before its first batch or chunk."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"feature matrix must be 2-D, got ndim={X.ndim}")
     # Written so that NaN, which fails every comparison, is rejected too.
     if X.size and not (0.0 <= X.min() and X.max() <= 1.0):
         bad = X.min() if not 0.0 <= X.min() else X.max()
-        raise DataError(f"feature value {bad!r} outside [0, 1]")
+        raise DataError(f"feature value {float(bad)!r} outside [0, 1]")
     return X
 
 
@@ -352,8 +358,14 @@ def _openblas():
     through ``/proc/self/maps`` as the mapped files whose path names
     OpenBLAS; empty where that file cannot be read or none exports the
     setter. Despite its name the setter sets the library's process-wide
-    count, and it returns the count it replaced.
+    count, and it returns the count it replaced. The dict is shared, and the
+    search (~0.5 ms) reruns only when an import changes ``sys.modules``.
     """
+    return _find_openblas(len(sys.modules))
+
+
+@functools.lru_cache(maxsize=1)
+def _find_openblas(n_modules):
     try:
         with open("/proc/self/maps") as fh:
             lines = [line for line in fh if "openblas" in line]

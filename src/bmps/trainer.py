@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import mps
+from . import data, mps
 from .errors import DataError, NumericError, ShapeError, TrainingDiverged
 
 OPTIMIZERS = ("adam", "sgd", "sgd_momentum")
@@ -145,15 +145,9 @@ class TrainHistory:
 def _targets(model, labels):
     """Validated one-hot labels; a single-logit model scores two classes."""
     width = max(model.shape.n_labels, 2)
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.ndim != 2 or labels.shape[1] != width:
-        raise ShapeError(
-            f"labels must have shape (batch, {width}), got {labels.shape}"
-        )
-    if not np.all((labels == 0.0) | (labels == 1.0)):
-        raise DataError("labels must be one-hot rows of 0s and 1s")
-    if not np.all(labels.sum(axis=1) == 1.0):
-        raise DataError("each label row must have exactly one 1")
+    labels = data._labels(labels)
+    if labels.shape[1] != width:
+        raise ShapeError(f"labels must have shape (batch, {width}), got {labels.shape}")
     return labels
 
 
@@ -340,15 +334,15 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
     iterate with the lowest full-training-set loss. The input model is not
     modified.
     """
-    X = np.asarray(data.train_x, dtype=np.float64)
+    # both halves are checked here, not first in a batch or at an epoch's end
+    X = mps._features(data.train_x)
     Y = _targets(model, data.train_y)
-    if X.ndim != 2 or X.shape[0] != Y.shape[0]:
+    if X.shape[0] != Y.shape[0]:
         raise ShapeError(
             f"train_x has shape {X.shape}, train_y has {Y.shape[0]} rows"
         )
     if X.shape[0] == 0:
         raise DataError("training set is empty")
-    # the test set is checked here, not first at the end of an epoch
     test_x = mps._features(getattr(data, "test_x", np.zeros((0, X.shape[1]))))
     test_y = _targets(model, getattr(data, "test_y", np.zeros((0, Y.shape[1]))))
     if test_x.shape != (test_y.shape[0], X.shape[1]):
@@ -368,7 +362,7 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
     m = X.shape[0]
 
     try:
-        ce = _cross_entropy(predict_logits(work, X), Y)
+        ce = _cross_entropy(_logits(work, X), Y)
     except NumericError as exc:
         raise TrainingDiverged(
             f"initial evaluation overflowed: {exc}", epoch=0, batch=0
@@ -389,7 +383,7 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
         for batch_idx, start in enumerate(range(0, m, config.batch_size)):
             rows = order[start : start + config.batch_size]
             try:
-                env = mps.sweep_env(work, mps.embed(X[rows]), reuse=env)
+                env = mps.sweep_env(work, mps._stack(X[rows]), reuse=env)
                 batch_ce = _loss_and_grad(env, Y[rows], prior, grad)
             except NumericError as exc:
                 raise TrainingDiverged(
@@ -410,8 +404,10 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
 
         t_eval = time.perf_counter()
         try:
-            logits = predict_logits(work, X)
-            test_acc = accuracy(work, test_x, test_y) if has_test else float("nan")
+            logits = _logits(work, X)
+            test_acc = float("nan")
+            if has_test:
+                test_acc = _hit_rate(probabilities(_logits(work, test_x)), test_y)
         except NumericError as exc:
             raise TrainingDiverged(
                 f"evaluation overflowed after epoch {epoch}: {exc}", epoch=epoch
@@ -447,11 +443,13 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
 
 def predict_logits(model, X):
     """Logits for a batch, evaluated in chunks to bound peak memory."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError(f"X must be 2-d (batch, features), got shape {X.shape}")
+    return _logits(model, mps._features(X))
+
+
+def _logits(model, X):
+    """:func:`predict_logits` of a feature matrix already checked."""
     chunks = mps.map_chunks(
-        lambda rows: mps.forward_batch(model, mps.embed(X[rows])),
+        lambda rows: mps.forward_batch(model, mps._stack(X[rows])),
         X.shape[0],
         mps.forward_row_bytes(model.shape),
     )

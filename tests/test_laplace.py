@@ -131,6 +131,19 @@ class TestGgnFactors:
         direct = laplace.ggn_factors(model, X[ids])
         assert np.array_equal(fac.factors, direct.factors)
 
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_subsampled_rows_keep_their_curvature_unscaled(self, n_labels):
+        # ROADMAP finding D: the kept rows are the full build's rows at
+        # sample_ids, not rescaled by sqrt(n_samples / n_keep)
+        rng = RNG(13)
+        model = small_model(rng, n_labels)
+        X = rng.uniform(0, 1, size=(12, 4))
+        full = laplace.ggn_factors(model, X)
+        sub = laplace.ggn_factors(model, X, rank_cap=5 * n_labels, seed=2)
+        assert full.sample_ids is None and len(sub.sample_ids) == 5
+        rows = full.factors.reshape(12, n_labels, -1)[sub.sample_ids]
+        assert np.array_equal(sub.factors, rows.reshape(sub.rank, -1))
+
     def test_rank_cap_too_small_rejected(self):
         rng = RNG(7)
         model = small_model(rng, 3)

@@ -1,6 +1,10 @@
 """Chain contraction, gradients, and the binary model container."""
 
 import dataclasses
+import functools
+import json
+import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -1261,6 +1265,52 @@ class TestOneBlasThread:
         assert found == []
         self.pooled(monkeypatch)(lambda rows: None)
         assert found == [1]
+
+    def test_a_library_imported_after_a_search_is_found(self):
+        # a fresh interpreter, where scipy's OpenBLAS arrives only with
+        # scipy.linalg, after the guard has searched and cached its answer;
+        # then every library, found by an uncached search, is set to 3, and
+        # the guard's next entry must set each to 1
+        code = (
+            "import json\n"
+            "from bmps import mps\n"
+            "with mps._one_blas_thread:\n"
+            "    pass\n"
+            "import scipy.linalg\n"
+            "found = mps._find_openblas.__wrapped__(0)\n"
+            "for f in found.values():\n"
+            "    f(3)\n"
+            "with mps._one_blas_thread:\n"
+            "    inside = {path: f(1) for path, f in found.items()}\n"
+            "print(json.dumps(inside))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        inside = json.loads(out.stdout)
+        if len(inside) < 2:
+            pytest.skip("scipy.linalg brings no OpenBLAS of its own here")
+        assert inside == {path: 1 for path in inside}
+
+    def test_a_process_searches_for_its_libraries_once(self, monkeypatch):
+        searches = []
+        search = mps._find_openblas.__wrapped__
+        monkeypatch.setattr(
+            mps,
+            "_find_openblas",
+            functools.lru_cache(maxsize=1)(lambda n: searches.append(n) or search(n)),
+        )
+        rng = np.random.default_rng(7)
+        model = oracles.random_model(rng, mps.MpsShape(4, 2, 3, 3), scale=0.6)
+        X = rng.uniform(0, 1, size=(9, 4))
+        post = laplace.LaplacePosterior(model, laplace.ggn_factors(model, X), 0.5)
+        mps._find_openblas.cache_clear()
+        searches.clear()
+        for _ in range(2):  # each enters the guard around its triangular solve
+            laplace.predictive_batch(post, X)
+        assert len(searches) == 1
 
 
 class TestParams:
