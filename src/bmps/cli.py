@@ -296,6 +296,8 @@ def cmd_predict(cfg):
         seconds["load_posterior"] = time.perf_counter() - t0
         if laplace.model_digest(model) != post.factors.model_digest:
             raise DataError("posterior was fit for a different model")
+        row_bytes = mps.jacobian_row_bytes(model.shape)
+        chunk_rows, workers = mps.chunk_plan(X.shape[0], row_bytes)
         t0 = time.perf_counter()
         # the moderated batch carries the point-estimate logits too
         batch = laplace.predictive_batch(post, X)
@@ -306,12 +308,12 @@ def cmd_predict(cfg):
             "warning: no posterior provided; falling back to point-estimate probabilities",
             file=sys.stderr,
         )
+        # the MAP forward streams row-capped chunks, serially
+        chunk_rows, workers = mps.CHUNK_ROWS, 1
         t0 = time.perf_counter()
         probs = map_probs = trainer.predict_proba(model, X)
         mode = "map"
     seconds["predict"] = time.perf_counter() - t0
-    row_bytes = mps.jacobian_row_bytes if cfg["posterior"] else mps.forward_row_bytes
-    chunk_rows, workers = mps.chunk_plan(X.shape[0], row_bytes(model.shape))
 
     truth = np.argmax(Y, axis=1)
     fields = ["index", "truth", "map_label", "moderated_label"]

@@ -85,21 +85,21 @@ onto the product so far, so their logits agree bit for bit:
   folds into the class stack before the recurrence, so the recurrence runs
   over the rows it writes and checks every array it forms.
 
-Whole-dataset passes run through :func:`map_chunks`. A chunk holds at most
-:data:`CHUNK_ROWS` rows, and no more than :data:`CHUNK_BYTES` of the
-pass's per-row measure: :func:`jacobian_row_bytes` for the Jacobian
-passes (GGN factors, moderated prediction), which hold only runs of it,
-:func:`forward_row_bytes` for the MAP forward. Where the byte budget, not
-the row cap, sets the chunk size, the chunks are mapped over a thread per
-usable core, sized so that the workers take even shares of the rows
-where that lowers the busiest worker's share (see :func:`chunk_plan`).
-Each pooled chunk's BLAS calls run on one thread, so a pool of a thread a
-core does not also run every BLAS call on every core. That is the
-Jacobian passes at the digit scale; the forward pass stays serial there,
-and the training step always does. Every ``scipy.linalg`` call of
-:mod:`bmps.laplace` runs on one BLAS thread too, pooled or not: scipy
-ships a second OpenBLAS, whose idle worker spins for about 0.1 s after a
-threaded call and takes a core from numpy's next product.
+The MAP forward over a whole dataset streams :data:`CHUNK_ROWS`-row
+slices, one after another. Only the Jacobian passes (GGN factors,
+moderated prediction) are budgeted and pooled: they run through
+:func:`map_chunks`, whose chunks hold at most :data:`CHUNK_ROWS` rows
+and no more than :data:`CHUNK_BYTES` of :func:`jacobian_row_bytes`, of
+which they hold only runs. Where the byte budget, not the row cap, sets
+the chunk size, the chunks are mapped over a thread per usable core,
+sized so that the workers take even shares of the rows where that lowers
+the busiest worker's share (see :func:`chunk_plan`). Each pooled chunk's
+BLAS calls run on one thread, so a pool of a thread a core does not also
+run every BLAS call on every core. The training step always runs serial.
+Every ``scipy.linalg`` call of :mod:`bmps.laplace` runs on one BLAS
+thread too, pooled or not: scipy ships a second OpenBLAS, whose idle
+worker spins for about 0.1 s after a threaded call and takes a core from
+numpy's next product.
 
 Every array the engine forms (partial and running products, the read-off
 product of closure and label node, logits, folded label matrices, the
@@ -163,13 +163,14 @@ from .errors import DataError, NumericError, ParseError, ShapeError
 # check when it runs.
 MAGNITUDE_CAP = 1e100
 
-# Rows contracted together by the whole-dataset passes (prediction, GGN
-# factors), and the bytes of the pass's per-row measure a chunk may take.
-# No pass holds a chunk's whole Jacobian, so for the Laplace passes the
-# budget sets the chunk width (rows * n_labels) that keeps prediction's
-# products with U wide, and the worker count. At the digit scale (196
-# sites, bond 8, 10 classes: 2.1 MB of Jacobian a row) it gives at most 63
-# rows; :func:`chunk_plan` runs 200 or 400 rows on two workers as chunks of 50.
+# Rows contracted together by the whole-dataset passes (MAP forward, GGN
+# factors, moderated prediction), and the bytes of Jacobian a chunk of the
+# Jacobian passes may take; only those passes are budgeted and pooled. No
+# pass holds a chunk's whole Jacobian, so the budget sets the chunk width
+# (rows * n_labels) that keeps prediction's products with U wide, and the
+# worker count. At the digit scale (196 sites, bond 8, 10 classes: 2.1 MB
+# of Jacobian a row) it gives at most 63 rows; :func:`chunk_plan` runs 200
+# or 400 rows on two workers as chunks of 50.
 CHUNK_ROWS = 512
 CHUNK_BYTES = 128 << 20
 
@@ -307,14 +308,6 @@ def jacobian_row_bytes(shape):
     return shape.n_labels * shape.param_count * 8
 
 
-def forward_row_bytes(shape):
-    """Bytes :func:`forward_batch` holds per row: the embedded row and the
-    sweep's one reordered copy of it, ``2 * n_sites * phys`` entries, and
-    the group weights ``psi``, ``phys ** group`` entries a group; O(n_sites)."""
-    s = shape.phys_dim
-    return 8 * (2 * shape.n_sites * s + shape.n_sites // _GROUP * s**_GROUP)
-
-
 def _busiest(n_rows, rows, workers):
     """Rows the busiest of ``workers`` threads takes when chunks of ``rows``
     rows, the last one short, go to them in turn: the first thread takes
@@ -327,7 +320,8 @@ def _busiest(n_rows, rows, workers):
 
 def chunk_plan(n_rows, row_bytes):
     """``(rows, workers)``: the chunk size and thread count :func:`map_chunks`
-    uses for ``n_rows`` rows whose pass holds ``row_bytes`` a row.
+    uses for ``n_rows`` rows of a Jacobian pass that holds ``row_bytes`` a
+    row; the MAP forward is neither budgeted nor pooled.
 
     Chunks hold at most :data:`CHUNK_ROWS` rows and :data:`CHUNK_BYTES` of
     that measure. Only when the byte budget sets the size do they go to a

@@ -151,6 +151,16 @@ def _targets(model, labels):
     return labels
 
 
+def _checked(model, X, labels):
+    """``(X, targets)``: checked features and one-hot targets, with the row
+    counts checked to match, before any sweep."""
+    targets = _targets(model, labels)
+    X = mps._features(X)
+    if X.shape[0] != targets.shape[0]:
+        raise ShapeError(f"{X.shape[0]} samples but {targets.shape[0]} label rows")
+    return X, targets
+
+
 def expit(x):
     """Logistic sigmoid ``1 / (1 + e^-x)``, the arithmetic of
     ``scipy.special.expit``: where ``e^-x`` overflows to inf the result is
@@ -198,9 +208,7 @@ def binary_columns(p1):
 
 
 def _cross_entropy(logits, targets):
-    """Summed cross entropy of logits against validated one-hot targets."""
-    if logits.shape[0] != targets.shape[0]:
-        raise ShapeError(f"{logits.shape[0]} samples but {targets.shape[0]} label rows")
+    """Summed cross entropy of logits against checked targets, row for row."""
     # a row's term is log(1 + sum of e^(other - hit)), which no cancellation
     # rounds to 0; -z is exactly the class-0 logit relative to class 1
     if logits.shape[1] == 1:
@@ -227,9 +235,8 @@ def loss(model, X, labels, prior=PriorSpec()):
     Single-channel models take (batch, 2) labels; wider models one column
     per output channel.
     """
-    targets = _targets(model, labels)
-    logits = predict_logits(model, X)
-    return _cross_entropy(logits, targets) + _penalty(model, prior)
+    X, targets = _checked(model, X, labels)
+    return _cross_entropy(_logits(model, X), targets) + _penalty(model, prior)
 
 
 def _loss_and_grad(env, targets, prior, out):
@@ -255,8 +262,8 @@ def grad_loss(model, X, labels, prior=PriorSpec()):
     Returns a list of arrays matching ``model.nodes`` shapes, views of one
     flat gradient in ``model.params`` order.
     """
-    targets = _targets(model, labels)
-    env = mps.sweep_env(model, mps.embed(X))
+    X, targets = _checked(model, X, labels)
+    env = mps.sweep_env(model, mps._stack(X))
     grad = np.empty_like(model.params)
     _loss_and_grad(env, targets, prior, grad)
     return mps.unflatten_params(model.shape, grad)
@@ -335,12 +342,7 @@ def train_map(model, data, config=TrainConfig(), prior=PriorSpec()):
     modified.
     """
     # both halves are checked here, not first in a batch or at an epoch's end
-    X = mps._features(data.train_x)
-    Y = _targets(model, data.train_y)
-    if X.shape[0] != Y.shape[0]:
-        raise ShapeError(
-            f"train_x has shape {X.shape}, train_y has {Y.shape[0]} rows"
-        )
+    X, Y = _checked(model, data.train_x, data.train_y)
     if X.shape[0] == 0:
         raise DataError("training set is empty")
     test_x = mps._features(getattr(data, "test_x", np.zeros((0, X.shape[1]))))
@@ -447,13 +449,13 @@ def predict_logits(model, X):
 
 
 def _logits(model, X):
-    """:func:`predict_logits` of a feature matrix already checked."""
-    chunks = mps.map_chunks(
-        lambda rows: mps.forward_batch(model, mps._stack(X[rows])),
-        X.shape[0],
-        mps.forward_row_bytes(model.shape),
+    """:func:`predict_logits` of a checked feature matrix, streamed serially
+    in :data:`mps.CHUNK_ROWS`-row slices; an empty matrix runs one."""
+    step = mps.CHUNK_ROWS
+    starts = range(0, max(X.shape[0], 1), step)
+    return np.concatenate(
+        [mps.forward_batch(model, mps._stack(X[s : s + step])) for s in starts]
     )
-    return np.concatenate(chunks)
 
 
 def predict_proba(model, X):
@@ -468,10 +470,7 @@ def predict_labels(model, X):
 
 def accuracy(model, X, labels):
     """Fraction of samples whose predicted class matches the one-hot label."""
-    labels = _targets(model, labels)
+    X, labels = _checked(model, X, labels)
     if labels.shape[0] == 0:
         raise DataError("cannot score an empty batch")
-    probs = predict_proba(model, X)
-    if probs.shape[0] != labels.shape[0]:
-        raise ShapeError(f"{probs.shape[0]} samples but {labels.shape[0]} label rows")
-    return _hit_rate(probs, labels)
+    return _hit_rate(probabilities(_logits(model, X)), labels)

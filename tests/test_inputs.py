@@ -68,13 +68,15 @@ FAULTS = {
 @pytest.fixture
 def case(monkeypatch):
     """A 3-class chain, its posterior, 6 good rows, and every pass split
-    into serial 2-row chunks, so a fault in the last row is in the last
-    batch and chunk."""
+    into serial 2-row chunks (the MAP forward's row cap and the Jacobian
+    passes' plan), so a fault in the last row is in the last batch and
+    chunk."""
     rng = np.random.default_rng(0)
     model = random_model(rng, mps.MpsShape(4, 2, 2, 3), scale=0.6)
     x = rng.uniform(0, 1, size=(6, 4))
     y = np.eye(3)[np.arange(6) % 3]
     post = laplace.LaplacePosterior(model, laplace.ggn_factors(model, x), 0.5)
+    monkeypatch.setattr(mps, "CHUNK_ROWS", 2)
     monkeypatch.setattr(mps, "chunk_plan", lambda n_rows, row_bytes: (2, 1))
     return SimpleNamespace(model=model, post=post, x=x, y=y)
 

@@ -739,7 +739,8 @@ class TestLabelReadOff:
 
     def test_forward_forms_no_class_stack(self):
         # A 512-row digit-scale chunk (196 sites, bond 8, 10 classes) peaks
-        # below its per-row measure, 5.3 MB. One (512, 10, 8, 8) class stack
+        # below 5.3 MB: 10,432 B a row of the embedded row, its reordered
+        # copy and the group weights psi. One (512, 10, 8, 8) class stack
         # on top of what it holds would not fit under that bound; a class
         # stack and its product with the closure took 5.2 MB.
         sh = mps.MpsShape(196, 2, 8, 10)
@@ -747,7 +748,7 @@ class TestLabelReadOff:
         rng = np.random.default_rng(3)
         X = np.where(rng.uniform(size=(512, 196)) < 0.7, 0.0, rng.uniform(size=(512, 196)))
         phi = mps.embed(X)
-        bound = 512 * mps.forward_row_bytes(sh)
+        bound = 5_341_184
         stack = 512 * sh.n_labels * sh.bond_dim**2 * 8
         peak, logits = traced_peak(lambda: mps.forward_batch(model, phi))
         assert logits.shape == (512, 10)
@@ -1162,9 +1163,6 @@ class TestChunkPlan:
         assert 1 <= workers <= mps._usable_cores()
         digits = mps.MpsShape(196, 2, 8, 10)
         assert mps.chunk_plan(200, mps.jacobian_row_bytes(digits))[0] == 50
-        # the forward pass stays row-capped, so serial, at both scales
-        for sh in (shape, digits):
-            assert mps.chunk_plan(2000, mps.forward_row_bytes(sh)) == (mps.CHUNK_ROWS, 1)
 
     def test_workers_never_exceed_chunks(self, monkeypatch):
         monkeypatch.setattr(mps, "_usable_cores", lambda: 8)

@@ -152,6 +152,19 @@ class TestLossValidation:
         with pytest.raises(ShapeError):
             trainer.loss(model, X, onehot([0, 1], 2))
 
+    @pytest.mark.parametrize("name", ["loss", "grad_loss", "accuracy"])
+    def test_row_count_mismatch_raises_before_any_sweep(self, monkeypatch, name):
+        rng = RNG(13)
+        model = small_model(rng, 3)
+        X = rng.uniform(0, 1, size=(5, 4))
+        sweeps, sweep = [], mps._sweep
+        monkeypatch.setattr(
+            mps, "_sweep", lambda *a, **k: sweeps.append(1) or sweep(*a, **k)
+        )
+        with pytest.raises(ShapeError, match="5 samples but 1 label rows"):
+            getattr(trainer, name)(model, X, onehot([0], 3))
+        assert sweeps == []
+
 
 class TestGradLoss:
     @pytest.mark.parametrize(
@@ -668,7 +681,7 @@ class TestPrediction:
             X = rng.uniform(0, 1, size=(10, 4))
             whole = trainer.predict_logits(model, X)
             with monkeypatch.context() as m:
-                m.setattr(mps, "CHUNK_BYTES", 3 * mps.forward_row_bytes(model.shape))
+                m.setattr(mps, "CHUNK_ROWS", 3)
                 chunked = trainer.predict_logits(model, X)
             assert np.array_equal(whole, chunked), seed
 
